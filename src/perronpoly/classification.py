@@ -24,15 +24,15 @@ from dataclasses import dataclass
 
 from mpmath import nstr, workprec
 
-from .errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
+from .errors import InvalidInputError, OracleViolationError
 from .irreducibility import irreducibility_witness
 from .polynomial import IntPoly, is_self_reciprocal
 from .roots import (
     DEFAULT_PRECISION_BITS,
-    MAX_ESCALATIONS,
     CertifiedRootSet,
     complex_roots,
     conjugate_partner,
+    escalate,
     modulus_profile,
     try_modulus_tags,
     try_real_census,
@@ -140,6 +140,13 @@ def classify(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Classi
 
     if not irreducibility_witness(f, precision_bits).irreducible:
         return Classification(f.to_text(), NOT_IRREDUCIBLE, None, None, None, None)
+    return classify_irreducible(f, precision_bits)
+
+
+def classify_irreducible(
+    f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS
+) -> Classification:
+    """The root stage of classify, for monic f already known to be irreducible."""
     if f.degree == 1:
         return _degree_one(f)
 
@@ -150,20 +157,15 @@ def classify(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Classi
             f.to_text(), NO_PERRON_ROOT, None, None, prof.counts, prof.rootset.precision_bits
         )
 
-    rs = complex_roots(f, precision_bits)
-    bits = rs.precision_bits
-    for _ in range(MAX_ESCALATIONS + 1):
+    def attempt(rs: CertifiedRootSet) -> Classification | None:
         tags = try_modulus_tags(f, rs)
         census = try_real_census(rs)
-        if tags is not None and census is not None:
-            verdict = _decide(f, rs, tags, census[0])
-            if verdict is not None:
-                return verdict
-        bits *= 2
-        rs = complex_roots(f, bits)
-    raise PrecisionExhaustedError(
-        f"could not certify dominance structure of {f.to_text()} at {bits} bits"
-    )
+        if tags is None or census is None:
+            return None
+        return _decide(f, rs, tags, census[0])
+
+    rs = complex_roots(f, precision_bits)
+    return escalate(f, rs, attempt, f"could not certify dominance structure of {f.to_text()}")[1]
 
 
 def _decide(

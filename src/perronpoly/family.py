@@ -12,16 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .classification import NOT_IRREDUCIBLE, PERRON, Classification, classify
+from .classification import NOT_IRREDUCIBLE, PERRON, Classification, classify_irreducible
 from .errors import InvalidInputError, OracleViolationError
-from .intarith import DEFAULT_BUDGET, is_prime, squarefree_status
-from .matrices import (
-    Matrix,
-    dominant_eigenvalue,
-    matrix_irreducible,
-)
-from .matrices import companion_matrix as _companion_of_poly
-from .monogenicity import METHOD_BOTH, MonogenicityReport, monogenic
+from .intarith import DEFAULT_BUDGET, Factorization, SquarefreeStatus, factorize, is_prime
+from .intarith import squarefree_status, squarefree_status_of
+from .matrices import companion_matrix, dominant_eigenvalue, matrix_irreducible
+from .monogenicity import MonogenicityReport, TrinomialParams, monogenic_from_factorization
 from .polynomial import IntPoly, count_real_roots
 from .polynomial import discriminant as discriminant_resultant
 from .roots import real_axis_profile
@@ -132,7 +128,11 @@ def family_monogenic(n: int, a: int, p: int, budget: int = DEFAULT_BUDGET) -> st
         raise InvalidInputError("the squarefree criterion needs the irreducible case")
     if not params.coprime:
         raise InvalidInputError("the squarefree criterion needs gcd(a, n) = 1")
-    status = squarefree_status(g_value(n, a, p), budget=budget)
+    return _squarefree_verdict(squarefree_status(g_value(n, a, p), budget=budget))
+
+
+def _squarefree_verdict(status: SquarefreeStatus) -> str:
+    """The monogenicity verdict the squarefree criterion reads off G's status."""
     if status.is_squarefree:
         return "Monogenic"
     if status.kind == "not_squarefree":
@@ -162,12 +162,6 @@ def descartes_profile(n: int, a: int, p: int) -> tuple[int, int]:
             f"real-root parity {exact} contradicts the sign analysis {expected} for {f.pretty()}"
         )
     return exact
-
-
-def companion_matrix(n: int, a: int, p: int) -> Matrix:
-    """Companion matrix of the family member: p in the top-right corner,
-    a in the bottom-right, ones on the subdiagonal."""
-    return _companion_of_poly(build(n, a, p))
 
 
 @dataclass(frozen=True)
@@ -220,6 +214,13 @@ def _conclusion(cls: Classification, monogenic_verdict: str) -> str:
     return f"{text}, monogenicity unknown"
 
 
+def _times_prime_power(fact: Factorization, p: int, k: int) -> Factorization:
+    """fact with the prime power p**k multiplied in."""
+    exponents = {**dict(fact.factors), p: fact.exponent(p) + k}
+    factors = tuple(sorted((q, e) for q, e in exponents.items() if e))
+    return Factorization(factors, fact.cofactor, fact.complete)
+
+
 def strictly_perron_certificate(
     n: int,
     a: int,
@@ -238,6 +239,10 @@ def strictly_perron_certificate(
     contradictory evidence. The certificate is computed in full even when
     an early step already settles the headline question, so downstream
     consumers get complete diagnostics.
+
+    Each fact is computed once: one factorization of G gives G_status, the
+    squarefree verdict and, times p^(n-2), the factored |disc| for the local
+    tests. Irreducibility is the family dichotomy (run_verify checks it).
 
     `_fault` deliberately corrupts an internal value ("disc-sign" flips the
     closed-form discriminant) so the tripwires themselves can be exercised.
@@ -258,15 +263,18 @@ def strictly_perron_certificate(
         )
 
     g = g_value(n, a, p)
-    g_status = str(squarefree_status(g, budget=budget))
+    g_fact = factorize(g, budget=budget)
+    g_status = squarefree_status_of(g_fact)
     irreducible = family_irreducible(n, a, p)
 
     report: MonogenicityReport | None = None
     if irreducible:
-        report = monogenic(f, method=METHOD_BOTH, budget=budget)
+        trinomial = TrinomialParams(n, n - 1, -a, -p)
+        disc_fact = _times_prime_power(g_fact, p, n - 2)
+        report = monogenic_from_factorization(f, trinomial, disc_oracle, disc_fact)
         verdict = report.verdict
         if params.coprime:
-            family_verdict = family_monogenic(n, a, p, budget=budget)
+            family_verdict = _squarefree_verdict(g_status)
             if (
                 not verdict.startswith("Unknown")
                 and not family_verdict.startswith("Unknown")
@@ -276,12 +284,12 @@ def strictly_perron_certificate(
                     f"monogenicity routes disagree for {f.pretty()}: local tests say "
                     f"{verdict}, squarefree criterion says {family_verdict}"
                 )
+        cls = classify_irreducible(f, precision_bits)
     else:
         verdict = "NotApplicable(reducible)"
+        cls = Classification(f.to_text(), NOT_IRREDUCIBLE, None, None, None, None)
 
-    cls = classify(f, precision_bits=precision_bits)
-
-    matrix = companion_matrix(n, a, p)
+    matrix = companion_matrix(f)
     connected = matrix_irreducible(matrix)
     eigen = dominant_eigenvalue(matrix)
     if cls.dominant is not None:
@@ -301,7 +309,7 @@ def strictly_perron_certificate(
         poly=f,
         disc=disc_oracle,
         g=g,
-        g_status=g_status,
+        g_status=str(g_status),
         irreducible=irreducible,
         monogenicity=report,
         monogenic_verdict=verdict,

@@ -13,6 +13,7 @@ part is reported as an explicit composite cofactor rather than guessed at.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
@@ -51,14 +52,11 @@ def _trial_primes() -> tuple[int, ...]:
 
 
 def primes_below(bound: int) -> list[int]:
-    """All primes strictly below bound (bound <= TRIAL_BOUND + 1)."""
-    if bound > TRIAL_BOUND + 1:
-        raise InvalidInputError(f"primes_below supports bounds up to {TRIAL_BOUND + 1}")
-    out = []
-    for p in _trial_primes():
-        if p >= bound:
-            break
-        out.append(p)
+    """All primes strictly below bound: the sieved table, continued past
+    TRIAL_BOUND by testing each odd number with is_prime."""
+    table = _trial_primes()
+    out = list(table[: bisect_left(table, bound)])
+    out.extend(m for m in range((TRIAL_BOUND + 1) | 1, bound, 2) if is_prime(m))
     return out
 
 
@@ -394,18 +392,15 @@ def squarefree_status(n: int, budget: int = DEFAULT_BUDGET) -> SquarefreeStatus:
     """Decide whether n >= 1 is squarefree, using certificates cheaper than a
     full factorization when one applies.
 
-    Shortcuts after trial division to TRIAL_BOUND: a prime cofactor is fine; a
-    cofactor below TRIAL_BOUND**3 that is neither prime nor a perfect power
-    has exactly two distinct prime factors, hence is squarefree; a
-    perfect-power cofactor is certainly not squarefree (the witness is any
-    prime factor of its root). Only past those does the rho budget matter, so
-    an unknown verdict needs a composite, non-power cofactor at or above
-    TRIAL_BOUND**3 plus an exhausted budget.
+    Shortcut after trial division to TRIAL_BOUND: a cofactor below
+    TRIAL_BOUND**3 that is not a perfect power has at most two prime factors,
+    both distinct, hence is squarefree. Any other cofactor is split by rho
+    within the budget and judged by squarefree_status_of, so an unknown
+    verdict needs a cofactor at or above TRIAL_BOUND**3 (or a power of a
+    composite) plus an exhausted budget.
     """
     if n < 1:
         raise InvalidInputError(f"squarefree_status requires N >= 1, got {n}")
-    if n == 1:
-        return SquarefreeStatus.squarefree()
     rem = n
     for p in _trial_primes():
         if p * p > rem:
@@ -414,29 +409,28 @@ def squarefree_status(n: int, budget: int = DEFAULT_BUDGET) -> SquarefreeStatus:
             rem //= p
             if rem % p == 0:
                 return SquarefreeStatus.not_squarefree(p)
-    if rem == 1:
+    if isqrt(rem) <= TRIAL_BOUND:
+        return SquarefreeStatus.squarefree()  # 1 or a prime
+    if rem < TRIAL_BOUND**3 and _perfect_power(rem)[1] == 1:
+        # A prime or two distinct primes above TRIAL_BOUND.
         return SquarefreeStatus.squarefree()
-    if isqrt(rem) <= TRIAL_BOUND or is_prime(rem):
-        return SquarefreeStatus.squarefree()
-    root, k = _perfect_power(rem)
-    if k >= 2:
-        if is_prime(root):
-            return SquarefreeStatus.not_squarefree(root)
-        cell = [budget]
-        found: dict[int, int] = {}
-        _factor_hard(root, found, cell)
-        if found:
-            return SquarefreeStatus.not_squarefree(min(found))
-        return SquarefreeStatus.unknown(rem)
-    if rem < TRIAL_BOUND**3:
-        # Two distinct primes above TRIAL_BOUND; the square case was excluded.
-        return SquarefreeStatus.squarefree()
-    cell = [budget]
-    found = {}
-    leftover = _factor_hard(rem, found, cell)
-    for q, e in sorted(found.items()):
+    found: dict[int, int] = {}
+    leftover = _factor_hard(rem, found, [budget])
+    factors = tuple(sorted(found.items()))
+    return squarefree_status_of(Factorization(factors, leftover, leftover == 1))
+
+
+def squarefree_status_of(fact: Factorization) -> SquarefreeStatus:
+    """The squarefree verdict a factorization settles: the smallest prime
+    whose exponent is at least 2 witnesses NotSquarefree; failing that, an
+    unfinished cofactor leaves the question Unknown.
+
+    >>> str(squarefree_status_of(factorize(3 * 25 * 49)))
+    'NotSquarefree(5)'
+    """
+    for q, e in fact.factors:
         if e >= 2:
             return SquarefreeStatus.not_squarefree(q)
-    if leftover != 1:
-        return SquarefreeStatus.unknown(leftover)
+    if not fact.complete:
+        return SquarefreeStatus.unknown(fact.cofactor)
     return SquarefreeStatus.squarefree()

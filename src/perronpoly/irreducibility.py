@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 
 from mpmath import mpc, mpf, workprec
 
@@ -64,21 +65,13 @@ def eisenstein_prime(f: IntPoly) -> int | None:
     f = _require_monic(f, "eisenstein_prime")
     if f.degree < 2 or f.constant == 0:
         return None
-    g = 0
-    for c in f.coeffs[:-1]:
-        g = _gcd(g, abs(c))
+    g = gcd(*f.coeffs[:-1])
     if g <= 1:
         return None
     for q, _ in factorize(g).factors:
         if f.constant % (q * q) != 0:
             return q
     return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def perron_criterion(f: IntPoly) -> bool:

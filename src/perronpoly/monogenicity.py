@@ -204,44 +204,18 @@ def _condition_iv_quotient(s: int, k: int, A: int, B: int, q: int) -> ModPoly:
 
     The numerator's coefficients are all divisible by q (freshman's-dream
     congruence), so it is enough to expand the power with coefficients mod
-    q^2, divide by q, and reduce.
+    q^2, divide by q, and reduce. ModPoly drops zero top coefficients, so
+    A x^(s q^k) is added as a polynomial rather than at an index of the power.
     """
     qq = q * q
-    base = [0] * (s + 1)
-    base[0] = (-B) % qq
-    base[s] = (-A) % qq
-    power = _poly_pow_mod(base, q**k, qq)
-    power[0] = (power[0] + B) % qq
-    idx = s * q**k
-    power[idx] = (power[idx] + A) % qq
+    power = ModPoly(qq, (-B,) + (0,) * (s - 1) + (-A,)) ** (q**k)
+    numerator = power + ModPoly(qq, (B,) + (0,) * (s * q**k - 1) + (A,))
     out = []
-    for c in power:
+    for c in numerator.coeffs:
         if c % q != 0:
             raise OracleViolationError("coprimality-case numerator not divisible by q")
-        out.append((c // q) % q)
+        out.append(c // q)
     return ModPoly(q, tuple(out))
-
-
-def _poly_pow_mod(base: list[int], e: int, mod: int) -> list[int]:
-    result = [1]
-    acc = list(base)
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, acc, mod)
-        e >>= 1
-        if e:
-            acc = _poly_mul_mod(acc, acc, mod)
-    return result
-
-
-def _poly_mul_mod(a: list[int], b: list[int], mod: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % mod
-    return out
 
 
 def _qth_root_mod(f: ModPoly) -> ModPoly:
@@ -378,6 +352,20 @@ def monogenic(
 
     disc = discriminant(poly)
     fact = factorize(abs(disc), budget=budget)
+    return monogenic_from_factorization(poly, params, disc, fact, method)
+
+
+def monogenic_from_factorization(
+    poly: IntPoly,
+    params: TrinomialParams | None,
+    disc: int,
+    fact: Factorization,
+    method: str = METHOD_BOTH,
+) -> MonogenicityReport:
+    """The decision step of monogenic, for a monic irreducible poly whose
+    discriminant disc and factorization fact of |disc| are already known.
+    params is poly's trinomial shape, or None when poly is not a trinomial.
+    """
     verdicts: list[LocalIndexVerdict] = []
     failing: int | None = None
     for q in _square_primes(fact):

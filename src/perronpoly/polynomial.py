@@ -397,7 +397,8 @@ def count_real_roots(f: IntPoly) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ModPoly:
-    """Polynomial over the prime field F_q, ascending coefficients in [0, q)."""
+    """Polynomial over the prime field F_q, ascending coefficients in [0, q).
+    The ring operations (+, -, *, **) also serve any modulus >= 2."""
 
     modulus: int
     coeffs: tuple[int, ...]
@@ -461,6 +462,14 @@ class ModPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = (out[i + j] + a * b) % q
         return ModPoly(q, tuple(out))
+
+    def __pow__(self, e: int) -> "ModPoly":
+        result = ModPoly(self.modulus, (1,))
+        for bit in bin(e)[2:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
+        return result
 
     def scale(self, k: int) -> "ModPoly":
         return ModPoly(self.modulus, tuple(c * k for c in self.coeffs))

@@ -68,11 +68,6 @@ class CertifiedRootSet:
     def __len__(self) -> int:
         return len(self.roots)
 
-    @property
-    def certified(self) -> bool:
-        """Always true: a set whose disks fail certification is never built."""
-        return True
-
     def work(self):
         """Context manager setting a precision safely above the disk scale.
 
@@ -329,6 +324,20 @@ def complex_roots(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> C
     return _solve_cached(f.coeffs, precision_bits)
 
 
+def escalate(f: IntPoly, rs: CertifiedRootSet, attempt, failure: str):
+    """(root set, result) for the first non-None attempt(rs), solving f again
+    at doubled precision after each None, at most MAX_ESCALATIONS times;
+    past that, PrecisionExhaustedError with failure and the precision reached."""
+    bits = rs.precision_bits
+    for _ in range(MAX_ESCALATIONS + 1):
+        result = attempt(rs)
+        if result is not None:
+            return rs, result
+        bits *= 2
+        rs = complex_roots(f, bits)
+    raise PrecisionExhaustedError(f"{failure} at {bits} bits")
+
+
 @dataclass(frozen=True)
 class ModulusProfile:
     """How the root moduli sit against the unit circle."""
@@ -408,16 +417,11 @@ def modulus_profile(
     +-1), as the exact route needs f(1) != 0 and f(-1) != 0.
     """
     rs = roots if roots is not None else complex_roots(f, precision_bits)
-    bits = rs.precision_bits
-    for attempt in range(MAX_ESCALATIONS + 1):
-        tags = try_modulus_tags(f, rs)
-        if tags is not None:
-            return ModulusProfile(tags.count("in"), tags.count("on"), tags.count("out"), tags, rs)
-        bits *= 2
-        rs = complex_roots(f, bits)
-    raise PrecisionExhaustedError(
-        f"could not separate all root disks from the unit circle at {bits} bits"
+    rs, tags = escalate(
+        f, rs, lambda rs: try_modulus_tags(f, rs),
+        "could not separate all root disks from the unit circle",
     )
+    return ModulusProfile(tags.count("in"), tags.count("on"), tags.count("out"), tags, rs)
 
 
 @dataclass(frozen=True)
@@ -495,12 +499,7 @@ def real_axis_profile(
     if f.constant == 0:
         raise InvalidInputError("real_axis_profile needs a nonzero constant term")
     rs = roots if roots is not None else complex_roots(f, precision_bits)
-    bits = rs.precision_bits
-    for attempt in range(MAX_ESCALATIONS + 1):
-        census = try_real_census(rs)
-        if census is not None:
-            flags, pos, neg, nonreal = census
-            return RealAxisProfile(pos, neg, nonreal, flags, rs)
-        bits *= 2
-        rs = complex_roots(f, bits)
-    raise PrecisionExhaustedError(f"could not settle the real-root census at {bits} bits")
+    rs, (flags, pos, neg, nonreal) = escalate(
+        f, rs, try_real_census, "could not settle the real-root census"
+    )
+    return RealAxisProfile(pos, neg, nonreal, flags, rs)

@@ -19,6 +19,7 @@ from perronpoly.classification import (
 from perronpoly.errors import InvalidInputError
 from perronpoly.irreducibility import is_irreducible
 from perronpoly.polynomial import IntPoly
+from perronpoly.roots import complex_roots
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 
@@ -137,6 +138,18 @@ class TestEdges:
         assert d["subclass"] == STRICTLY_PERRON
         assert set(d["profile"]) == {"inside", "on", "outside"}
         assert d["profile"]["outside"] == 3
+
+
+class TestEscalation:
+    def test_dominance_decided_after_escalation(self):
+        # x^2 - x - 2^80: roots near +-2^40 whose moduli differ by exactly 1.
+        # The 16-bit disks (radius about 2) are disjoint but cannot order the
+        # moduli, so classify must redo the roots at a higher precision.
+        f = poly(-(2**80), -1, 1)
+        assert complex_roots(f, 16).precision_bits == 16
+        c = classify(f, precision_bits=16)
+        assert c.headline == STRICTLY_PERRON
+        assert c.precision_bits > 16
 
 
 class TestProperties:

@@ -144,6 +144,13 @@ class TestSearch:
         assert rc == 2
         assert "not both" in err
 
+    def test_degree_16_sweep_through_p_equals_a_plus_one(self, capsys):
+        rc, out, _ = run(capsys, "search", "--n", "16", "--a", "2", "--pmax", "7")
+        assert rc == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r["p"] for r in records] == [2, 3, 5, 7]
+        assert records[1]["conclusion"] == "reducible"
+
     def test_json_lines_default(self, capsys):
         rc, out, err = run(capsys, "search", "--n", "2", "--a", "1", "--pmax", "50")
         assert rc == 0
@@ -217,6 +224,13 @@ class TestSearch:
 
 
 class TestVerify:
+    def test_grid_past_oracle_ceiling_passes(self, capsys):
+        # Degrees 15 and 16 are past the factor oracle; verify compares the
+        # dichotomy with it only up to the ceiling and must not abort there.
+        rc, out, _ = run(capsys, "verify", "--nmax", "16", "--amax", "1", "--pmax", "5")
+        assert rc == 0
+        assert out.strip() == "verify: all 30 grid points passed"
+
     def test_small_grid_passes(self, capsys):
         rc, out, _ = run(capsys, "verify", "--nmax", "4", "--amax", "3", "--pmax", "30")
         assert rc == 0

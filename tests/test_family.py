@@ -8,13 +8,13 @@ from datetime import datetime
 import pytest
 
 from conftest import poly
-from perronpoly import __version__
+import perronpoly
+from perronpoly import __version__, family, search
 from perronpoly.errors import InvalidInputError, OracleViolationError
 from perronpoly.family import (
     Certificate,
     FamilyParams,
     build,
-    companion_matrix,
     descartes_profile,
     discriminant_closed,
     family_irreducible,
@@ -22,12 +22,12 @@ from perronpoly.family import (
     g_value,
     strictly_perron_certificate,
 )
-from perronpoly.intarith import primes_below
-from perronpoly.irreducibility import is_irreducible
-from perronpoly.matrices import char_poly
+from perronpoly.intarith import factorize, is_prime, primes_below
+from perronpoly.irreducibility import factor_oracle, irreducibility_witness, is_irreducible
+from perronpoly.matrices import char_poly, companion_matrix
 from perronpoly.monogenicity import monogenic
 from perronpoly.polynomial import discriminant
-from perronpoly.search import SearchSpec, SearchTally, ledger_record, run_search
+from perronpoly.search import SearchSpec, SearchTally, ledger_record, run_search, run_verify
 
 
 class TestParams:
@@ -83,7 +83,7 @@ class TestClosedForms:
                     assert family_irreducible(n, a, p) == is_irreducible(build(n, a, p))
 
     def test_companion_shape(self):
-        m = companion_matrix(4, 3, 5)
+        m = companion_matrix(build(4, 3, 5))
         assert char_poly(m) == build(4, 3, 5)
         assert m[0][-1] == 5 and m[-1][-1] == 3
 
@@ -187,6 +187,66 @@ class TestCertificate:
         with pytest.raises(InvalidInputError):
             strictly_perron_certificate(2, 1, 9)
 
+    @pytest.mark.parametrize(
+        "point, irreducible, headline, conclusion",
+        [
+            ((15, 4, 5), True, "StrictlyPerron", "monogenic strictly-Perron"),
+            ((16, 2, 3), False, "NotIrreducible", "reducible"),
+            ((24, 1, 2), False, "NotIrreducible", "reducible"),
+        ],
+    )
+    def test_p_equals_a_plus_one_above_oracle_ceiling(
+        self, point, irreducible, headline, conclusion
+    ):
+        # Degree 15 and up is past the factor oracle; the dichotomy alone
+        # decides irreducibility, so these points certify instead of raising.
+        d = strictly_perron_certificate(*point).to_json_dict()
+        assert (d["irreducible"], d["class"], d["conclusion"]) == (
+            irreducible, headline, conclusion,
+        )
+
+    def test_large_p_discriminant_needs_no_rho_on_p(self):
+        # |disc| = p^6 * G with p just above 2^61: G factored alone settles
+        # every square prime, where factoring p^6 * G ran out of rho budget.
+        p = 2**61 + 1
+        while not is_prime(p):
+            p += 2
+        cert = strictly_perron_certificate(8, 1, p)
+        assert cert.monogenic_verdict == "Monogenic"
+        assert cert.conclusion == "monogenic strictly-Perron"
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Wrap every binding of fn across the package; returns the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name in list(vars(perronpoly)):
+        module = getattr(perronpoly, name)
+        if isinstance(module, type(perronpoly)):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("point", [(4, 3, 5), (3, 2, 3), (4, 1, 2)])
+def test_certificate_computes_each_fact_once(monkeypatch, point):
+    # A plain member, an odd-n member with p = a + 1, and a reducible one.
+    assert family.factorize is factorize
+    assert family.discriminant_resultant is discriminant
+    factorizations = _count_calls(monkeypatch, factorize)
+    discriminants = _count_calls(monkeypatch, discriminant)
+    witnesses = _count_calls(monkeypatch, irreducibility_witness)
+    oracles = _count_calls(monkeypatch, factor_oracle)
+    strictly_perron_certificate(*point)
+    assert factorizations == [(g_value(*point),)]
+    assert discriminants == [(build(*point),)]
+    assert witnesses == [] and oracles == []
+
 
 class TestSearch:
     def test_spec_validation(self):
@@ -231,3 +291,10 @@ class TestSearch:
         datetime.fromisoformat(record["timestamp"])  # must parse
         fixed = json.loads(ledger_record(cert, timestamp="2024-01-01T00:00:00+00:00"))
         assert fixed["timestamp"] == "2024-01-01T00:00:00+00:00"
+
+    def test_verify_checks_dichotomy_against_oracle(self, monkeypatch):
+        # A dichotomy that calls every member irreducible must trip at the
+        # reducible points (even n, p = a + 1) below the oracle ceiling.
+        monkeypatch.setattr(search, "family_irreducible", lambda n, a, p: True)
+        report = run_verify(4, 1, 3)
+        assert [f.split(":")[0] for f in report.failures] == ["(n=2, a=1, p=2)", "(n=4, a=1, p=2)"]

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from perronpoly.errors import InvalidInputError
 from perronpoly.intarith import (
+    TRIAL_BOUND,
     Factorization,
     SquarefreeStatus,
     factorize,
     is_prime,
     primes_below,
     squarefree_status,
+    squarefree_status_of,
     valuation,
 )
 
@@ -48,6 +50,10 @@ def test_primes_below_matches_sieve():
     assert primes_below(3) == [2]
     assert primes_below(50) == list(sympy.primerange(2, 50))
     assert primes_below(10**4) == list(sympy.primerange(2, 10**4))
+
+
+def test_primes_below_continues_past_the_sieve():
+    assert primes_below(TRIAL_BOUND + 200) == list(sympy.primerange(2, TRIAL_BOUND + 200))
 
 
 class TestFactorize:
@@ -130,6 +136,10 @@ class TestValuation:
 
 
 class TestSquarefreeStatus:
+    def test_matches_the_verdict_of_a_full_factorization(self):
+        for n in list(range(1, 2000)) + [(2**61 - 1) ** 2 * 3, (10**6 + 3) * (10**6 + 33)]:
+            assert squarefree_status(n) == squarefree_status_of(factorize(n)), n
+
     def test_parse_roundtrip(self):
         for s in [
             SquarefreeStatus.squarefree(),

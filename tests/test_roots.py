@@ -16,6 +16,8 @@ from perronpoly.errors import InvalidInputError
 from perronpoly.polynomial import IntPoly, squarefree_part
 from perronpoly.roots import (
     DEFAULT_PRECISION_BITS,
+    CertifiedRoot,
+    CertifiedRootSet,
     complex_roots,
     expected_on_circle,
     modulus_profile,
@@ -152,7 +154,23 @@ class TestExpectedOnCircle:
             expected_on_circle(poly(1, 1, 1, 1))
 
 
+def coarse_roots_of_x2_minus_4x_plus_2() -> CertifiedRootSet:
+    """A valid but coarse 16-bit root set of x^2 - 4x + 2 (roots 2 -+ sqrt 2):
+    disjoint disks of radius 0.6, the one around 0.586 straddling both the
+    unit circle and zero, so no decision can be read from it."""
+    with mpmath.workprec(64):
+        roots = tuple(
+            CertifiedRoot(mpmath.mpc(2 + s * mpmath.sqrt(2)), mpmath.mpf("0.6")) for s in (-1, 1)
+        )
+    return CertifiedRootSet(roots, 16)
+
+
 class TestModulusProfile:
+    def test_escalates_past_straddling_disks(self):
+        prof = modulus_profile(poly(2, -4, 1), roots=coarse_roots_of_x2_minus_4x_plus_2())
+        assert prof.counts == (1, 0, 1)
+        assert prof.rootset.precision_bits > 16
+
     def test_golden_ratio_profile(self):
         prof = modulus_profile(poly(-1, -1, 1))
         assert prof.counts == (1, 0, 1)
@@ -173,6 +191,11 @@ class TestModulusProfile:
 
 
 class TestRealAxisProfile:
+    def test_escalates_past_disk_straddling_zero(self):
+        census = real_axis_profile(poly(2, -4, 1), roots=coarse_roots_of_x2_minus_4x_plus_2())
+        assert (census.positive, census.negative, census.nonreal) == (2, 0, 0)
+        assert census.rootset.precision_bits > 16
+
     def test_golden_ratio(self):
         prof = real_axis_profile(poly(-1, -1, 1))
         assert (prof.positive, prof.negative, prof.nonreal) == (1, 1, 0)
