@@ -1,7 +1,9 @@
 """Certified study of the trinomial family x^n - a*x^(n-1) - p:
 irreducibility, monogenicity by two independent local criteria, certified
-root geometry (Pisot / Salem / anti-Pisot / strictly-Perron), and
-companion-matrix cross-checks, with a searchable certificate pipeline.
+root geometry (Pisot / Salem / anti-Pisot / strictly-Perron) with the
+dominant root checked by an exact sign-change bracket, and a searchable
+certificate pipeline. Companion matrices and power iteration are in
+`matrices`, as a library.
 """
 
 __version__ = "0.1.0"

@@ -15,12 +15,7 @@ import sys
 
 from . import __version__
 from .classification import classify
-from .errors import (
-    InvalidInputError,
-    NonConvergenceError,
-    OracleViolationError,
-    PrecisionExhaustedError,
-)
+from .errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
 from .family import build, discriminant_closed
 from .intarith import DEFAULT_BUDGET
 from .monogenicity import METHOD_BOTH, METHOD_DEDEKIND, METHOD_JKS, monogenic
@@ -239,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     except OracleViolationError as exc:
         print(f"oracle violation: {exc}", file=sys.stderr)
         return 3
-    except (PrecisionExhaustedError, NonConvergenceError) as exc:
+    except PrecisionExhaustedError as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 4
 

@@ -10,13 +10,13 @@ disagrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 
 from .classification import NOT_IRREDUCIBLE, PERRON, Classification, classify_irreducible
 from .errors import InvalidInputError, OracleViolationError
 from .intarith import DEFAULT_BUDGET, Factorization, SquarefreeStatus, factorize, is_prime
 from .intarith import squarefree_status, squarefree_status_of
-from .matrices import companion_matrix, dominant_eigenvalue, matrix_irreducible
 from .monogenicity import MonogenicityReport, TrinomialParams, monogenic_from_factorization
 from .polynomial import IntPoly, count_real_roots
 from .polynomial import discriminant as discriminant_resultant
@@ -181,8 +181,6 @@ class Certificate:
     monogenicity: MonogenicityReport | None
     monogenic_verdict: str
     classification: Classification
-    matrix_strongly_connected: bool
-    matrix_eigenvalue: float
     conclusion: str
 
     def to_json_dict(self) -> dict:
@@ -233,9 +231,11 @@ def strictly_perron_certificate(
 
     Both discriminant routes (closed form, resultant) must agree; both
     monogenicity routes (squarefree G, local index tests) must agree where
-    both apply; the classifier's dominant root must match the companion
-    matrix's dominant eigenvalue to 1e-8. Any mismatch raises
-    OracleViolationError — a certificate is never produced from
+    both apply; at the classifier's dominant root lambda, f must go from
+    negative to positive across lambda ± 1e-12*max(1, lambda) in exact
+    rational arithmetic, which with the Sturm count of one positive root
+    (descartes_profile) pins that root without the root solver. Any
+    mismatch raises OracleViolationError — a certificate is never produced from
     contradictory evidence. The certificate is computed in full even when
     an early step already settles the headline question, so downstream
     consumers get complete diagnostics.
@@ -289,15 +289,13 @@ def strictly_perron_certificate(
         verdict = "NotApplicable(reducible)"
         cls = Classification(f.to_text(), NOT_IRREDUCIBLE, None, None, None, None)
 
-    matrix = companion_matrix(f)
-    connected = matrix_irreducible(matrix)
-    eigen = dominant_eigenvalue(matrix)
     if cls.dominant is not None:
-        lam = float(cls.dominant)
-        if abs(eigen - lam) > 1e-8 * max(1.0, abs(lam)):
+        lam = Fraction(cls.dominant)
+        eps = Fraction(1, 10**12) * max(1, lam)
+        if not f(lam - eps) < 0 < f(lam + eps):
             raise OracleViolationError(
-                f"dominant eigenvalue {eigen} disagrees with certified root {lam} "
-                f"for {f.pretty()}"
+                f"certified root {cls.dominant} is not bracketed by a sign change of "
+                f"{f.pretty()} within {float(eps):.3g}"
             )
 
     if irreducible:
@@ -314,7 +312,5 @@ def strictly_perron_certificate(
         monogenicity=report,
         monogenic_verdict=verdict,
         classification=cls,
-        matrix_strongly_connected=connected,
-        matrix_eigenvalue=eigen,
         conclusion=conclusion,
     )

@@ -271,6 +271,23 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
         raise InvalidInputError(f"factorize requires N >= 1, got {n}")
     if n == 1:
         return Factorization((), 1, True)
+    found, rem = _trial_divide(n)
+    cofactor = 1
+    if rem > 1:
+        if isqrt(rem) <= TRIAL_BOUND:
+            # Trial division left no factor up to sqrt(rem), so rem is prime.
+            found[rem] = 1
+        else:
+            cofactor = _factor_hard(rem, found, [budget])
+    factors = tuple(sorted(found.items()))
+    return Factorization(factors, cofactor, cofactor == 1)
+
+
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """One trial-division pass over the sieved primes: the exponent of each
+    prime found in n (ascending), and the cofactor left. The pass stops once
+    p*p exceeds the cofactor, so the cofactor is 1, a prime, or free of prime
+    factors up to TRIAL_BOUND."""
     found: dict[int, int] = {}
     rem = n
     for p in _trial_primes():
@@ -282,16 +299,7 @@ def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
                 rem //= p
                 e += 1
             found[p] = e
-    cofactor = 1
-    if rem > 1:
-        if isqrt(rem) <= TRIAL_BOUND:
-            # Trial division left no factor up to sqrt(rem), so rem is prime.
-            found[rem] = found.get(rem, 0) + 1
-        else:
-            cell = [budget]
-            cofactor = _factor_hard(rem, found, cell)
-    factors = tuple(sorted(found.items()))
-    return Factorization(factors, cofactor, cofactor == 1)
+    return found, rem
 
 
 def _factor_hard(m: int, found: dict[int, int], cell: list[int]) -> int:
@@ -401,20 +409,17 @@ def squarefree_status(n: int, budget: int = DEFAULT_BUDGET) -> SquarefreeStatus:
     """
     if n < 1:
         raise InvalidInputError(f"squarefree_status requires N >= 1, got {n}")
-    rem = n
-    for p in _trial_primes():
-        if p * p > rem:
-            break
-        if rem % p == 0:
-            rem //= p
-            if rem % p == 0:
-                return SquarefreeStatus.not_squarefree(p)
+    found, rem = _trial_divide(n)
+    # Every prime left in rem exceeds every prime found, so the first
+    # repeated one is the smallest square prime.
+    square = next((q for q, e in found.items() if e >= 2), None)
+    if square is not None:
+        return SquarefreeStatus.not_squarefree(square)
     if isqrt(rem) <= TRIAL_BOUND:
         return SquarefreeStatus.squarefree()  # 1 or a prime
     if rem < TRIAL_BOUND**3 and _perfect_power(rem)[1] == 1:
         # A prime or two distinct primes above TRIAL_BOUND.
         return SquarefreeStatus.squarefree()
-    found: dict[int, int] = {}
     leftover = _factor_hard(rem, found, [budget])
     factors = tuple(sorted(found.items()))
     return squarefree_status_of(Factorization(factors, leftover, leftover == 1))

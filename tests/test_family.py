@@ -3,13 +3,16 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from datetime import datetime
+from fractions import Fraction
 
 import pytest
 
 from conftest import poly
 import perronpoly
 from perronpoly import __version__, family, search
+from perronpoly.classification import classify_irreducible
 from perronpoly.errors import InvalidInputError, OracleViolationError
 from perronpoly.family import (
     Certificate,
@@ -24,7 +27,7 @@ from perronpoly.family import (
 )
 from perronpoly.intarith import factorize, is_prime, primes_below
 from perronpoly.irreducibility import factor_oracle, irreducibility_witness, is_irreducible
-from perronpoly.matrices import char_poly, companion_matrix
+from perronpoly.matrices import char_poly, companion_matrix, dominant_eigenvalue
 from perronpoly.monogenicity import monogenic
 from perronpoly.polynomial import discriminant
 from perronpoly.search import SearchSpec, SearchTally, ledger_record, run_search, run_verify
@@ -132,7 +135,6 @@ class TestCertificate:
         assert cert.g_status == "Squarefree"
         assert cert.monogenic_verdict == "Monogenic"
         assert cert.classification.headline == "StrictlyPerron"
-        assert cert.matrix_strongly_connected
         assert cert.conclusion == "monogenic strictly-Perron"
         assert cert.params.theorem_applicable
 
@@ -163,8 +165,23 @@ class TestCertificate:
 
     def test_eigenvalue_matches_dominant_root(self):
         cert = strictly_perron_certificate(5, 2, 11)
-        lam = float(cert.classification.dominant)
-        assert cert.matrix_eigenvalue == pytest.approx(lam, abs=1e-8)
+        lam = Fraction(cert.classification.dominant)
+        eps = Fraction(1, 10**12) * lam
+        assert cert.poly(lam - eps) < 0 < cert.poly(lam + eps)
+        eigen = dominant_eigenvalue(companion_matrix(cert.poly))
+        assert eigen == pytest.approx(float(lam), abs=1e-8)
+
+    def test_shifted_root_trips_the_bracket(self, monkeypatch):
+        # A root 1e-9 away (relatively) from the true one lies outside the
+        # 1e-12 bracket, so the sign-change check must refuse it.
+        def shifted(f, precision_bits):
+            cls = classify_irreducible(f, precision_bits)
+            lam = Fraction(cls.dominant) * (1 + Fraction(1, 10**9))
+            return replace(cls, dominant=str(float(lam)))
+
+        monkeypatch.setattr(family, "classify_irreducible", shifted)
+        with pytest.raises(OracleViolationError, match="not bracketed"):
+            strictly_perron_certificate(5, 2, 11)
 
     def test_json_shape(self):
         d = strictly_perron_certificate(4, 3, 5).to_json_dict()
@@ -205,6 +222,18 @@ class TestCertificate:
             irreducible, headline, conclusion,
         )
 
+    @pytest.mark.parametrize(
+        "point",
+        [(2, 1, 1000000007), (2, 1, 2305843009213693967), (6, 1, 2**61 - 1)],
+    )
+    def test_large_p_certifies(self, point):
+        # Power iteration on the companion matrix did not converge here
+        # (|lambda_2 / lambda_1| is close to 1); the exact bracket does not
+        # iterate, so these points certify.
+        cert = strictly_perron_certificate(*point)
+        assert cert.classification.headline == "StrictlyPerron"
+        assert cert.conclusion == "monogenic strictly-Perron"
+
     def test_large_p_discriminant_needs_no_rho_on_p(self):
         # |disc| = p^6 * G with p just above 2^61: G factored alone settles
         # every square prime, where factoring p^6 * G ran out of rho budget.
@@ -242,10 +271,13 @@ def test_certificate_computes_each_fact_once(monkeypatch, point):
     discriminants = _count_calls(monkeypatch, discriminant)
     witnesses = _count_calls(monkeypatch, irreducibility_witness)
     oracles = _count_calls(monkeypatch, factor_oracle)
+    companions = _count_calls(monkeypatch, companion_matrix)
+    eigenvalues = _count_calls(monkeypatch, dominant_eigenvalue)
     strictly_perron_certificate(*point)
     assert factorizations == [(g_value(*point),)]
     assert discriminants == [(build(*point),)]
     assert witnesses == [] and oracles == []
+    assert companions == [] and eigenvalues == []
 
 
 class TestSearch:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import poly
 from perronpoly.errors import InvalidInputError, NonConvergenceError
+from perronpoly.family import build
 from perronpoly.matrices import (
     adjacency,
     char_poly,
@@ -44,6 +45,11 @@ class TestCompanion:
     def test_rejects_non_monic(self):
         with pytest.raises(InvalidInputError):
             companion_matrix(poly(1, 2))
+
+    def test_family_member_is_irreducible(self):
+        # p and a sit on the one cycle through every state, so the pattern
+        # digraph is strongly connected.
+        assert matrix_irreducible(companion_matrix(build(4, 3, 5)))
 
     @given(monic_polys)
     @settings(max_examples=80, deadline=None)
