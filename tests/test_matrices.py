@@ -47,8 +47,8 @@ class TestCompanion:
             companion_matrix(poly(1, 2))
 
     def test_family_member_is_irreducible(self):
-        # p and a sit on the one cycle through every state, so the pattern
-        # digraph is strongly connected.
+        # The subdiagonal 1s and p in the top-right corner close one cycle
+        # through every index, so the pattern digraph is strongly connected.
         assert matrix_irreducible(companion_matrix(build(4, 3, 5)))
 
     @given(monic_polys)
