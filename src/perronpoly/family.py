@@ -18,7 +18,7 @@ from .errors import InvalidInputError, OracleViolationError
 from .intarith import DEFAULT_BUDGET, Factorization, SquarefreeStatus, factorize, is_prime
 from .intarith import squarefree_status, squarefree_status_of
 from .monogenicity import MonogenicityReport, TrinomialParams, monogenic_from_factorization
-from .polynomial import IntPoly, count_real_roots
+from .polynomial import IntPoly, sign_variations
 from .polynomial import discriminant as discriminant_resultant
 from .roots import real_axis_profile
 
@@ -141,20 +141,23 @@ def _squarefree_verdict(status: SquarefreeStatus) -> str:
 
 
 def descartes_profile(n: int, a: int, p: int) -> tuple[int, int]:
-    """(positive, negative) real-root counts, computed twice: exactly by
-    Sturm sequences and numerically by the certified census. The two must
+    """(positive, negative) real-root counts, computed twice: exactly by the
+    Descartes count of f(x) and f(-x) (each 0 or 1 here, where Descartes'
+    rule is exact) and numerically by the certified census. The two must
     agree, and must equal (1, 1) for even n and (1, 0) for odd n — sign
     analysis of the coefficients forces that parity.
     """
     if not family_irreducible(n, a, p):
         raise InvalidInputError("real-root parity is stated for the irreducible case")
     f = build(n, a, p)
-    exact = count_real_roots(f)
+    mirrored = tuple(-c if k % 2 else c for k, c in enumerate(f.coeffs))
+    exact = (sign_variations(f.coeffs), sign_variations(mirrored))
     census = real_axis_profile(f)
     certified = (census.positive, census.negative)
     if certified != exact:
         raise OracleViolationError(
-            f"real-root census {certified} disagrees with Sturm counts {exact} for {f.pretty()}"
+            f"real-root census {certified} disagrees with Descartes counts {exact} "
+            f"for {f.pretty()}"
         )
     expected = (1, 1) if n % 2 == 0 else (1, 0)
     if exact != expected:
@@ -233,10 +236,10 @@ def strictly_perron_certificate(
     monogenicity routes (squarefree G, local index tests) must agree where
     both apply; at the classifier's dominant root lambda, f must go from
     negative to positive across lambda ± 1e-12*max(1, lambda) in exact
-    rational arithmetic, which with the Sturm count of one positive root
-    (descartes_profile) pins that root without the root solver. Any
-    mismatch raises OracleViolationError — a certificate is never produced from
-    contradictory evidence. The certificate is computed in full even when
+    rational arithmetic, which with the Descartes count (one sign variation
+    ⇒ exactly one positive root; descartes_profile) pins that root without
+    the root solver. Any mismatch raises OracleViolationError — a
+    certificate is never produced from contradictory evidence. The certificate is computed in full even when
     an early step already settles the headline question, so downstream
     consumers get complete diagnostics.
 

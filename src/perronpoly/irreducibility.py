@@ -28,10 +28,10 @@ from math import gcd
 
 from mpmath import mpc, mpf, workprec
 
-from .errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
+from .errors import InvalidInputError, OracleViolationError
 from .intarith import factorize, is_prime
 from .polynomial import IntPoly, squarefree_part
-from .roots import DEFAULT_PRECISION_BITS, MAX_ESCALATIONS, complex_roots
+from .roots import DEFAULT_PRECISION_BITS, complex_roots, escalate
 
 ORACLE_MAX_DEGREE = 14
 
@@ -190,11 +190,9 @@ def factor_oracle(
 
 def _oracle_split(sf: IntPoly, precision_bits: int) -> list[IntPoly]:
     """Irreducible factors of a squarefree monic polynomial, via root subsets."""
-    n = sf.degree
-    bits = precision_bits
-    for _ in range(MAX_ESCALATIONS + 1):
-        rs = complex_roots(sf, bits)
-        work = max(2 * bits, 128)
+
+    def attempt(rs) -> list[IntPoly] | None:
+        work = max(2 * rs.precision_bits, 128)
         with workprec(work):
             hi = mpf(1)
             lo = mpf(1)
@@ -204,10 +202,11 @@ def _oracle_split(sf: IntPoly, precision_bits: int) -> list[IntPoly]:
                 lo *= 1 + m
             bound = (hi - lo) * (1 + mpf(2) ** (-24)) + mpf(2) ** (-work // 2) * hi
             if bound >= 0.25:
-                bits *= 2
-                continue
+                return None
             return _enumerate_factors(sf, rs, float(bound), work)
-    raise PrecisionExhaustedError(f"factor oracle could not certify rounding at {bits} bits")
+
+    rs = complex_roots(sf, precision_bits)
+    return escalate(sf, rs, attempt, "factor oracle could not certify rounding")[1]
 
 
 def _enumerate_factors(sf: IntPoly, rs, bound: float, work: int) -> list[IntPoly]:

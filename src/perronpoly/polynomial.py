@@ -395,6 +395,22 @@ def count_real_roots(f: IntPoly) -> tuple[int, int]:
     return sturm_count(f, 0, bound), sturm_count(f, -bound, 0)
 
 
+def sign_variations(coeffs: tuple[int, ...]) -> int:
+    """Sign changes along a coefficient sequence, zeros skipped: by
+    Descartes' rule, the positive real-root count of the polynomial plus an
+    even number, so the count itself when it is 0 or 1.
+
+    >>> sign_variations((-3, -1, 1))  # x^2 - x - 3: one positive root
+    1
+    >>> sign_variations((-3, 1, 1))  # its f(-x): one negative root
+    1
+    >>> sign_variations((-2, 0, -1, -1))  # -(x^3 + x^2 + 2): none
+    0
+    """
+    signs = [c > 0 for c in coeffs if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
 @dataclass(frozen=True)
 class ModPoly:
     """Polynomial over the prime field F_q, ascending coefficients in [0, q).

@@ -50,13 +50,6 @@ class CertifiedRoot:
     def modulus(self) -> "mpf":
         return abs(self.value)
 
-    def decimal(self, digits: int = 30) -> str:
-        from mpmath import nstr
-
-        if self.value.imag == 0:
-            return nstr(self.value.real, digits)
-        return nstr(self.value, digits)
-
 
 @dataclass(frozen=True)
 class CertifiedRootSet:
@@ -284,6 +277,9 @@ def _certify(coeffs: tuple[int, ...], zs, prec: int) -> tuple[CertifiedRoot, ...
 @lru_cache(maxsize=2048)
 def _solve_cached(coeffs: tuple[int, ...], precision_bits: int) -> CertifiedRootSet:
     n = len(coeffs) - 1
+    f = IntPoly(coeffs)  # the squarefree gate sits behind the cache: a hit runs no gcd
+    if n >= 2 and poly_gcd(f, f.derivative()).degree >= 1:
+        raise InvalidInputError("complex_roots requires a squarefree polynomial")
     starts = _float_aberth(coeffs)
     if starts is None:
         starts = _initial_points(coeffs)
@@ -319,22 +315,22 @@ def complex_roots(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> C
         raise InvalidInputError("complex_roots needs degree >= 1")
     if precision_bits < 16:
         raise InvalidInputError("precision_bits must be at least 16")
-    if f.degree >= 2 and poly_gcd(f, f.derivative()).degree >= 1:
-        raise InvalidInputError("complex_roots requires a squarefree polynomial")
     return _solve_cached(f.coeffs, precision_bits)
 
 
 def escalate(f: IntPoly, rs: CertifiedRootSet, attempt, failure: str):
     """(root set, result) for the first non-None attempt(rs), solving f again
     at doubled precision after each None, at most MAX_ESCALATIONS times;
-    past that, PrecisionExhaustedError with failure and the precision reached."""
+    past that, PrecisionExhaustedError with failure and the next precision
+    in the schedule (which is not solved for)."""
     bits = rs.precision_bits
-    for _ in range(MAX_ESCALATIONS + 1):
+    for escalation in range(MAX_ESCALATIONS + 1):
+        if escalation:
+            rs = complex_roots(f, bits)
         result = attempt(rs)
         if result is not None:
             return rs, result
         bits *= 2
-        rs = complex_roots(f, bits)
     raise PrecisionExhaustedError(f"{failure} at {bits} bits")
 
 
@@ -351,9 +347,6 @@ class ModulusProfile:
     @property
     def counts(self) -> tuple[int, int, int]:
         return (self.inside, self.on_circle, self.outside)
-
-    def dominant(self) -> CertifiedRoot:
-        return self.rootset.dominant()
 
 
 def expected_on_circle(f: IntPoly) -> int:

@@ -20,7 +20,6 @@ from .errors import InvalidInputError, OracleViolationError, PrecisionExhaustedE
 from .family import Certificate, family_irreducible, strictly_perron_certificate
 from .intarith import DEFAULT_BUDGET, primes_below
 from .irreducibility import ORACLE_MAX_DEGREE, is_irreducible
-from .roots import real_axis_profile
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,9 @@ def run_verify(
     above it the certificate rests on the dichotomy alone); real-root
     parity holds; when the headline hypothesis applies and G is squarefree
     the conclusion is "monogenic strictly-Perron"; and for even n with
-    p > a+1 the unique negative real root has certified modulus > 1.
+    p > a+1 the certified profile puts no root inside or on the unit circle
+    (the certificate has already certified the one negative root, so this
+    puts it outside).
 
     inject_fault is the self-test hook: it is passed through to the
     certificate pipeline so the harness can demonstrate that a corrupted
@@ -200,24 +201,7 @@ def _point_problems(cert: Certificate) -> list[str]:
         )
 
     if cert.irreducible and n % 2 == 0 and p > a + 1:
-        problems.extend(_negative_root_problem(cert))
+        profile = cert.classification.profile
+        if profile[0] or profile[1]:
+            problems.append(f"certified profile {profile} puts a root inside or on the unit circle")
     return problems
-
-
-def _negative_root_problem(cert: Certificate) -> list[str]:
-    """For even n past the reducible edge, the unique negative real root
-    must sit strictly outside the unit circle (certified)."""
-    census = real_axis_profile(
-        cert.poly, precision_bits=cert.classification.precision_bits or 64
-    )
-    negatives = [
-        i
-        for i, flag in enumerate(census.real_flags)
-        if flag and census.rootset.roots[i].value.real < 0
-    ]
-    if len(negatives) != 1:
-        return [f"expected one negative real root, census found {len(negatives)}"]
-    lo, _ = census.rootset.modulus_bounds()[negatives[0]]
-    if not lo > 1:
-        return [f"negative real root modulus lower bound {float(lo)} is not > 1"]
-    return []

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import poly
 import perronpoly
-from perronpoly import __version__, family, search
+from perronpoly import __version__, family, roots, search
 from perronpoly.classification import classify_irreducible
 from perronpoly.errors import InvalidInputError, OracleViolationError
 from perronpoly.family import (
@@ -29,7 +29,8 @@ from perronpoly.intarith import factorize, is_prime, primes_below
 from perronpoly.irreducibility import factor_oracle, irreducibility_witness, is_irreducible
 from perronpoly.matrices import char_poly, companion_matrix, dominant_eigenvalue
 from perronpoly.monogenicity import monogenic
-from perronpoly.polynomial import discriminant
+from perronpoly.polynomial import discriminant, poly_gcd, sturm_count
+from perronpoly.roots import real_axis_profile
 from perronpoly.search import SearchSpec, SearchTally, ledger_record, run_search, run_verify
 
 
@@ -125,6 +126,15 @@ class TestDescartes:
         assert descartes_profile(4, 3, 5) == (1, 1)
         assert descartes_profile(3, 1, 2) == (1, 0)
         assert descartes_profile(5, 2, 7) == (1, 0)
+
+    def test_census_off_by_one_trips(self, monkeypatch):
+        def miscounted(f):
+            census = real_axis_profile(f)
+            return replace(census, negative=census.negative + 1)
+
+        monkeypatch.setattr(family, "real_axis_profile", miscounted)
+        with pytest.raises(OracleViolationError, match="disagrees"):
+            descartes_profile(4, 3, 5)
 
 
 class TestCertificate:
@@ -273,11 +283,16 @@ def test_certificate_computes_each_fact_once(monkeypatch, point):
     oracles = _count_calls(monkeypatch, factor_oracle)
     companions = _count_calls(monkeypatch, companion_matrix)
     eigenvalues = _count_calls(monkeypatch, dominant_eigenvalue)
+    sturm_chains = _count_calls(monkeypatch, sturm_count)
+    gcds = _count_calls(monkeypatch, poly_gcd)
+    roots._solve_cached.cache_clear()
     strictly_perron_certificate(*point)
     assert factorizations == [(g_value(*point),)]
     assert discriminants == [(build(*point),)]
     assert witnesses == [] and oracles == []
     assert companions == [] and eigenvalues == []
+    assert sturm_chains == []
+    assert len(gcds) <= 1  # the squarefree gate runs on the solve, not on cache hits
 
 
 class TestSearch:
@@ -330,3 +345,14 @@ class TestSearch:
         monkeypatch.setattr(search, "family_irreducible", lambda n, a, p: True)
         report = run_verify(4, 1, 3)
         assert [f.split(":")[0] for f in report.failures] == ["(n=2, a=1, p=2)", "(n=4, a=1, p=2)"]
+
+    def test_verify_checks_profile_outside_unit_circle(self, monkeypatch):
+        # A profile with a root inside the unit circle must trip at even n
+        # with p > a + 1: there the negative root has to lie outside.
+        def misplaced(f, precision_bits):
+            cls = classify_irreducible(f, precision_bits)
+            return replace(cls, profile=(1, 0, f.degree - 1))
+
+        monkeypatch.setattr(family, "classify_irreducible", misplaced)
+        report = run_verify(2, 1, 6)
+        assert [f.split(":")[0] for f in report.failures] == ["(n=2, a=1, p=3)", "(n=2, a=1, p=5)"]

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import from_sympy, poly, to_sympy
-from perronpoly.errors import InvalidInputError
+from perronpoly import irreducibility, roots
+from perronpoly.errors import InvalidInputError, PrecisionExhaustedError
 from perronpoly.irreducibility import (
     ORACLE_MAX_DEGREE,
     eisenstein_prime,
@@ -81,6 +82,32 @@ class TestFactorOracle:
     def test_irreducible_comes_back_whole(self):
         f = poly(1, 1, 1, 1, 1)
         assert factor_oracle(f) == ((f, 1),)
+
+    # Two degree-7 family members with a root near 1000 each: at 16 bits the
+    # rounding bound on their product's subset coefficients is too loose, so
+    # the oracle must retry.
+    WIDE = poly(-1009, 0, 0, 0, 0, 0, -1000, 1) * poly(-1013, 0, 0, 0, 0, 0, -999, 1)
+
+    def test_rounding_retry_at_doubled_precision(self, monkeypatch):
+        expected = factor_oracle(self.WIDE)
+        solve, requested = roots.complex_roots, []
+
+        def spy(f, precision_bits):
+            requested.append(precision_bits)
+            return solve(f, precision_bits)
+
+        monkeypatch.setattr(irreducibility, "complex_roots", spy)
+        monkeypatch.setattr(roots, "complex_roots", spy)
+        assert factor_oracle(self.WIDE, precision_bits=16) == expected
+        assert requested == [16, 32]
+
+    def test_rounding_retry_obeys_the_escalation_cap(self, monkeypatch):
+        # The retry is roots.escalate's, so it reads roots.MAX_ESCALATIONS.
+        monkeypatch.setattr(roots, "MAX_ESCALATIONS", 0)
+        with pytest.raises(
+            PrecisionExhaustedError, match="factor oracle could not certify rounding"
+        ):
+            factor_oracle(self.WIDE, precision_bits=16)
 
     def test_degree_guard(self):
         with pytest.raises(InvalidInputError):
