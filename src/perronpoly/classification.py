@@ -30,7 +30,6 @@ from .polynomial import IntPoly, is_self_reciprocal
 from .roots import (
     DEFAULT_PRECISION_BITS,
     CertifiedRootSet,
-    complex_roots,
     conjugate_partner,
     escalate,
     modulus_profile,
@@ -109,6 +108,10 @@ def _structural_tie(f: IntPoly) -> str | None:
     return None
 
 
+def _no_perron_root(f: IntPoly, profile: tuple[int, int, int], bits: int) -> Classification:
+    return Classification(f.to_text(), NO_PERRON_ROOT, None, None, profile, bits)
+
+
 def _degree_one(f: IntPoly) -> Classification:
     c = -f.constant
     if c * c > 1:
@@ -153,9 +156,7 @@ def classify_irreducible(
     tie = _structural_tie(f)
     if tie is not None:
         prof = modulus_profile(f, precision_bits=precision_bits)
-        return Classification(
-            f.to_text(), NO_PERRON_ROOT, None, None, prof.counts, prof.rootset.precision_bits
-        )
+        return _no_perron_root(f, prof.counts, prof.rootset.precision_bits)
 
     def attempt(rs: CertifiedRootSet) -> Classification | None:
         tags = try_modulus_tags(f, rs)
@@ -164,8 +165,8 @@ def classify_irreducible(
             return None
         return _decide(f, rs, tags, census[0])
 
-    rs = complex_roots(f, precision_bits)
-    return escalate(f, rs, attempt, f"could not certify dominance structure of {f.to_text()}")[1]
+    failure = f"could not certify dominance structure of {f.to_text()}"
+    return escalate(f, precision_bits, attempt, failure)[1]
 
 
 def _decide(
@@ -180,18 +181,12 @@ def _decide(
     question; the caller escalates.
     """
     n = len(rs.roots)
+    profile = (tags.count("in"), tags.count("on"), tags.count("out"))
     if "out" not in tags:
         # Every root is certified inside or exactly on the unit circle, so
         # no root reaches modulus > 1 and none can strictly dominate; this
         # settles cyclotomic-like inputs where several on-circle pairs tie.
-        return Classification(
-            f.to_text(),
-            NO_PERRON_ROOT,
-            None,
-            None,
-            (tags.count("in"), tags.count("on"), tags.count("out")),
-            rs.precision_bits,
-        )
+        return _no_perron_root(f, profile, rs.precision_bits)
     bounds = rs.modulus_bounds()
     lower = [b[0] for b in bounds]
     upper = [b[1] for b in bounds]
@@ -208,15 +203,8 @@ def _decide(
         if star.value.real < 0:
             # The unique maximal-modulus root is real negative, so no other
             # root can strictly dominate either.
-            return Classification(
-                f.to_text(),
-                NO_PERRON_ROOT,
-                None,
-                None,
-                (tags.count("in"), tags.count("on"), tags.count("out")),
-                rs.precision_bits,
-            )
-        return _perron_subclass(f, rs, tags, real_flags, i_star)
+            return _no_perron_root(f, profile, rs.precision_bits)
+        return _perron_subclass(f, rs, tags, profile, real_flags, i_star)
 
     if not real_flags[i_star]:
         partner = conjugate_partner(rs, i_star)
@@ -225,14 +213,7 @@ def _decide(
         ):
             # The pair (root, conjugate) certifiedly tops every other root,
             # and its two members tie exactly.
-            return Classification(
-                f.to_text(),
-                NO_PERRON_ROOT,
-                None,
-                None,
-                (tags.count("in"), tags.count("on"), tags.count("out")),
-                rs.precision_bits,
-            )
+            return _no_perron_root(f, profile, rs.precision_bits)
     return None
 
 
@@ -240,16 +221,14 @@ def _perron_subclass(
     f: IntPoly,
     rs: CertifiedRootSet,
     tags: tuple[str, ...],
+    profile: tuple[int, int, int],
     real_flags: tuple[bool, ...],
     i_star: int,
 ) -> Classification:
     n = f.degree
-    inside = tags.count("in")
-    on = tags.count("on")
-    outside = tags.count("out")
+    inside, _, outside = profile
     star = rs.roots[i_star]
     lam = _decimal(star.value.real, rs.precision_bits)
-    profile = (inside, on, outside)
 
     if inside == n - 1 and outside == 1:
         sub = PISOT

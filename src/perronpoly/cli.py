@@ -97,7 +97,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         p_max=args.pmax,
         coprime_only=args.coprime_only,
         budget=args.budget,
-        precision_bits=args.precision,
     )
     ledger_path = args.ledger or os.environ.get(LEDGER_ENV)
     tally = SearchTally()
@@ -140,7 +139,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         amax=args.amax,
         p_limit=args.pmax,
         budget=args.budget,
-        precision_bits=args.precision,
         inject_fault=args.inject_fault,
     )
     if report.passed:
@@ -194,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     search.add_argument("--format", choices=["json", "csv"], default="json")
     search.add_argument("--ledger", help=f"append JSON-lines records here (default ${LEDGER_ENV})")
-    search.add_argument("--precision", type=int, default=64)
     search.set_defaults(func=cmd_search)
 
     verify = sub.add_parser("verify", help="run the family invariant suite on a grid")
@@ -202,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--amax", type=int, default=6)
     verify.add_argument("--pmax", type=int, default=300, help="primes p < PMAX")
     verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    verify.add_argument("--precision", type=int, default=64)
     verify.add_argument("--inject-fault", help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
     return parser

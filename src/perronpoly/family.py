@@ -198,7 +198,7 @@ class Certificate:
             "irreducible": self.irreducible,
             "monogenic": self.monogenic_verdict,
             "class": self.classification.headline,
-            "lambda": self.classification.to_json_dict()["lambda"],
+            "lambda": self.classification.dominant,
             "theorem_applicable": self.params.theorem_applicable,
             "conclusion": self.conclusion,
         }
@@ -227,7 +227,6 @@ def strictly_perron_certificate(
     a: int,
     p: int,
     budget: int = DEFAULT_BUDGET,
-    precision_bits: int = 64,
     _fault: str | None = None,
 ) -> Certificate:
     """Run the complete pipeline for one family member.
@@ -287,7 +286,7 @@ def strictly_perron_certificate(
                     f"monogenicity routes disagree for {f.pretty()}: local tests say "
                     f"{verdict}, squarefree criterion says {family_verdict}"
                 )
-        cls = classify_irreducible(f, precision_bits)
+        cls = classify_irreducible(f)
     else:
         verdict = "NotApplicable(reducible)"
         cls = Classification(f.to_text(), NOT_IRREDUCIBLE, None, None, None, None)

@@ -31,7 +31,7 @@ from mpmath import mpc, mpf, workprec
 from .errors import InvalidInputError, OracleViolationError
 from .intarith import factorize, is_prime
 from .polynomial import IntPoly, squarefree_part
-from .roots import DEFAULT_PRECISION_BITS, complex_roots, escalate
+from .roots import DEFAULT_PRECISION_BITS, escalate
 
 ORACLE_MAX_DEGREE = 14
 
@@ -205,8 +205,7 @@ def _oracle_split(sf: IntPoly, precision_bits: int) -> list[IntPoly]:
                 return None
             return _enumerate_factors(sf, rs, float(bound), work)
 
-    rs = complex_roots(sf, precision_bits)
-    return escalate(sf, rs, attempt, "factor oracle could not certify rounding")[1]
+    return escalate(sf, precision_bits, attempt, "factor oracle could not certify rounding")[1]
 
 
 def _enumerate_factors(sf: IntPoly, rs, bound: float, work: int) -> list[IntPoly]:

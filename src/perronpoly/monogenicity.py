@@ -404,8 +404,6 @@ def _local_verdict(
                 f"factorization criterion says {dedekind.result}"
             )
         return jks
-    if dedekind is None:
-        return jks  # unreachable: jks inapplicable always triggers the fallback
     if jks is not None:
         return LocalIndexVerdict(q, dedekind.result, "dedekind-fallback")
     return dedekind

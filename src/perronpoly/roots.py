@@ -10,18 +10,22 @@ z_i we place the Weierstrass-style disk of radius
 
 inflated by a coarse but safely dominant allowance for the floating-point
 slop of evaluating it. The union of these disks contains every root of f, and
-when they are pairwise disjoint each disk holds exactly one root. If they
-overlap, the working precision doubles, at most MAX_ESCALATIONS times, after
-which PrecisionExhaustedError is raised.
+when they are pairwise disjoint each disk holds exactly one root.
 
-Decisions against the unit circle and the real axis (modulus_profile,
-real_axis_profile) escalate the same way. Roots exactly on the unit circle
-can never be separated from it numerically; they are handled exactly instead:
-for a palindromic polynomial the on-circle root pairs biject with the real
-roots of its trace transform inside (-2, 2), which a Sturm chain counts in
-integer arithmetic. A non-palindromic irreducible polynomial of degree at
-least 2 has no unit-modulus root at all, so escalation is guaranteed to
-terminate for it.
+Every decision escalates through one loop, escalate, with one cap. It
+solves f at the starting precision (DEFAULT_PRECISION_BITS unless the caller
+asks otherwise); whenever the disks collide or cannot settle the question,
+it solves f again at doubled precision, at most MAX_ESCALATIONS times per
+decision, and then raises PrecisionExhaustedError. Isolation itself
+(complex_roots), the unit-circle and real-axis profiles, the dominance
+decision and the factor oracle are each one such decision.
+
+Roots exactly on the unit circle can never be separated from it numerically;
+they are handled exactly instead: for a palindromic polynomial the on-circle
+root pairs biject with the real roots of its trace transform inside (-2, 2),
+which a Sturm chain counts in integer arithmetic. A non-palindromic
+irreducible polynomial of degree at least 2 has no unit-modulus root at all,
+so escalation is guaranteed to terminate for it.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpc, mpf, workprec
 
-from .errors import InvalidInputError, PrecisionExhaustedError
+from .errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
 from .polynomial import IntPoly, is_self_reciprocal, poly_gcd, sturm_count, trace_transform
 
 DEFAULT_PRECISION_BITS = 64
@@ -275,33 +279,28 @@ def _certify(coeffs: tuple[int, ...], zs, prec: int) -> tuple[CertifiedRoot, ...
 
 
 @lru_cache(maxsize=2048)
-def _solve_cached(coeffs: tuple[int, ...], precision_bits: int) -> CertifiedRootSet:
+def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None:
+    """Certified roots at exactly `bits` bits, or None when the disks collide."""
     n = len(coeffs) - 1
+    if n < 1:
+        raise InvalidInputError("complex_roots needs degree >= 1")
+    if bits < 16:
+        raise InvalidInputError("precision_bits must be at least 16")
     f = IntPoly(coeffs)  # the squarefree gate sits behind the cache: a hit runs no gcd
     if n >= 2 and poly_gcd(f, f.derivative()).degree >= 1:
         raise InvalidInputError("complex_roots requires a squarefree polynomial")
     starts = _float_aberth(coeffs)
     if starts is None:
         starts = _initial_points(coeffs)
-    prec = precision_bits
-    for _ in range(MAX_ESCALATIONS + 1):
-        zs = _refine_mp(coeffs, starts, prec)
-        certified = _certify(coeffs, zs, prec)
-        if certified is not None:
-            return CertifiedRootSet(certified, prec)
+    certified = _certify(coeffs, _refine_mp(coeffs, starts, bits), bits)
+    if certified is None:
         # A poisoned start configuration (e.g. approximations trapped on a
         # symmetry line of the root set) stays poisoned at any precision;
-        # retry once per stage from the generic circle points, which carry
-        # deliberate angular and radial asymmetry.
-        zs = _refine_mp(coeffs, _initial_points(coeffs), prec, max_iters=72 + 10 * n)
-        certified = _certify(coeffs, zs, prec)
-        if certified is not None:
-            return CertifiedRootSet(certified, prec)
-        starts = zs
-        prec *= 2
-    raise PrecisionExhaustedError(
-        f"could not isolate the roots of degree-{n} polynomial at {prec // 2} bits"
-    )
+        # retry from the generic circle points, which carry deliberate
+        # angular and radial asymmetry.
+        zs = _refine_mp(coeffs, _initial_points(coeffs), bits, max_iters=72 + 10 * n)
+        certified = _certify(coeffs, zs, bits)
+    return None if certified is None else CertifiedRootSet(certified, bits)
 
 
 def complex_roots(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> CertifiedRootSet:
@@ -311,27 +310,29 @@ def complex_roots(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> C
     PrecisionExhaustedError when disks cannot be separated within the
     escalation schedule.
     """
-    if f.degree < 1:
-        raise InvalidInputError("complex_roots needs degree >= 1")
-    if precision_bits < 16:
-        raise InvalidInputError("precision_bits must be at least 16")
-    return _solve_cached(f.coeffs, precision_bits)
+    return escalate(
+        f, precision_bits, lambda rs: rs,
+        f"could not isolate the roots of degree-{f.degree} polynomial",
+    )[0]
 
 
-def escalate(f: IntPoly, rs: CertifiedRootSet, attempt, failure: str):
-    """(root set, result) for the first non-None attempt(rs), solving f again
-    at doubled precision after each None, at most MAX_ESCALATIONS times;
-    past that, PrecisionExhaustedError with failure and the next precision
-    in the schedule (which is not solved for)."""
-    bits = rs.precision_bits
+def escalate(f: IntPoly, start: CertifiedRootSet | int, attempt, failure: str):
+    """(root set, result) for the first non-None attempt(rs).
+
+    start is a root set to try first or the precision to solve f at. After
+    each failure f is solved again at doubled precision, at most
+    MAX_ESCALATIONS times; past that, PrecisionExhaustedError with failure and
+    the last precision tried.
+    """
+    given = isinstance(start, CertifiedRootSet)
+    bits = start.precision_bits if given else start
     for escalation in range(MAX_ESCALATIONS + 1):
-        if escalation:
-            rs = complex_roots(f, bits)
-        result = attempt(rs)
+        tried = bits << escalation
+        rs = start if given and not escalation else _solve_cached(f.coeffs, tried)
+        result = None if rs is None else attempt(rs)
         if result is not None:
             return rs, result
-        bits *= 2
-    raise PrecisionExhaustedError(f"{failure} at {bits} bits")
+    raise PrecisionExhaustedError(f"{failure} at {tried} bits")
 
 
 @dataclass(frozen=True)
@@ -393,7 +394,7 @@ def try_modulus_tags(f: IntPoly, rs: CertifiedRootSet) -> tuple[str, ...] | None
     if ambiguous < expected_on:
         # More roots cleared the circle than the exact count allows; that
         # would mean the palindromic bookkeeping is wrong.
-        raise PrecisionExhaustedError("unit-circle accounting is inconsistent")
+        raise OracleViolationError("unit-circle accounting is inconsistent")
     return tuple("on" if t == "?" else t for t in tags)
 
 
@@ -409,9 +410,8 @@ def modulus_profile(
     caller is expected to pass irreducible f (or at least f with no root at
     +-1), as the exact route needs f(1) != 0 and f(-1) != 0.
     """
-    rs = roots if roots is not None else complex_roots(f, precision_bits)
     rs, tags = escalate(
-        f, rs, lambda rs: try_modulus_tags(f, rs),
+        f, precision_bits if roots is None else roots, lambda rs: try_modulus_tags(f, rs),
         "could not separate all root disks from the unit circle",
     )
     return ModulusProfile(tags.count("in"), tags.count("on"), tags.count("out"), tags, rs)
@@ -428,6 +428,18 @@ class RealAxisProfile:
     rootset: CertifiedRootSet
 
 
+def _mirror_hits(rs: CertifiedRootSet, i: int) -> list[int]:
+    """Indices j != i of the disks that the mirror image of disk i meets;
+    call inside rs.work()."""
+    z, rad = rs.roots[i].value, rs.roots[i].radius
+    zc = mpc(z.real, -z.imag)
+    return [
+        j
+        for j, other in enumerate(rs.roots)
+        if j != i and abs(zc - other.value) <= rad + other.radius
+    ]
+
+
 def conjugate_partner(rs: CertifiedRootSet, i: int) -> int | None:
     """Index of the unique disk the mirrored disk of root i meets, if unique.
 
@@ -437,14 +449,8 @@ def conjugate_partner(rs: CertifiedRootSet, i: int) -> int | None:
     disk j is exactly the conjugate of the one in disk i.
     """
     with rs.work():
-        z, rad = rs.roots[i].value, rs.roots[i].radius
-        zc = mpc(z.real, -z.imag)
-        hits = [
-            j
-            for j, other in enumerate(rs.roots)
-            if j != i and abs(zc - other.value) <= rad + other.radius
-        ]
-        return hits[0] if len(hits) == 1 else None
+        hits = _mirror_hits(rs, i)
+    return hits[0] if len(hits) == 1 else None
 
 
 def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int, int] | None:
@@ -465,10 +471,8 @@ def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int, i
                 flags.append(False)
                 nonreal += 1
                 continue
-            zc = mpc(z.real, -z.imag)
-            for j, other in enumerate(rs.roots):
-                if j != i and abs(zc - other.value) <= rad + other.radius:
-                    return None
+            if _mirror_hits(rs, i):
+                return None
             flags.append(True)
             if z.real > rad:
                 pos += 1
@@ -491,8 +495,8 @@ def real_axis_profile(
     """
     if f.constant == 0:
         raise InvalidInputError("real_axis_profile needs a nonzero constant term")
-    rs = roots if roots is not None else complex_roots(f, precision_bits)
     rs, (flags, pos, neg, nonreal) = escalate(
-        f, rs, try_real_census, "could not settle the real-root census"
+        f, precision_bits if roots is None else roots, try_real_census,
+        "could not settle the real-root census",
     )
     return RealAxisProfile(pos, neg, nonreal, flags, rs)

@@ -31,7 +31,6 @@ class SearchSpec:
     p_max: int
     coprime_only: bool = False
     budget: int = DEFAULT_BUDGET
-    precision_bits: int = 64
 
     def __post_init__(self) -> None:
         if not self.n_values or not self.a_values:
@@ -88,9 +87,7 @@ def run_search(spec: SearchSpec, tally: SearchTally | None = None) -> Iterator[C
     primes = primes_below(spec.p_max + 1)
     for n, a in spec.pairs():
         for p in primes:
-            cert = strictly_perron_certificate(
-                n, a, p, budget=spec.budget, precision_bits=spec.precision_bits
-            )
+            cert = strictly_perron_certificate(n, a, p, budget=spec.budget)
             if tally is not None:
                 tally.record(cert)
             yield cert
@@ -123,7 +120,6 @@ def run_verify(
     amax: int = 6,
     p_limit: int = 300,
     budget: int = DEFAULT_BUDGET,
-    precision_bits: int = 64,
     inject_fault: str | None = None,
 ) -> VerifyReport:
     """Check every promised family property on the grid n in [2, nmax],
@@ -152,14 +148,7 @@ def run_verify(
                 report.points += 1
                 point = f"(n={n}, a={a}, p={p})"
                 try:
-                    cert = strictly_perron_certificate(
-                        n,
-                        a,
-                        p,
-                        budget=budget,
-                        precision_bits=precision_bits,
-                        _fault=inject_fault,
-                    )
+                    cert = strictly_perron_certificate(n, a, p, budget=budget, _fault=inject_fault)
                 except (OracleViolationError, PrecisionExhaustedError) as exc:
                     if not _note(report, f"{point}: pipeline check tripped: {exc}"):
                         return report

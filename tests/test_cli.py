@@ -266,3 +266,17 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--n", "2", "--a", "1", "--pmax", "13", "--precision", "64"],
+            ["verify", "--nmax", "2", "--amax", "1", "--pmax", "13", "--precision", "64"],
+        ],
+    )
+    def test_certificate_commands_have_no_precision_flag(self, capsys, argv):
+        # Certificates always start at the solver's default precision.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--precision" in capsys.readouterr().err

@@ -184,8 +184,8 @@ class TestCertificate:
     def test_shifted_root_trips_the_bracket(self, monkeypatch):
         # A root 1e-9 away (relatively) from the true one lies outside the
         # 1e-12 bracket, so the sign-change check must refuse it.
-        def shifted(f, precision_bits):
-            cls = classify_irreducible(f, precision_bits)
+        def shifted(f):
+            cls = classify_irreducible(f)
             lam = Fraction(cls.dominant) * (1 + Fraction(1, 10**9))
             return replace(cls, dominant=str(float(lam)))
 
@@ -349,8 +349,8 @@ class TestSearch:
     def test_verify_checks_profile_outside_unit_circle(self, monkeypatch):
         # A profile with a root inside the unit circle must trip at even n
         # with p > a + 1: there the negative root has to lie outside.
-        def misplaced(f, precision_bits):
-            cls = classify_irreducible(f, precision_bits)
+        def misplaced(f):
+            cls = classify_irreducible(f)
             return replace(cls, profile=(1, 0, f.degree - 1))
 
         monkeypatch.setattr(family, "classify_irreducible", misplaced)

@@ -90,14 +90,13 @@ class TestFactorOracle:
 
     def test_rounding_retry_at_doubled_precision(self, monkeypatch):
         expected = factor_oracle(self.WIDE)
-        solve, requested = roots.complex_roots, []
+        solve, requested = roots._solve_cached, []
 
-        def spy(f, precision_bits):
-            requested.append(precision_bits)
-            return solve(f, precision_bits)
+        def spy(coeffs, bits):
+            requested.append(bits)
+            return solve(coeffs, bits)
 
-        monkeypatch.setattr(irreducibility, "complex_roots", spy)
-        monkeypatch.setattr(roots, "complex_roots", spy)
+        monkeypatch.setattr(roots, "_solve_cached", spy)
         assert factor_oracle(self.WIDE, precision_bits=16) == expected
         assert requested == [16, 32]
 
@@ -107,6 +106,13 @@ class TestFactorOracle:
         with pytest.raises(
             PrecisionExhaustedError, match="factor oracle could not certify rounding"
         ):
+            factor_oracle(self.WIDE, precision_bits=16)
+
+    def test_exhaustion_names_the_last_precision_tried(self, monkeypatch):
+        # With no escalation allowed only 16 bits are tried, so the error
+        # must not name the 32 bits that were never solved for.
+        monkeypatch.setattr(roots, "MAX_ESCALATIONS", 0)
+        with pytest.raises(PrecisionExhaustedError, match="rounding at 16 bits$"):
             factor_oracle(self.WIDE, precision_bits=16)
 
     def test_degree_guard(self):

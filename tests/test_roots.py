@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import poly, to_sympy
-from perronpoly.errors import InvalidInputError
+from perronpoly import roots as roots_module
+from perronpoly.errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
 from perronpoly.polynomial import IntPoly, squarefree_part
 from perronpoly.roots import (
     DEFAULT_PRECISION_BITS,
@@ -189,6 +190,14 @@ class TestModulusProfile:
         prof = modulus_profile(poly(1, 1, 1, 1, 1))
         assert prof.counts == (0, 4, 0)
 
+    def test_inconsistent_circle_accounting_is_a_violation(self, monkeypatch):
+        # Both golden-ratio disks clear the circle; an exact count of 2
+        # on-circle roots then contradicts them, which is a defect, not a
+        # precision shortfall.
+        monkeypatch.setattr(roots_module, "expected_on_circle", lambda f: 2)
+        with pytest.raises(OracleViolationError, match="accounting"):
+            modulus_profile(poly(-1, -1, 1))
+
 
 class TestRealAxisProfile:
     def test_escalates_past_disk_straddling_zero(self):
@@ -230,3 +239,43 @@ class TestRealAxisProfile:
         prof = real_axis_profile(f)
         assert (prof.positive, prof.negative) == count_real_roots(f)
         assert prof.positive + prof.negative + prof.nonreal == f.degree
+
+
+@pytest.fixture
+def fresh_root_cache():
+    """Clear the solver cache around a test that fakes solver failures."""
+    roots_module._solve_cached.cache_clear()
+    yield
+    roots_module._solve_cached.cache_clear()
+
+
+class TestSingleEscalationLoop:
+    def test_one_cap_per_decision(self, monkeypatch, fresh_root_cache):
+        # Disks collide below 1024 bits and the census needs 2048. Both
+        # shortfalls draw on the same MAX_ESCALATIONS doublings from 64 bits,
+        # so 1024 is the last precision tried and the decision gives up there.
+        certify = roots_module._certify
+        monkeypatch.setattr(
+            roots_module, "_certify",
+            lambda coeffs, zs, prec: certify(coeffs, zs, prec) if prec >= 1024 else None,
+        )
+        census = roots_module.try_real_census
+        monkeypatch.setattr(
+            roots_module, "try_real_census",
+            lambda rs: census(rs) if rs.precision_bits >= 2048 else None,
+        )
+        with pytest.raises(PrecisionExhaustedError, match="census at 1024 bits$"):
+            real_axis_profile(poly(-1, -1, 1))
+
+    def test_isolation_escalates_from_the_requested_precision(
+        self, monkeypatch, fresh_root_cache
+    ):
+        certify = roots_module._certify
+        monkeypatch.setattr(
+            roots_module, "_certify",
+            lambda coeffs, zs, prec: certify(coeffs, zs, prec) if prec >= 256 else None,
+        )
+        assert complex_roots(poly(-1, -1, 1)).precision_bits == 256
+        monkeypatch.setattr(roots_module, "MAX_ESCALATIONS", 1)
+        with pytest.raises(PrecisionExhaustedError, match="at 128 bits$"):
+            complex_roots(poly(-1, -1, 1))
