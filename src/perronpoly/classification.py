@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import nstr, workprec
+from mpmath import log10, nstr, workprec
 
 from .errors import InvalidInputError, OracleViolationError
 from .irreducibility import irreducibility_witness
 from .polynomial import IntPoly, is_self_reciprocal
 from .roots import (
     DEFAULT_PRECISION_BITS,
+    CertifiedRoot,
     CertifiedRootSet,
     conjugate_partner,
     escalate,
@@ -79,9 +80,13 @@ class Classification:
         }
 
 
-def _decimal(value, bits: int) -> str:
+def _decimal(root: CertifiedRoot, bits: int) -> str:
+    """The real part of root to the significant digits its disk certifies
+    (about log10(|value| / radius)), at most 20."""
     with workprec(max(bits, 64)):
-        return nstr(value, 20)
+        value = root.value.real
+        digits = int(log10(abs(value) / root.radius))
+        return nstr(value, max(1, min(20, digits)))
 
 
 def _is_binomial(f: IntPoly) -> bool:
@@ -228,7 +233,7 @@ def _perron_subclass(
     n = f.degree
     inside, _, outside = profile
     star = rs.roots[i_star]
-    lam = _decimal(star.value.real, rs.precision_bits)
+    lam = _decimal(star, rs.precision_bits)
 
     if inside == n - 1 and outside == 1:
         sub = PISOT

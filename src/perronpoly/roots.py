@@ -1,10 +1,11 @@
 """Certified complex root isolation for squarefree integer polynomials.
 
-The solver runs Aberth-Ehrlich simultaneous iteration. A double-precision
-sweep from perturbed-circle starting points supplies cheap approximations;
-arbitrary-precision refinement then polishes them at the requested precision
-(mpmath backend). Certification is a posteriori: around each approximation
-z_i we place the Weierstrass-style disk of radius
+The solver runs one Aberth-Ehrlich routine, _aberth, twice: first in double
+precision from perturbed-circle starting points, for cheap approximations,
+then at the requested precision (mpmath backend) to polish them. Should the
+polished approximations fail to certify, the routine runs once more at that
+precision from the circle points. Certification is a posteriori: around
+each approximation z_i we place the Weierstrass-style disk of radius
 
     deg(f) * |f(z_i)| / (|lc(f)| * prod_{j != i} |z_i - z_j|)
 
@@ -113,9 +114,12 @@ class CertifiedRootSet:
         }
 
 
-def _horner_mpc(coeffs: tuple[int, ...], z: "mpc") -> "mpc":
-    acc = mpc(0)
-    for c in reversed(coeffs):
+def _horner(coeffs, z):
+    """coeffs[0] + coeffs[1] z + ... in the number type of z, started from the
+    leading coefficient (the step 0 * z + lead would be exact anyway)."""
+    it = reversed(coeffs)
+    acc = next(it)
+    for c in it:
         acc = acc * z + c
     return acc
 
@@ -151,96 +155,54 @@ def _initial_points(coeffs: tuple[int, ...]) -> list[complex]:
     return pts
 
 
-def _float_aberth(coeffs: tuple[int, ...]) -> list[complex] | None:
-    """Double-precision warmstart sweep; None when it cannot be trusted."""
-    if any(abs(c) > _FLOAT_LIMIT for c in coeffs):
-        return None
+def _aberth(zs: list, coeffs, tol, max_iters: int, nudge, limit: float | None = None) -> bool:
+    """Aberth-Ehrlich sweeps updating zs in place, in the number type of zs
+    and coeffs (complex and float, or mpc and int inside workprec).
+
+    Stops once no approximation moves by tol relative to 1 + |z|, or after
+    max_iters sweeps. An approximation whose derivative vanishes or that
+    collides with another moves by nudge * (1 + |z|). With limit, returns
+    False as soon as a real or imaginary part reaches it (or is NaN).
+    """
     n = len(coeffs) - 1
-    cs = [float(c) for c in coeffs]
-    ds = [i * cs[i] for i in range(1, n + 1)]
-    zs = _initial_points(coeffs)
-    for _ in range(140):
-        moved = 0.0
-        for i in range(n):
-            z = zs[i]
-            fz = 0.0 + 0.0j
-            for c in reversed(cs):
-                fz = fz * z + c
-            fpz = 0.0 + 0.0j
-            for c in reversed(ds):
-                fpz = fpz * z + c
-            if fpz == 0:
-                zs[i] = z * 1.0000001 + 1e-8
-                moved = 1.0
+    deriv = [i * coeffs[i] for i in range(1, n + 1)]
+    for _ in range(max_iters):
+        worst = 0
+        for i, z in enumerate(zs):
+            fpz = _horner(deriv, z)
+            dzs = [z - zj for j, zj in enumerate(zs) if j != i]
+            if fpz == 0 or 0 in dzs:
+                zs[i] = z + nudge * (1 + abs(z))
+                worst = 1
                 continue
-            w = fz / fpz
-            sigma = 0.0 + 0.0j
-            bad = False
-            for j in range(n):
-                if j != i:
-                    dz = z - zs[j]
-                    if dz == 0:
-                        bad = True
-                        break
-                    sigma += 1.0 / dz
-            if bad:
-                zs[i] = z * 1.0000001 + 1e-8
-                moved = 1.0
-                continue
-            den = 1.0 - w * sigma
+            sigma = 0
+            for dz in dzs:
+                sigma += 1 / dz
+            w = _horner(coeffs, z) / fpz
+            den = 1 - w * sigma
             corr = w if den == 0 else w / den
             zs[i] = z - corr
-            if not (abs(zs[i].real) < 1e300 and abs(zs[i].imag) < 1e300):
-                return None
-            moved = max(moved, abs(corr) / (1.0 + abs(zs[i])))
-        if moved < 1e-14:
+            if limit is not None and not (abs(zs[i].real) < limit and abs(zs[i].imag) < limit):
+                return False
+            worst = max(worst, abs(corr) / (1 + abs(zs[i])))
+        if worst < tol:
             break
-    if any(z != z for z in zs):  # NaN guard
+    return True
+
+
+def _float_aberth(coeffs: tuple[int, ...]) -> list[complex] | None:
+    """Double-precision warm start; None when it cannot be trusted."""
+    if any(abs(c) > _FLOAT_LIMIT for c in coeffs):
         return None
-    return zs
+    zs = _initial_points(coeffs)
+    return zs if _aberth(zs, [float(c) for c in coeffs], 1e-14, 140, 1e-7, limit=1e300) else None
 
 
-def _refine_mp(coeffs: tuple[int, ...], starts, prec: int, max_iters: int | None = None):
+def _refine_mp(coeffs: tuple[int, ...], starts, prec: int, max_iters: int) -> list:
     """Aberth refinement at the given precision; returns mpc approximations."""
-    n = len(coeffs) - 1
-    deriv = tuple(i * coeffs[i] for i in range(1, n + 1))
     with workprec(prec + 32):
         zs = [mpc(z) for z in starts]
-        tol = mpf(2) ** (-(prec + 8))
-        if max_iters is None:
-            max_iters = 36 + 6 * n
-        for _ in range(max_iters):
-            worst = mpf(0)
-            for i in range(n):
-                z = zs[i]
-                fz = _horner_mpc(coeffs, z)
-                fpz = _horner_mpc(deriv, z)
-                if fpz == 0:
-                    zs[i] = z + mpf(2) ** (-prec // 2) * (1 + abs(z))
-                    worst = mpf(1)
-                    continue
-                w = fz / fpz
-                sigma = mpc(0)
-                collide = False
-                for j in range(n):
-                    if j != i:
-                        dz = z - zs[j]
-                        if dz == 0:
-                            collide = True
-                            break
-                        sigma += 1 / dz
-                if collide:
-                    zs[i] = z + mpf(2) ** (-prec // 2) * (1 + abs(z))
-                    worst = mpf(1)
-                    continue
-                den = 1 - w * sigma
-                corr = w if den == 0 else w / den
-                zs[i] = z - corr
-                rel = abs(corr) / (1 + abs(zs[i]))
-                if rel > worst:
-                    worst = rel
-            if worst < tol:
-                break
+        _aberth(zs, coeffs, mpf(2) ** (-(prec + 8)), max_iters, mpf(2) ** (-prec // 2))
         return zs
 
 
@@ -258,8 +220,8 @@ def _certify(coeffs: tuple[int, ...], zs, prec: int) -> tuple[CertifiedRoot, ...
         radii = []
         for i in range(n):
             z = values[i]
-            fz = _horner_mpc(coeffs, z)
-            scale = _horner_mpc(abs_coeffs, mpc(abs(z)))
+            fz = _horner(coeffs, z)
+            scale = _horner(abs_coeffs, mpc(abs(z)))
             num = abs(fz) + slack * abs(scale)
             den = lead
             for j in range(n):
@@ -289,16 +251,14 @@ def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None
     f = IntPoly(coeffs)  # the squarefree gate sits behind the cache: a hit runs no gcd
     if n >= 2 and poly_gcd(f, f.derivative()).degree >= 1:
         raise InvalidInputError("complex_roots requires a squarefree polynomial")
-    starts = _float_aberth(coeffs)
-    if starts is None:
-        starts = _initial_points(coeffs)
-    certified = _certify(coeffs, _refine_mp(coeffs, starts, bits), bits)
+    starts = _float_aberth(coeffs) or _initial_points(coeffs)
+    certified = _certify(coeffs, _refine_mp(coeffs, starts, bits, 36 + 6 * n), bits)
     if certified is None:
         # A poisoned start configuration (e.g. approximations trapped on a
         # symmetry line of the root set) stays poisoned at any precision;
         # retry from the generic circle points, which carry deliberate
         # angular and radial asymmetry.
-        zs = _refine_mp(coeffs, _initial_points(coeffs), bits, max_iters=72 + 10 * n)
+        zs = _refine_mp(coeffs, _initial_points(coeffs), bits, 72 + 10 * n)
         certified = _certify(coeffs, zs, bits)
     return None if certified is None else CertifiedRootSet(certified, bits)
 

@@ -34,13 +34,13 @@ class SearchSpec:
 
     def __post_init__(self) -> None:
         if not self.n_values or not self.a_values:
-            raise InvalidInputError("search ranges must be nonempty")
+            raise InvalidInputError("the grid needs at least one n and one a")
         if any(n < 2 for n in self.n_values):
-            raise InvalidInputError("search needs n >= 2")
+            raise InvalidInputError("the grid needs n >= 2")
         if any(a < 1 for a in self.a_values):
-            raise InvalidInputError("search needs a >= 1")
+            raise InvalidInputError("the grid needs a >= 1")
         if self.p_max < 2:
-            raise InvalidInputError("search needs p_max >= 2")
+            raise InvalidInputError("the grid needs at least one prime")
 
     def pairs(self) -> list[tuple[int, int]]:
         out = []
@@ -123,7 +123,8 @@ def run_verify(
     inject_fault: str | None = None,
 ) -> VerifyReport:
     """Check every promised family property on the grid n in [2, nmax],
-    a in [1, amax], primes p < p_limit.
+    a in [1, amax], primes p < p_limit. An empty grid raises
+    InvalidInputError, as in SearchSpec.
 
     Checked per point: both discriminant routes agree; both monogenicity
     routes agree (these two are enforced inside certificate construction);
@@ -140,22 +141,22 @@ def run_verify(
     certificate pipeline so the harness can demonstrate that a corrupted
     intermediate value actually trips a check.
     """
+    spec = SearchSpec(tuple(range(2, nmax + 1)), tuple(range(1, amax + 1)), p_limit - 1)
     report = VerifyReport()
     primes = primes_below(p_limit)
-    for n in range(2, nmax + 1):
-        for a in range(1, amax + 1):
-            for p in primes:
-                report.points += 1
-                point = f"(n={n}, a={a}, p={p})"
-                try:
-                    cert = strictly_perron_certificate(n, a, p, budget=budget, _fault=inject_fault)
-                except (OracleViolationError, PrecisionExhaustedError) as exc:
-                    if not _note(report, f"{point}: pipeline check tripped: {exc}"):
-                        return report
-                    continue
-                for problem in _point_problems(cert):
-                    if not _note(report, f"{point}: {problem}"):
-                        return report
+    for n, a in spec.pairs():
+        for p in primes:
+            report.points += 1
+            point = f"(n={n}, a={a}, p={p})"
+            try:
+                cert = strictly_perron_certificate(n, a, p, budget=budget, _fault=inject_fault)
+            except (OracleViolationError, PrecisionExhaustedError) as exc:
+                if not _note(report, f"{point}: pipeline check tripped: {exc}"):
+                    return report
+                continue
+            for problem in _point_problems(cert):
+                if not _note(report, f"{point}: {problem}"):
+                    return report
     return report
 
 

@@ -151,6 +151,15 @@ class TestEscalation:
         assert c.headline == STRICTLY_PERRON
         assert c.precision_bits > 16
 
+    def test_lambda_has_only_certified_digits(self):
+        # At 16 bits the disk around lambda = 3.15865806723635933... has a
+        # radius near 2e-11, which certifies 11 significant digits; 64-bit
+        # disks certify more than the 20 digits printed.
+        f = poly(-5, 0, 0, -3, 1)
+        coarse = classify(f, precision_bits=16)
+        assert (coarse.precision_bits, coarse.dominant) == (16, "3.1586580672")
+        assert classify(f).dominant == "3.1586580672363593388"
+
 
 class TestProperties:
     @given(st.lists(st.integers(-9, 9), min_size=2, max_size=5))

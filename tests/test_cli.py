@@ -246,6 +246,20 @@ class TestVerify:
         assert len(fail_lines) == 8  # every prime below 20 trips
         assert "failures" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--nmax", "1", "--amax", "1", "--pmax", "10"],
+            ["--nmax", "4", "--amax", "0", "--pmax", "10"],
+            ["--nmax", "4", "--amax", "1", "--pmax", "2"],
+        ],
+    )
+    def test_empty_grid_rejected(self, capsys, flags):
+        rc, out, err = run(capsys, "verify", *flags)
+        assert rc == 2
+        assert out == ""
+        assert "error: the grid needs" in err
+
     def test_unknown_fault_name_rejected(self, capsys):
         rc, _, err = run(
             capsys, "verify", "--nmax", "2", "--amax", "1", "--pmax", "5",

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import poly, to_sympy
 from perronpoly import roots as roots_module
+from perronpoly.classification import STRICTLY_PERRON, classify
 from perronpoly.errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
 from perronpoly.polynomial import IntPoly, squarefree_part
 from perronpoly.roots import (
@@ -279,3 +280,39 @@ class TestSingleEscalationLoop:
         monkeypatch.setattr(roots_module, "MAX_ESCALATIONS", 1)
         with pytest.raises(PrecisionExhaustedError, match="at 128 bits$"):
             complex_roots(poly(-1, -1, 1))
+
+
+class TestAberthStarts:
+    def test_poisoned_warm_start_falls_back_to_circle_points(
+        self, monkeypatch, fresh_root_cache
+    ):
+        # Real starts stay real under Aberth for a real polynomial, so they
+        # never reach the nonreal roots of x^2 + x + 1 and the disks collide;
+        # the retry from the circle points must certify at the first attempt.
+        f = poly(1, 1, 1)
+        monkeypatch.setattr(roots_module, "_float_aberth", lambda coeffs: [0.5, -0.25])
+        refine, starts = roots_module._refine_mp, []
+
+        def spy(coeffs, zs, prec, *args, **kwargs):
+            starts.append(list(zs))
+            return refine(coeffs, zs, prec, *args, **kwargs)
+
+        monkeypatch.setattr(roots_module, "_refine_mp", spy)
+        assert complex_roots(f).precision_bits == DEFAULT_PRECISION_BITS
+        assert starts == [[0.5, -0.25], roots_module._initial_points(f.coeffs)]
+        assert_disks_cover_reference(f)
+
+    def test_warm_start_skipped_for_huge_coefficients(self, fresh_root_cache):
+        f = poly(-(10**300), -1, 1)
+        assert roots_module._float_aberth(f.coeffs) is None
+        c = classify(f, precision_bits=512)
+        assert (c.headline, c.dominant, c.precision_bits) == (STRICTLY_PERRON, "1.0e+150", 512)
+
+    def test_collision_is_nudged_apart(self):
+        # Two equal starts for x^2 - 3x + 2: in either number type the first
+        # sweep nudges one off the other, and the sweeps then find 1 and 2.
+        zs = [0.5 + 0j, 0.5 + 0j]
+        assert roots_module._aberth(zs, [2.0, -3.0, 1.0], 1e-14, 140, 1e-7)
+        assert sorted(z.real for z in zs) == pytest.approx([1, 2])
+        refined = roots_module._refine_mp((2, -3, 1), [0.5, 0.5], 64, 50)
+        assert sorted(float(z.real) for z in refined) == pytest.approx([1, 2])
