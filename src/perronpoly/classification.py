@@ -14,9 +14,15 @@ exactly one of four subclasses:
 Every verdict rests on certified data: disks from the root solver, exact
 unit-circle counts for self-reciprocal inputs, and integer shortcuts where
 the answer is structural (binomials and polynomials in x^2 can never have a
-strictly dominant root, since their root moduli tie by symmetry). When a tie
-cannot be certified either way the routine escalates precision and, at the
-cap, raises PrecisionExhaustedError instead of guessing.
+strictly dominant root, since their root moduli tie by symmetry). Otherwise
+two rules decide, from the certified modulus bounds and real-root census:
+Perron when the disk of a real positive root lies strictly above every
+other disk in modulus, NoPerronRoot when every real positive root has
+another root whose modulus lower bound reaches its upper bound. An exact
+tie between the top real positive root and another root, outside those
+structural shortcuts, satisfies neither rule: the routine escalates
+precision and, at the cap, raises PrecisionExhaustedError instead of
+guessing.
 """
 from __future__ import annotations
 
@@ -31,7 +37,6 @@ from .roots import (
     DEFAULT_PRECISION_BITS,
     CertifiedRoot,
     CertifiedRootSet,
-    conjugate_partner,
     escalate,
     modulus_profile,
     try_modulus_tags,
@@ -182,43 +187,35 @@ def _decide(
 ) -> Classification | None:
     """One dominance decision attempt from a fully tagged root set.
 
-    None means the certificates at this precision cannot settle the
-    question; the caller escalates.
+    Two certified rules, read off the modulus bounds:
+
+      Perron        the disk of a real positive root lies strictly above
+                    every other disk in modulus;
+      NoPerronRoot  every certified real positive root i has another root j
+                    with lower[j] >= upper[i], so |z_j| >= |z_i| and no real
+                    root strictly dominates (vacuous with no real positive
+                    root).
+
+    None means neither rule holds at this precision; the caller escalates.
+    An exact tie between the top real positive root and another root, when
+    _structural_tie does not catch it, never satisfies either rule.
     """
     n = len(rs.roots)
     profile = (tags.count("in"), tags.count("on"), tags.count("out"))
-    if "out" not in tags:
-        # Every root is certified inside or exactly on the unit circle, so
-        # no root reaches modulus > 1 and none can strictly dominate; this
-        # settles cyclotomic-like inputs where several on-circle pairs tie.
-        return _no_perron_root(f, profile, rs.precision_bits)
     bounds = rs.modulus_bounds()
     lower = [b[0] for b in bounds]
     upper = [b[1] for b in bounds]
     i_star = max(range(n), key=lambda i: lower[i])
-    lb = lower[i_star]
-    dominates = all(lb > upper[j] for j in range(n) if j != i_star)
-    star = rs.roots[i_star]
-
-    if dominates:
+    if all(lower[i_star] > upper[j] for j in range(n) if j != i_star):
         if not real_flags[i_star]:
             # The conjugate of a certified-nonreal root is a distinct root of
             # the same modulus, flatly contradicting strict dominance.
             raise OracleViolationError("nonreal root certified as strictly dominant")
-        if star.value.real < 0:
-            # The unique maximal-modulus root is real negative, so no other
-            # root can strictly dominate either.
-            return _no_perron_root(f, profile, rs.precision_bits)
-        return _perron_subclass(f, rs, tags, profile, real_flags, i_star)
-
-    if not real_flags[i_star]:
-        partner = conjugate_partner(rs, i_star)
-        if partner is not None and all(
-            lb > upper[j] for j in range(n) if j not in (i_star, partner)
-        ):
-            # The pair (root, conjugate) certifiedly tops every other root,
-            # and its two members tie exactly.
-            return _no_perron_root(f, profile, rs.precision_bits)
+        if rs.roots[i_star].value.real > 0:
+            return _perron_subclass(f, rs, tags, profile, real_flags, i_star)
+    positive = [i for i in range(n) if real_flags[i] and rs.roots[i].value.real > 0]
+    if all(any(lower[j] >= upper[i] for j in range(n) if j != i) for i in positive):
+        return _no_perron_root(f, profile, rs.precision_bits)
     return None
 
 

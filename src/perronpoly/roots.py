@@ -388,31 +388,6 @@ class RealAxisProfile:
     rootset: CertifiedRootSet
 
 
-def _mirror_hits(rs: CertifiedRootSet, i: int) -> list[int]:
-    """Indices j != i of the disks that the mirror image of disk i meets;
-    call inside rs.work()."""
-    z, rad = rs.roots[i].value, rs.roots[i].radius
-    zc = mpc(z.real, -z.imag)
-    return [
-        j
-        for j, other in enumerate(rs.roots)
-        if j != i and abs(zc - other.value) <= rad + other.radius
-    ]
-
-
-def conjugate_partner(rs: CertifiedRootSet, i: int) -> int | None:
-    """Index of the unique disk the mirrored disk of root i meets, if unique.
-
-    Complex conjugation permutes the true roots, so the conjugate of root i
-    lives in the mirror image of disk i and therefore in at least one other
-    disk it touches. When exactly one disk j != i qualifies, the true root in
-    disk j is exactly the conjugate of the one in disk i.
-    """
-    with rs.work():
-        hits = _mirror_hits(rs, i)
-    return hits[0] if len(hits) == 1 else None
-
-
 def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int, int] | None:
     """One attempt at (real flags, positive, negative, nonreal), or None.
 
@@ -431,7 +406,12 @@ def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int, i
                 flags.append(False)
                 nonreal += 1
                 continue
-            if _mirror_hits(rs, i):
+            zc = mpc(z.real, -z.imag)
+            if any(
+                abs(zc - other.value) <= rad + other.radius
+                for j, other in enumerate(rs.roots)
+                if j != i
+            ):
                 return None
             flags.append(True)
             if z.real > rad:

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import poly
+from perronpoly import classification, roots
 from perronpoly.classification import (
     ANTI_PISOT,
     NO_PERRON_ROOT,
@@ -15,11 +16,12 @@ from perronpoly.classification import (
     SALEM,
     STRICTLY_PERRON,
     classify,
+    classify_irreducible,
 )
-from perronpoly.errors import InvalidInputError
+from perronpoly.errors import InvalidInputError, OracleViolationError
 from perronpoly.irreducibility import is_irreducible
 from perronpoly.polynomial import IntPoly
-from perronpoly.roots import complex_roots
+from perronpoly.roots import CertifiedRoot, CertifiedRootSet, complex_roots
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
 
@@ -92,11 +94,95 @@ class TestStructuralShortcuts:
 
     def test_cyclotomic_on_circle(self):
         # The degree-4 case has two tied on-circle conjugate pairs, which
-        # once drove the dominance loop to precision exhaustion; the zero
-        # outside-count certificate settles it exactly.
+        # once drove the dominance loop to precision exhaustion; with no real
+        # root at all, no root can be a strictly dominant real root.
         assert classify(poly(1, 1, 1)).kind == NO_PERRON_ROOT
         assert classify(poly(1, 1, 1, 1, 1)).kind == NO_PERRON_ROOT
         assert classify(poly(1, 0, 0, 1, 0, 0, 1)).kind == NO_PERRON_ROOT
+
+
+class TestNoPerronRule:
+    # Quartics whose four roots form two conjugate pairs of equal modulus
+    # (x^4 - 2x^3 + 2x^2 - 4x + 4 = x^4 f(2/x) / 4 has all four on |z| = sqrt 2).
+    # No root is real, so no real root can dominate; disks never separate
+    # tied moduli, and these once exhausted precision.
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (4, -6, 5, -3, 1),
+            (4, -4, 2, -2, 1),
+            (4, -4, 3, -2, 1),
+            (4, -2, -1, -1, 1),
+            (4, -2, 0, -1, 1),
+            (4, -2, 1, -1, 1),
+            (4, -2, 3, -1, 1),
+            (4, 2, -1, 1, 1),
+            (4, 2, 0, 1, 1),
+            (4, 2, 1, 1, 1),
+            (4, 2, 3, 1, 1),
+            (4, 4, 2, 2, 1),
+            (4, 4, 3, 2, 1),
+            (4, 6, 5, 3, 1),
+        ],
+    )
+    def test_tied_pairs_without_real_root(self, coeffs):
+        cls = classify(IntPoly(coeffs))
+        assert (cls.kind, cls.profile, cls.precision_bits) == (NO_PERRON_ROOT, (0, 0, 4), 64)
+
+    @pytest.mark.parametrize(
+        "coeffs, profile",
+        [
+            ((1, 3, 1), (1, 0, 1)),  # the negative root dominates
+            ((3, 1, 1), (0, 0, 2)),  # no real root
+            ((3, 1, 0, 1), (0, 0, 3)),  # a conjugate pair tops a negative root
+            ((-1, 1, 1, 1), (1, 0, 2)),  # a conjugate pair tops a positive root
+        ],
+    )
+    def test_no_real_root_dominates(self, coeffs, profile):
+        cls = classify(IntPoly(coeffs))
+        assert (cls.kind, cls.profile) == (NO_PERRON_ROOT, profile)
+
+
+class TestOracleFaults:
+    """Each consistency check in the dominance decision fires on doctored data."""
+
+    def test_nonreal_dominant_root(self, monkeypatch):
+        monkeypatch.setattr(
+            classification,
+            "try_real_census",
+            lambda rs: ((False,) * len(rs), 0, 0, len(rs)),
+        )
+        with pytest.raises(OracleViolationError, match="nonreal root certified as strictly dominant"):
+            classify_irreducible(poly(-1, -1, 1))
+
+    def test_salem_mate_not_real(self, monkeypatch):
+        census = classification.try_real_census
+
+        def inside_roots_nonreal(rs):
+            flags, *counts = census(rs)
+            with rs.work():
+                flags = tuple(real and abs(r.value) > 1 for real, r in zip(flags, rs.roots))
+            return (flags, *counts)
+
+        monkeypatch.setattr(classification, "try_real_census", inside_roots_nonreal)
+        with pytest.raises(OracleViolationError, match="reciprocal mate of a Salem candidate"):
+            classify_irreducible(poly(1, -1, -1, -1, 1))
+
+    def test_salem_product_off_one(self, monkeypatch):
+        solve = roots._solve_cached
+
+        def inside_roots_nudged(coeffs, bits):
+            rs = solve(coeffs, bits)
+            with rs.work():
+                moved = tuple(
+                    CertifiedRoot(r.value * (1 + 2.0**-30), r.radius) if abs(r.value) < 0.9 else r
+                    for r in rs.roots
+                )
+            return CertifiedRootSet(moved, bits)
+
+        monkeypatch.setattr(roots, "_solve_cached", inside_roots_nudged)
+        with pytest.raises(OracleViolationError, match="deviates from 1 beyond certified bounds"):
+            classify_irreducible(poly(1, -1, -1, -1, 1))
 
 
 class TestEdges:
@@ -186,6 +272,7 @@ class TestProperties:
 
     @given(st.lists(st.integers(-9, 9), min_size=2, max_size=5))
     @settings(max_examples=40, deadline=None)
+    @example([4, -4, 2, -2])  # two conjugate pairs tied at modulus sqrt 2
     def test_stable_under_extra_precision(self, body):
         f = IntPoly(tuple(body) + (1,))
         if f.constant == 0:

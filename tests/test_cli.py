@@ -86,6 +86,12 @@ class TestClassify:
         assert rc == 2
         assert "required" in err
 
+    def test_tied_conjugate_pairs(self, capsys):
+        # x^4 - 2x^3 + 2x^2 - 4x + 4: all four roots on |z| = sqrt 2.
+        rc, out, _ = run(capsys, "classify", "--coeffs", "4,-4,2,-2,1")
+        assert rc == 0
+        assert '"class": "NoPerronRoot"' in out
+
 
 class TestMonogenic:
     def test_not_monogenic_witness(self, capsys):
