@@ -15,9 +15,10 @@ from math import gcd
 
 from .classification import NOT_IRREDUCIBLE, PERRON, Classification, classify_irreducible
 from .errors import InvalidInputError, OracleViolationError
-from .intarith import DEFAULT_BUDGET, Factorization, SquarefreeStatus, factorize, is_prime
-from .intarith import squarefree_status, squarefree_status_of
-from .monogenicity import MonogenicityReport, TrinomialParams, monogenic_from_factorization
+from .intarith import DEFAULT_BUDGET, TRIAL_BOUND, Factorization, SquarefreeStatus, is_prime
+from .intarith import finish_factorization, squarefree_status, squarefree_status_of, trial_divide
+from .monogenicity import DIVIDES, MonogenicityReport, TrinomialParams
+from .monogenicity import monogenic_from_factorization
 from .polynomial import IntPoly, sign_variations
 from .polynomial import discriminant as discriminant_resultant
 from .roots import real_axis_profile
@@ -173,6 +174,12 @@ class Certificate:
 
     Every derived quantity sits next to the oracle that checked it; the
     conclusion is composed from the checked verdicts only.
+
+    monogenicity is the local-test report, None for a reducible member. Its
+    disc_factorization may be the partial, trial-division-only one: when
+    that already fixed the verdicts, G's cofactor was never split (see
+    strictly_perron_certificate), and its local verdicts cover only the
+    square primes trial division found, plus p.
     """
 
     params: FamilyParams
@@ -222,6 +229,27 @@ def _times_prime_power(fact: Factorization, p: int, k: int) -> Factorization:
     return Factorization(factors, fact.cofactor, fact.complete)
 
 
+def _settled_by_trial_division(
+    g_status: SquarefreeStatus, report: MonogenicityReport | None
+) -> bool:
+    """Whether the trial-division part of G already fixes every reported
+    verdict. Finishing the factorization adds only primes above TRIAL_BOUND,
+    so it cannot move NotSquarefree(q), nor a NotMonogenic(q') with
+    q' <= TRIAL_BOUND. report is None for a reducible member, whose
+    monogenicity verdict needs no factoring at all. A failing q' above
+    TRIAL_BOUND (only p can be one, on large p) settles nothing: a smaller
+    index-dividing prime may still hide in the cofactor.
+    """
+    if g_status.kind != "not_squarefree":
+        return False
+    if report is None:
+        return True
+    return any(v.result == DIVIDES and v.q <= TRIAL_BOUND for v in report.locals)
+
+
+_FAULTS = ("disc-sign", "mono-route")
+
+
 def strictly_perron_certificate(
     n: int,
     a: int,
@@ -238,25 +266,32 @@ def strictly_perron_certificate(
     rational arithmetic, which with the Descartes count (one sign variation
     ⇒ exactly one positive root; descartes_profile) pins that root without
     the root solver. Any mismatch raises OracleViolationError — a
-    certificate is never produced from contradictory evidence. The certificate is computed in full even when
-    an early step already settles the headline question, so downstream
-    consumers get complete diagnostics.
+    certificate is never produced from contradictory evidence. Every check
+    runs even when an early step already settles the headline question, so
+    downstream consumers get complete diagnostics.
 
-    Each fact is computed once: one factorization of G gives G_status, the
-    squarefree verdict and, times p^(n-2), the factored |disc| for the local
-    tests. Irreducibility is the family dichotomy (run_verify checks it).
+    Each fact is computed once. G is trial-divided once. When that already
+    fixes both reported verdicts — G_status is NotSquarefree(q), and the
+    member is reducible or the local tests on the partial factorization give
+    NotMonogenic(q') with q' <= TRIAL_BOUND — the rho step is skipped, since
+    every prime it could add exceeds TRIAL_BOUND. Otherwise the
+    factorization is finished once, within the budget. The resulting G
+    factorization gives G_status, the squarefree verdict and, times p^(n-2),
+    the factored |disc| for the local tests. Irreducibility is the family
+    dichotomy (run_verify checks it).
 
-    `_fault` deliberately corrupts an internal value ("disc-sign" flips the
-    closed-form discriminant) so the tripwires themselves can be exercised.
+    `_fault` deliberately corrupts an internal value so the tripwires
+    themselves can be exercised: "disc-sign" flips the closed-form
+    discriminant, "mono-route" flips the squarefree-route verdict.
     """
     params = FamilyParams(n, a, p)
+    if _fault is not None and _fault not in _FAULTS:
+        raise InvalidInputError(f"unknown fault {_fault!r}")
     f = build(n, a, p)
 
     disc_closed = discriminant_closed(n, a, p)
     if _fault == "disc-sign":
         disc_closed = -disc_closed
-    elif _fault is not None:
-        raise InvalidInputError(f"unknown fault {_fault!r}")
     disc_oracle = discriminant_resultant(f)
     if disc_closed != disc_oracle:
         raise OracleViolationError(
@@ -265,18 +300,30 @@ def strictly_perron_certificate(
         )
 
     g = g_value(n, a, p)
-    g_fact = factorize(g, budget=budget)
-    g_status = squarefree_status_of(g_fact)
     irreducible = family_irreducible(n, a, p)
+    trinomial = TrinomialParams(n, n - 1, -a, -p)
 
-    report: MonogenicityReport | None = None
-    if irreducible:
-        trinomial = TrinomialParams(n, n - 1, -a, -p)
+    def local_tests(g_fact: Factorization) -> MonogenicityReport:
         disc_fact = _times_prime_power(g_fact, p, n - 2)
-        report = monogenic_from_factorization(f, trinomial, disc_oracle, disc_fact)
+        return monogenic_from_factorization(f, trinomial, disc_oracle, disc_fact)
+
+    g_fact = trial_divide(g)
+    g_status = squarefree_status_of(g_fact)
+    report = local_tests(g_fact) if irreducible and g_status.kind == "not_squarefree" else None
+    if not _settled_by_trial_division(g_status, report):
+        finished = finish_factorization(g_fact, budget)
+        if finished != g_fact:  # rho split the cofactor: read every verdict afresh
+            g_fact, g_status, report = finished, squarefree_status_of(finished), None
+    if irreducible and report is None:
+        report = local_tests(g_fact)
+
+    if irreducible:
         verdict = report.verdict
         if params.coprime:
             family_verdict = _squarefree_verdict(g_status)
+            if _fault == "mono-route":
+                was_monogenic = family_verdict == "Monogenic"
+                family_verdict = "NotMonogenic(fault)" if was_monogenic else "Monogenic"
             if (
                 not verdict.startswith("Unknown")
                 and not family_verdict.startswith("Unknown")

@@ -6,10 +6,16 @@ topped up with a strong Lucas test (Selfridge parameters), for which no
 composite passing both tests is known. The intended operating range of the
 package is N <= 2**128.
 
-Factorization is budgeted: trial division against a sieved prime table, then
-perfect-power extraction, then Brent-cycle rho with a deterministic parameter
-schedule. The budget counts rho iterations; when it runs out the unfinished
-part is reported as an explicit composite cofactor rather than guessed at.
+Factorization is budgeted and runs in two public steps. trial_divide makes one
+pass over a sieved prime table and returns a partial Factorization whose
+cofactor is 1 or free of primes up to TRIAL_BOUND; finish_factorization then
+splits that cofactor by perfect-power extraction and Brent-cycle rho with a
+deterministic parameter schedule. factorize is the two steps in a row. A
+caller that only needs what the small primes settle (the smallest square
+prime, say) can stop after the first step, since the second only adds primes
+above TRIAL_BOUND. The budget counts rho iterations; when it runs out the
+unfinished part is reported as an explicit composite cofactor rather than
+guessed at.
 """
 from __future__ import annotations
 
@@ -261,34 +267,18 @@ class Factorization:
         return 0
 
 
-def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
-    """Factor n >= 1 within the given rho-iteration budget.
+def trial_divide(n: int) -> Factorization:
+    """The first factoring step: one trial-division pass over the sieved
+    primes. The result is complete when the cofactor left is 1 or a prime
+    (the pass stops once p*p exceeds it); otherwise its cofactor has no prime
+    factor up to TRIAL_BOUND, and every prime found is at most TRIAL_BOUND.
 
-    >>> factorize(604800).factors
-    ((2, 7), (3, 3), (5, 2), (7, 1))
+    >>> trial_divide(2**3 * 1000003**2)
+    Factorization(factors=((2, 3),), cofactor=1000006000009, complete=False)
     """
     if n < 1:
-        raise InvalidInputError(f"factorize requires N >= 1, got {n}")
-    if n == 1:
-        return Factorization((), 1, True)
-    found, rem = _trial_divide(n)
-    cofactor = 1
-    if rem > 1:
-        if isqrt(rem) <= TRIAL_BOUND:
-            # Trial division left no factor up to sqrt(rem), so rem is prime.
-            found[rem] = 1
-        else:
-            cofactor = _factor_hard(rem, found, [budget])
-    factors = tuple(sorted(found.items()))
-    return Factorization(factors, cofactor, cofactor == 1)
-
-
-def _trial_divide(n: int) -> tuple[dict[int, int], int]:
-    """One trial-division pass over the sieved primes: the exponent of each
-    prime found in n (ascending), and the cofactor left. The pass stops once
-    p*p exceeds the cofactor, so the cofactor is 1, a prime, or free of prime
-    factors up to TRIAL_BOUND."""
-    found: dict[int, int] = {}
+        raise InvalidInputError(f"factoring requires N >= 1, got {n}")
+    found: list[tuple[int, int]] = []
     rem = n
     for p in _trial_primes():
         if p * p > rem:
@@ -298,8 +288,33 @@ def _trial_divide(n: int) -> tuple[dict[int, int], int]:
             while rem % p == 0:
                 rem //= p
                 e += 1
-            found[p] = e
-    return found, rem
+            found.append((p, e))
+    if rem > 1 and isqrt(rem) <= TRIAL_BOUND:
+        # Trial division left no factor up to sqrt(rem), so rem is prime.
+        found.append((rem, 1))
+        rem = 1
+    return Factorization(tuple(found), rem, rem == 1)
+
+
+def finish_factorization(partial: Factorization, budget: int = DEFAULT_BUDGET) -> Factorization:
+    """The second factoring step: split the cofactor of a trial_divide result
+    by Brent rho within the given iteration budget. Every prime it adds
+    exceeds TRIAL_BOUND; a complete input comes back unchanged."""
+    if partial.complete:
+        return partial
+    found = dict(partial.factors)
+    leftover = _factor_hard(partial.cofactor, found, [budget])
+    return Factorization(tuple(sorted(found.items())), leftover, leftover == 1)
+
+
+def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
+    """Factor n >= 1 within the given rho-iteration budget: trial_divide,
+    then finish_factorization.
+
+    >>> factorize(604800).factors
+    ((2, 7), (3, 3), (5, 2), (7, 1))
+    """
+    return finish_factorization(trial_divide(n), budget)
 
 
 def _factor_hard(m: int, found: dict[int, int], cell: list[int]) -> int:
@@ -409,20 +424,17 @@ def squarefree_status(n: int, budget: int = DEFAULT_BUDGET) -> SquarefreeStatus:
     """
     if n < 1:
         raise InvalidInputError(f"squarefree_status requires N >= 1, got {n}")
-    found, rem = _trial_divide(n)
-    # Every prime left in rem exceeds every prime found, so the first
-    # repeated one is the smallest square prime.
-    square = next((q for q, e in found.items() if e >= 2), None)
-    if square is not None:
-        return SquarefreeStatus.not_squarefree(square)
-    if isqrt(rem) <= TRIAL_BOUND:
-        return SquarefreeStatus.squarefree()  # 1 or a prime
+    partial = trial_divide(n)
+    # Every prime the finishing step could add exceeds every prime found, so
+    # a repeated one found here is already the smallest square prime.
+    status = squarefree_status_of(partial)
+    if status.is_decided:
+        return status
+    rem = partial.cofactor
     if rem < TRIAL_BOUND**3 and _perfect_power(rem)[1] == 1:
         # A prime or two distinct primes above TRIAL_BOUND.
         return SquarefreeStatus.squarefree()
-    leftover = _factor_hard(rem, found, [budget])
-    factors = tuple(sorted(found.items()))
-    return squarefree_status_of(Factorization(factors, leftover, leftover == 1))
+    return squarefree_status_of(finish_factorization(partial, budget))
 
 
 def squarefree_status_of(fact: Factorization) -> SquarefreeStatus:

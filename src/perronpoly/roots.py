@@ -116,11 +116,12 @@ class CertifiedRootSet:
 
 def _horner(coeffs, z):
     """coeffs[0] + coeffs[1] z + ... in the number type of z, started from the
-    leading coefficient (the step 0 * z + lead would be exact anyway)."""
+    leading coefficient (the step 0 * z + lead would be exact anyway). A zero
+    coefficient adds nothing, so its addition is skipped."""
     it = reversed(coeffs)
     acc = next(it)
     for c in it:
-        acc = acc * z + c
+        acc = acc * z + c if c else acc * z
     return acc
 
 
@@ -217,23 +218,28 @@ def _certify(coeffs: tuple[int, ...], zs, prec: int) -> tuple[CertifiedRoot, ...
         slack = mpf(2) ** (-(work // 2))
         lead = mpf(abs(coeffs[-1]))
         values = [mpc(z) for z in zs]
+        # |z_i - z_j| once per pair, for the denominators and the disjointness test.
+        dist = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                dist[i][j] = dist[j][i] = abs(values[i] - values[j])
         radii = []
         for i in range(n):
             z = values[i]
             fz = _horner(coeffs, z)
-            scale = _horner(abs_coeffs, mpc(abs(z)))
-            num = abs(fz) + slack * abs(scale)
+            scale = _horner(abs_coeffs, abs(z))
+            num = abs(fz) + slack * scale
             den = lead
             for j in range(n):
                 if j != i:
-                    den *= abs(z - values[j])
+                    den *= dist[i][j]
             if den == 0:
                 return None
             r = mpf(n) * num / den * (1 + slack)
             radii.append(r)
         for i in range(n):
             for j in range(i + 1, n):
-                if abs(values[i] - values[j]) * (1 - slack) <= radii[i] + radii[j]:
+                if dist[i][j] * (1 - slack) <= radii[i] + radii[j]:
                     return None
         roots = [CertifiedRoot(values[i], radii[i]) for i in range(n)]
         roots.sort(key=lambda r: (r.value.real, r.value.imag))

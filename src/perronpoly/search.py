@@ -16,8 +16,9 @@ from math import gcd
 from typing import Iterator
 
 from . import __version__
-from .errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
-from .family import Certificate, family_irreducible, strictly_perron_certificate
+from .errors import InvalidInputError, OracleViolationError, PerronPolyError
+from .errors import PrecisionExhaustedError
+from .family import _FAULTS, Certificate, family_irreducible, strictly_perron_certificate
 from .intarith import DEFAULT_BUDGET, primes_below
 from .irreducibility import ORACLE_MAX_DEGREE, is_irreducible
 
@@ -137,11 +138,19 @@ def run_verify(
     (the certificate has already certified the one negative root, so this
     puts it outside).
 
+    A point whose certificate raises becomes a failure that names the
+    error, and the sweep goes on: a tripped cross-check or exhausted
+    precision reads "pipeline check tripped", any other package error reads
+    as its class name.
+
     inject_fault is the self-test hook: it is passed through to the
     certificate pipeline so the harness can demonstrate that a corrupted
-    intermediate value actually trips a check.
+    intermediate value actually trips a check. An unknown fault name raises
+    InvalidInputError before any point runs.
     """
     spec = SearchSpec(tuple(range(2, nmax + 1)), tuple(range(1, amax + 1)), p_limit - 1)
+    if inject_fault is not None and inject_fault not in _FAULTS:
+        raise InvalidInputError(f"unknown fault {inject_fault!r}")
     report = VerifyReport()
     primes = primes_below(p_limit)
     for n, a in spec.pairs():
@@ -151,10 +160,12 @@ def run_verify(
             try:
                 cert = strictly_perron_certificate(n, a, p, budget=budget, _fault=inject_fault)
             except (OracleViolationError, PrecisionExhaustedError) as exc:
-                if not _note(report, f"{point}: pipeline check tripped: {exc}"):
-                    return report
-                continue
-            for problem in _point_problems(cert):
+                problems = [f"pipeline check tripped: {exc}"]
+            except PerronPolyError as exc:
+                problems = [f"{type(exc).__name__}: {exc}"]
+            else:
+                problems = _point_problems(cert)
+            for problem in problems:
                 if not _note(report, f"{point}: {problem}"):
                     return report
     return report

@@ -13,8 +13,10 @@ from datetime import datetime
 import pytest
 import sympy
 
-from perronpoly import __version__
+from perronpoly import __version__, search
 from perronpoly.cli import CSV_COLUMNS, LEDGER_ENV, main
+from perronpoly.errors import NonConvergenceError
+from perronpoly.family import strictly_perron_certificate
 
 
 def run(capsys, *argv):
@@ -251,6 +253,29 @@ class TestVerify:
         fail_lines = [l for l in out.splitlines() if l.startswith("FAIL")]
         assert len(fail_lines) == 8  # every prime below 20 trips
         assert "failures" in err
+
+    def test_mono_route_fault_trips_checks(self, capsys):
+        rc, out, err = run(
+            capsys, "verify", "--nmax", "4", "--amax", "3", "--pmax", "30",
+            "--inject-fault", "mono-route",
+        )
+        assert rc == 3
+        fail_lines = [l for l in out.splitlines() if l.startswith("FAIL")]
+        assert fail_lines
+        assert all("monogenicity routes disagree" in l for l in fail_lines)
+        assert "failures on the" in err
+
+    def test_failing_point_does_not_abort_the_grid(self, capsys, monkeypatch):
+        def flaky(n, a, p, **kwargs):
+            if (n, a, p) == (3, 2, 7):
+                raise NonConvergenceError("injected")
+            return strictly_perron_certificate(n, a, p, **kwargs)
+
+        monkeypatch.setattr(search, "strictly_perron_certificate", flaky)
+        rc, out, err = run(capsys, "verify", "--nmax", "4", "--amax", "3", "--pmax", "30")
+        assert rc == 3
+        assert out.splitlines() == ["FAIL (n=3, a=2, p=7): NonConvergenceError: injected"]
+        assert "failures on the 90-point grid" in err
 
     @pytest.mark.parametrize(
         "flags",

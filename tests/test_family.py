@@ -13,7 +13,7 @@ from conftest import poly
 import perronpoly
 from perronpoly import __version__, family, roots, search
 from perronpoly.classification import classify_irreducible
-from perronpoly.errors import InvalidInputError, OracleViolationError
+from perronpoly.errors import InvalidInputError, NonConvergenceError, OracleViolationError
 from perronpoly.family import (
     Certificate,
     FamilyParams,
@@ -25,10 +25,25 @@ from perronpoly.family import (
     g_value,
     strictly_perron_certificate,
 )
-from perronpoly.intarith import factorize, is_prime, primes_below
+from perronpoly.intarith import (
+    TRIAL_BOUND,
+    Factorization,
+    SquarefreeStatus,
+    factorize,
+    finish_factorization,
+    is_prime,
+    primes_below,
+    trial_divide,
+)
 from perronpoly.irreducibility import factor_oracle, irreducibility_witness, is_irreducible
 from perronpoly.matrices import char_poly, companion_matrix, dominant_eigenvalue
-from perronpoly.monogenicity import monogenic
+from perronpoly.monogenicity import (
+    DIVIDES,
+    NOT_DIVIDES,
+    LocalIndexVerdict,
+    MonogenicityReport,
+    monogenic,
+)
 from perronpoly.polynomial import discriminant, poly_gcd, sturm_count
 from perronpoly.roots import real_axis_profile
 from perronpoly.search import SearchSpec, SearchTally, ledger_record, run_search, run_verify
@@ -275,8 +290,13 @@ def _count_calls(monkeypatch, fn) -> list:
 @pytest.mark.parametrize("point", [(4, 3, 5), (3, 2, 3), (4, 1, 2)])
 def test_certificate_computes_each_fact_once(monkeypatch, point):
     # A plain member, an odd-n member with p = a + 1, and a reducible one.
-    assert family.factorize is factorize
+    # G is trial-divided once and finished at most once; nothing else
+    # (p, the discriminant) is factored.
+    assert family.trial_divide is trial_divide
+    assert family.finish_factorization is finish_factorization
     assert family.discriminant_resultant is discriminant
+    trials = _count_calls(monkeypatch, trial_divide)
+    finishes = _count_calls(monkeypatch, finish_factorization)
     factorizations = _count_calls(monkeypatch, factorize)
     discriminants = _count_calls(monkeypatch, discriminant)
     witnesses = _count_calls(monkeypatch, irreducibility_witness)
@@ -287,12 +307,96 @@ def test_certificate_computes_each_fact_once(monkeypatch, point):
     gcds = _count_calls(monkeypatch, poly_gcd)
     roots._solve_cached.cache_clear()
     strictly_perron_certificate(*point)
-    assert factorizations == [(g_value(*point),)]
+    assert trials == [(g_value(*point),)]
+    assert len(finishes) <= 1
+    assert factorizations == []
     assert discriminants == [(build(*point),)]
     assert witnesses == [] and oracles == []
     assert companions == [] and eigenvalues == []
     assert sturm_chains == []
     assert len(gcds) <= 1  # the squarefree gate runs on the solve, not on cache hits
+
+
+class TestStopRule:
+    """The certificate finishes G's factorization only when trial division
+    leaves a reported verdict open. The expected verdicts are those of the
+    full factorization (the certificates before the rule existed)."""
+
+    @pytest.fixture
+    def finishes(self, monkeypatch):
+        calls = []
+
+        def spy(partial, budget):
+            calls.append(partial)
+            return finish_factorization(partial, budget)
+
+        monkeypatch.setattr(family, "finish_factorization", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "point, g_status, monogenic_verdict, conclusion",
+        [
+            # Rho spends its whole budget on G's cofactor here.
+            ((24, 2, 7), "NotSquarefree(2)", "NotMonogenic(2)", "strictly-Perron, NOT monogenic"),
+            ((24, 2, 3), "NotSquarefree(2)", "NotApplicable(reducible)", "reducible"),
+            ((16, 1, 17), "NotSquarefree(7)", "NotMonogenic(7)", "strictly-Perron, NOT monogenic"),
+        ],
+    )
+    def test_skipped_when_trial_division_settles(
+        self, finishes, point, g_status, monogenic_verdict, conclusion
+    ):
+        d = strictly_perron_certificate(*point).to_json_dict()
+        assert (d["G_status"], d["monogenic"], d["conclusion"]) == (
+            g_status, monogenic_verdict, conclusion,
+        )
+        assert finishes == []
+
+    def test_runs_when_the_monogenic_verdict_stays_open(self, finishes):
+        # G is NotSquarefree(2), but 2 does not divide the index (a = 2 and
+        # n = 16 are not coprime): Monogenic needs every square prime.
+        cert = strictly_perron_certificate(16, 2, 13)
+        d = cert.to_json_dict()
+        assert (d["G_status"], d["monogenic"], d["conclusion"]) == (
+            "NotSquarefree(2)", "Monogenic", "monogenic strictly-Perron",
+        )
+        assert len(finishes) == 1
+        assert cert.monogenic_verdict == monogenic(cert.poly).verdict
+
+    def test_partial_report_covers_trial_primes_and_p(self):
+        report = strictly_perron_certificate(24, 2, 7).monogenicity
+        assert not report.disc_factorization.complete
+        assert [v.q for v in report.locals] == [2, 7]
+        assert report.locals[0].result == DIVIDES
+
+    def test_rule_needs_a_failing_prime_within_the_trial_bound(self):
+        # In the family p never divides the index (f = x^(n-1)*(x - a) mod p
+        # and p^2 does not divide f(0), so Dedekind's test at p passes), and
+        # every other prime above TRIAL_BOUND sits in the unsplit cofactor:
+        # a report failing at such a prime is built by hand.
+        big = 1000003
+        assert is_prime(big) and big > TRIAL_BOUND
+        settled = family._settled_by_trial_division
+        g_status = SquarefreeStatus.not_squarefree(2)
+
+        def report(*verdicts):
+            return MonogenicityReport("", 0, Factorization((), 1, True), verdicts, "")
+
+        passes = LocalIndexVerdict(2, NOT_DIVIDES, "(iii)")
+        beyond = report(passes, LocalIndexVerdict(big, DIVIDES, "(i)"))
+        within = report(LocalIndexVerdict(2, DIVIDES, "(iii)"))
+        assert not settled(g_status, beyond)
+        assert not settled(g_status, report(passes))
+        assert settled(g_status, within)
+        assert settled(g_status, None)  # reducible: no monogenicity verdict to settle
+        assert not settled(SquarefreeStatus.squarefree(), within)
+        assert not settled(SquarefreeStatus.unknown(big * big), None)
+
+    @pytest.mark.parametrize("point, finished", [((16, 1, 17), 0), ((4, 3, 5), 1)])
+    def test_mono_route_fault_trips_on_both_paths(self, finishes, point, finished):
+        # (16, 1, 17) settles after trial division, (4, 3, 5) is finished.
+        with pytest.raises(OracleViolationError, match="monogenicity routes disagree"):
+            strictly_perron_certificate(*point, _fault="mono-route")
+        assert len(finishes) == finished
 
 
 class TestSearch:
@@ -356,3 +460,17 @@ class TestSearch:
         monkeypatch.setattr(family, "classify_irreducible", misplaced)
         report = run_verify(2, 1, 6)
         assert [f.split(":")[0] for f in report.failures] == ["(n=2, a=1, p=3)", "(n=2, a=1, p=5)"]
+
+    def test_verify_isolates_a_failing_point(self, monkeypatch):
+        # Any package error at one point becomes that point's failure; the
+        # grid still runs to the end.
+        def flaky(n, a, p, **kwargs):
+            if (n, a, p) == (3, 1, 5):
+                raise NonConvergenceError("injected")
+            return strictly_perron_certificate(n, a, p, **kwargs)
+
+        monkeypatch.setattr(search, "strictly_perron_certificate", flaky)
+        report = run_verify(4, 2, 12)
+        assert report.points == 3 * 2 * 5
+        assert report.failures == ["(n=3, a=1, p=5): NonConvergenceError: injected"]
+        assert not report.passed

@@ -15,10 +15,12 @@ from perronpoly.intarith import (
     Factorization,
     SquarefreeStatus,
     factorize,
+    finish_factorization,
     is_prime,
     primes_below,
     squarefree_status,
     squarefree_status_of,
+    trial_divide,
     valuation,
 )
 
@@ -107,6 +109,35 @@ class TestFactorize:
         assert fact.value() == n
         for p, e in fact.factors:
             assert e >= 1 and sympy.isprime(p)
+
+
+class TestTwoSteps:
+    def test_trial_step_stops_at_the_bound(self):
+        q = 1000003  # the first prime above TRIAL_BOUND
+        partial = trial_divide(2**3 * 5 * q * q)
+        assert partial.factors == ((2, 3), (5, 1))
+        assert partial.cofactor == q * q and not partial.complete
+        assert finish_factorization(partial).factors == ((2, 3), (5, 1), (q, 2))
+
+    def test_trial_step_keeps_a_prime_cofactor(self):
+        # Nothing up to sqrt(cofactor) divides it, so it is prime.
+        q = 10**9 + 7
+        partial = trial_divide(12 * q)
+        assert partial.factors == ((2, 2), (3, 1), (q, 1)) and partial.complete
+        assert finish_factorization(partial) is partial
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(InvalidInputError):
+            trial_divide(0)
+
+    @given(st.integers(min_value=1, max_value=10**24))
+    @settings(max_examples=60, deadline=None)
+    def test_steps_compose_to_factorize(self, n):
+        partial = trial_divide(n)
+        assert partial.value() == n
+        assert all(p <= TRIAL_BOUND or partial.complete for p, _ in partial.factors)
+        assert all(partial.cofactor % p for p in (2, 3, 5, 7, 999983))
+        assert finish_factorization(partial) == factorize(n)
 
 
 class TestValuation:
