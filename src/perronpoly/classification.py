@@ -39,6 +39,7 @@ from .roots import (
     CertifiedRootSet,
     escalate,
     modulus_profile,
+    polish_real_root,
     try_modulus_tags,
     try_real_census,
 )
@@ -196,7 +197,9 @@ def _decide(
                     root strictly dominates (vacuous with no real positive
                     root).
 
-    None means neither rule holds at this precision; the caller escalates.
+    None means neither rule holds at this precision, or lambda's disk could
+    not be polished to the digits printed (roots.polish_real_root); the
+    caller escalates.
     An exact tie between the top real positive root and another root, when
     _structural_tie does not catch it, never satisfies either rule.
     """
@@ -226,10 +229,12 @@ def _perron_subclass(
     profile: tuple[int, int, int],
     real_flags: tuple[bool, ...],
     i_star: int,
-) -> Classification:
+) -> Classification | None:
+    star = polish_real_root(f, rs, i_star)
+    if star is None:
+        return None
     n = f.degree
     inside, _, outside = profile
-    star = rs.roots[i_star]
     lam = _decimal(star, rs.precision_bits)
 
     if inside == n - 1 and outside == 1:

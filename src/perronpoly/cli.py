@@ -148,7 +148,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"FAIL {failure}")
     if report.truncated:
         print(f"... failure list truncated at {len(report.failures)}")
-    print(f"verify: failures on the {report.points}-point grid", file=sys.stderr)
+    print(f"verify: failures on the {report.grid}-point grid", file=sys.stderr)
     return 3
 
 

@@ -277,8 +277,9 @@ def strictly_perron_certificate(
     every prime it could add exceeds TRIAL_BOUND. Otherwise the
     factorization is finished once, within the budget. The resulting G
     factorization gives G_status, the squarefree verdict and, times p^(n-2),
-    the factored |disc| for the local tests. Irreducibility is the family
-    dichotomy (run_verify checks it).
+    the factored |disc| for the local tests; a prime already tested on the
+    partial factorization keeps its verdict, so each local test runs once.
+    Irreducibility is the family dichotomy (run_verify checks it).
 
     `_fault` deliberately corrupts an internal value so the tripwires
     themselves can be exercised: "disc-sign" flips the closed-form
@@ -303,17 +304,19 @@ def strictly_perron_certificate(
     irreducible = family_irreducible(n, a, p)
     trinomial = TrinomialParams(n, n - 1, -a, -p)
 
-    def local_tests(g_fact: Factorization) -> MonogenicityReport:
+    def local_tests(g_fact: Factorization, known=()) -> MonogenicityReport:
         disc_fact = _times_prime_power(g_fact, p, n - 2)
-        return monogenic_from_factorization(f, trinomial, disc_oracle, disc_fact)
+        return monogenic_from_factorization(f, trinomial, disc_oracle, disc_fact, known=known)
 
     g_fact = trial_divide(g)
     g_status = squarefree_status_of(g_fact)
     report = local_tests(g_fact) if irreducible and g_status.kind == "not_squarefree" else None
     if not _settled_by_trial_division(g_status, report):
         finished = finish_factorization(g_fact, budget)
-        if finished != g_fact:  # rho split the cofactor: read every verdict afresh
-            g_fact, g_status, report = finished, squarefree_status_of(finished), None
+        if finished != g_fact:  # rho split the cofactor: test only the primes it added
+            g_fact, g_status = finished, squarefree_status_of(finished)
+            if report is not None:
+                report = local_tests(g_fact, report.locals)
     if irreducible and report is None:
         report = local_tests(g_fact)
 

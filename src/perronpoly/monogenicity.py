@@ -361,15 +361,20 @@ def monogenic_from_factorization(
     disc: int,
     fact: Factorization,
     method: str = METHOD_BOTH,
+    known: tuple[LocalIndexVerdict, ...] = (),
 ) -> MonogenicityReport:
     """The decision step of monogenic, for a monic irreducible poly whose
     discriminant disc and factorization fact of |disc| are already known.
     params is poly's trinomial shape, or None when poly is not a trinomial.
+    known holds verdicts already reached for poly by the same method; a
+    local verdict depends on the prime alone, so those primes are not
+    tested again.
     """
+    reuse = {v.q: v for v in known}
     verdicts: list[LocalIndexVerdict] = []
     failing: int | None = None
     for q in _square_primes(fact):
-        chosen = _local_verdict(poly, params, q, disc, method)
+        chosen = reuse.get(q) or _local_verdict(poly, params, q, disc, method)
         verdicts.append(chosen)
         if chosen.result == DIVIDES and failing is None:
             failing = q

@@ -1,17 +1,21 @@
 """Certified complex root isolation for squarefree integer polynomials.
 
-The solver runs one Aberth-Ehrlich routine, _aberth, twice: first in double
-precision from perturbed-circle starting points, for cheap approximations,
-then at the requested precision (mpmath backend) to polish them. Should the
-polished approximations fail to certify, the routine runs once more at that
-precision from the circle points. Certification is a posteriori: around
-each approximation z_i we place the Weierstrass-style disk of radius
+The solver runs one Aberth-Ehrlich routine, _aberth, in double precision from
+perturbed-circle starting points. At DEFAULT_PRECISION_BITS those float
+approximations are certified as they stand; only when their disks collide,
+and at every other precision, does _aberth polish them at the requested
+precision (mpmath backend), and should the polished approximations fail to
+certify, run once more at that precision from the circle points.
+Certification is a posteriori and exact: each approximation is rounded to a
+common dyadic grid X / 2^k, and around it we place the Weierstrass disk of
+radius
 
-    deg(f) * |f(z_i)| / (|lc(f)| * prod_{j != i} |z_i - z_j|)
+    deg(f) * |f(z_i)| / (|lc(f)| * prod_{j != i} |z_i - z_j|),
 
-inflated by a coarse but safely dominant allowance for the floating-point
-slop of evaluating it. The union of these disks contains every root of f, and
-when they are pairwise disjoint each disk holds exactly one root.
+bounded from above in integer arithmetic (Horner on Gaussian integers, exact
+squared distances, an integer square root rounded up). The union of these
+disks contains every root of f, and when they are pairwise disjoint (an
+exact integer inequality) each disk holds exactly one root.
 
 Every decision escalates through one loop, escalate, with one cap. It
 solves f at the starting precision (DEFAULT_PRECISION_BITS unless the caller
@@ -19,7 +23,9 @@ asks otherwise); whenever the disks collide or cannot settle the question,
 it solves f again at doubled precision, at most MAX_ESCALATIONS times per
 decision, and then raises PrecisionExhaustedError. Isolation itself
 (complex_roots), the unit-circle and real-axis profiles, the dominance
-decision and the factor oracle are each one such decision.
+decision and the factor oracle are each one such decision. A float disk is
+only as narrow as double precision allows, so the one root whose digits get
+printed is refined alone (polish_real_root) instead of the whole set.
 
 Roots exactly on the unit circle can never be separated from it numerically;
 they are handled exactly instead: for a palindromic polynomial the on-circle
@@ -33,9 +39,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp, mpc, mpf, workprec
+from mpmath import ldexp, mpc, mpf, workprec
 
 from .errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
 from .polynomial import IntPoly, is_self_reciprocal, poly_gcd, sturm_count, trace_transform
@@ -44,6 +51,7 @@ DEFAULT_PRECISION_BITS = 64
 MAX_ESCALATIONS = 4
 
 _FLOAT_LIMIT = 1e280  # coefficient magnitude beyond which the float warmstart is skipped
+_GUARD = 16  # bits of each radius bound below the centres' grid spacing
 
 
 @dataclass(frozen=True)
@@ -192,11 +200,22 @@ def _aberth(zs: list, coeffs, tol, max_iters: int, nudge, limit: float | None = 
 
 
 def _float_aberth(coeffs: tuple[int, ...]) -> list[complex] | None:
-    """Double-precision warm start; None when it cannot be trusted."""
+    """Double-precision warm start; None when it cannot be trusted.
+
+    Like the roots, the approximations returned are closed under conjugation:
+    when z_j is the one nearest conj(z_i) and z_i the one nearest conj(z_j),
+    z_i becomes (z_i + conj(z_j)) / 2 (i = j for a real root, made real).
+    """
     if any(abs(c) > _FLOAT_LIMIT for c in coeffs):
         return None
     zs = _initial_points(coeffs)
-    return zs if _aberth(zs, [float(c) for c in coeffs], 1e-14, 140, 1e-7, limit=1e300) else None
+    if not _aberth(zs, [float(c) for c in coeffs], 1e-14, 140, 1e-7, limit=1e300):
+        return None
+    partner = [min(range(len(zs)), key=lambda j: abs(z.conjugate() - zs[j])) for z in zs]
+    return [
+        (z + zs[j].conjugate()) / 2 if partner[j] == i else z
+        for i, (z, j) in enumerate(zip(zs, partner))
+    ]
 
 
 def _refine_mp(coeffs: tuple[int, ...], starts, prec: int, max_iters: int) -> list:
@@ -207,48 +226,90 @@ def _refine_mp(coeffs: tuple[int, ...], starts, prec: int, max_iters: int) -> li
         return zs
 
 
+def _man_exp(x) -> tuple[int, int]:
+    """(m, e) with x = m * 2^e exactly, for a float or an mpf x."""
+    if isinstance(x, float):
+        num, den = x.as_integer_ratio()
+        return num, 1 - den.bit_length()
+    sign, man, exp, _ = x._mpf_
+    return -man if sign else man, exp
+
+
+def _fraction(x) -> Fraction:
+    m, e = _man_exp(x)
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _on_grid(m: int, e: int, k: int) -> int:
+    """m * 2^(e + k) rounded to the nearest integer."""
+    s = e + k
+    return m << s if s >= 0 else (m + (1 << (-s - 1))) >> -s
+
+
+def _scaled_value(shifted: list[int], x: int, y: int) -> tuple[int, int]:
+    """2^(kn) f((x + iy) / 2^k) as a Gaussian integer, by Horner, where
+    shifted[j] = coeffs[j] * 2^(k(n - j))."""
+    re, im = shifted[-1], 0
+    for s in reversed(shifted[:-1]):
+        re, im = re * x - im * y + s, re * y + im * x
+    return re, im
+
+
 def _certify(coeffs: tuple[int, ...], zs, prec: int) -> tuple[CertifiedRoot, ...] | None:
-    """Weierstrass disks with rounding allowance; None when disks collide."""
+    """Exact Weierstrass disks around zs (floats, complex or mpc); None when
+    two disks meet.
+
+    The centres are rounded to the nearest point of the grid X / 2^k, with k
+    prec + 24 bits below the largest centre, so that the disks carry about
+    that precision whatever the accuracy of zs. Each radius is bounded from
+    above by Q / 2^(k + _GUARD) with Q an integer, and the disks are disjoint
+    when |X_i - X_j|^2 * 2^(2 _GUARD) > (Q_i + Q_j)^2. The stored centres and
+    radii are built at a precision that holds them exactly.
+    """
     n = len(coeffs) - 1
-    work = 2 * prec + 48
-    abs_coeffs = tuple(abs(c) for c in coeffs)
-    with workprec(work):
-        # Allowance far above the true roundoff at this precision, far below
-        # anything the disjointness test cares about.
-        slack = mpf(2) ** (-(work // 2))
-        lead = mpf(abs(coeffs[-1]))
-        values = [mpc(z) for z in zs]
-        # |z_i - z_j| once per pair, for the denominators and the disjointness test.
-        dist = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                dist[i][j] = dist[j][i] = abs(values[i] - values[j])
-        radii = []
-        for i in range(n):
-            z = values[i]
-            fz = _horner(coeffs, z)
-            scale = _horner(abs_coeffs, abs(z))
-            num = abs(fz) + slack * scale
-            den = lead
-            for j in range(n):
-                if j != i:
-                    den *= dist[i][j]
-            if den == 0:
+    zs = [z if isinstance(z, mpc) else complex(z) for z in zs]
+    parts = [_man_exp(v) for z in zs for v in (z.real, z.imag)]
+    k = max(0, prec + 24 - max((m.bit_length() + e for m, e in parts if m), default=0))
+    grid = [_on_grid(m, e, k) for m, e in parts]
+    pts = list(zip(grid[::2], grid[1::2]))
+    # |X_i - X_j|^2 once per pair, for the denominators and the disjointness test.
+    dist2 = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx, dy = pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]
+            dist2[i][j] = dist2[j][i] = dx * dx + dy * dy
+    shifted = [c << (k * (n - j)) for j, c in enumerate(coeffs)]
+    bounds = []
+    for i in range(n):
+        re, im = _scaled_value(shifted, *pts[i])
+        den = coeffs[-1] ** 2
+        for d2 in dist2[i]:
+            den *= d2  # the diagonal entry is 1
+        if den == 0:
+            return None
+        num = (n * n * (re * re + im * im)) << (2 * _GUARD)
+        bounds.append(math.isqrt(-(-num // den)) + 1)  # > sqrt(num / den)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if dist2[i][j] << (2 * _GUARD) <= (bounds[i] + bounds[j]) ** 2:
                 return None
-            r = mpf(n) * num / den * (1 + slack)
-            radii.append(r)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dist[i][j] * (1 - slack) <= radii[i] + radii[j]:
-                    return None
-        roots = [CertifiedRoot(values[i], radii[i]) for i in range(n)]
+    width = max(abs(v).bit_length() for v in [*bounds, *grid])
+    with workprec(width + 1):
+        roots = [
+            CertifiedRoot(mpc(mpf((x, -k)), mpf((y, -k))), mpf((q, -(k + _GUARD))))
+            for (x, y), q in zip(pts, bounds)
+        ]
         roots.sort(key=lambda r: (r.value.real, r.value.imag))
-        return tuple(roots)
+    return tuple(roots)
 
 
 @lru_cache(maxsize=2048)
 def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None:
-    """Certified roots at exactly `bits` bits, or None when the disks collide."""
+    """Certified roots at exactly `bits` bits, or None when the disks collide.
+
+    At DEFAULT_PRECISION_BITS the double-precision approximations are tried
+    first, as they stand; their disks carry the label of that precision.
+    """
     n = len(coeffs) - 1
     if n < 1:
         raise InvalidInputError("complex_roots needs degree >= 1")
@@ -257,7 +318,12 @@ def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None
     f = IntPoly(coeffs)  # the squarefree gate sits behind the cache: a hit runs no gcd
     if n >= 2 and poly_gcd(f, f.derivative()).degree >= 1:
         raise InvalidInputError("complex_roots requires a squarefree polynomial")
-    starts = _float_aberth(coeffs) or _initial_points(coeffs)
+    starts = _float_aberth(coeffs)
+    if starts is not None and bits == DEFAULT_PRECISION_BITS:
+        certified = _certify(coeffs, starts, bits)
+        if certified is not None:
+            return CertifiedRootSet(certified, bits)
+    starts = starts or _initial_points(coeffs)
     certified = _certify(coeffs, _refine_mp(coeffs, starts, bits, 36 + 6 * n), bits)
     if certified is None:
         # A poisoned start configuration (e.g. approximations trapped on a
@@ -299,6 +365,62 @@ def escalate(f: IntPoly, start: CertifiedRootSet | int, attempt, failure: str):
         if result is not None:
             return rs, result
     raise PrecisionExhaustedError(f"{failure} at {tried} bits")
+
+
+def polish_real_root(f: IntPoly, rs: CertifiedRootSet, i: int) -> CertifiedRoot | None:
+    """Root i of rs, a real positive root, in a disk of radius at most about
+    2^-(bits + 24) times its value, bits being rs.precision_bits.
+
+    A disk narrower than 2^-(bits + 16) times its centre comes back as it
+    is: every mpmath rung's disk is (its centres sit on a grid 2^-(bits + 24)
+    relative to the largest root), no float-rung disk is. A wider one is
+    refined alone: Newton in integer arithmetic at bits + 72 bits from its
+    centre, then an exact sign change of f across [x - d, x + d] proves a
+    root there. The interval must lie inside root i's disk, which holds
+    exactly one root; if it does not, None asks the caller to escalate. An
+    interval that meets no disk of rs at all contradicts the certificate
+    that the disks hold every root: OracleViolationError.
+    """
+    bits, root = rs.precision_bits, rs.roots[i]
+    with rs.work():
+        if root.radius <= ldexp(root.value.real, -(bits + 16)):
+            return root
+    # Newton in integers on the grid X / 2^k, bits + 72 bits below the centre:
+    # with P = 2^(kn) f(X / 2^k) and D = 2^(k(n-1)) f'(X / 2^k), the Newton
+    # step is P / D grid units.
+    n, (man, exp) = f.degree, _man_exp(root.value.real)
+    top = man.bit_length() + exp  # 2^(top - 1) <= centre < 2^top
+    k = max(0, bits + 72 - top)
+    shifted = [c << (k * (n - j)) for j, c in enumerate(f.coeffs)]
+    derived = [j * c << (k * (n - j)) for j, c in enumerate(f.coeffs)][1:]
+    mid = _on_grid(man, exp, k)
+    for _ in range(12):
+        slope = _scaled_value(derived, mid, 0)[0]
+        if slope == 0:
+            return None
+        step = _scaled_value(shifted, mid, 0)[0] // slope
+        mid -= step
+        if abs(step) <= 1:
+            break
+    half = 1 << (top + k - 1 - bits - 24)  # 2^-(bits + 24) of the centre, at most
+    if _scaled_value(shifted, mid - half, 0)[0] * _scaled_value(shifted, mid + half, 0)[0] >= 0:
+        return None
+    lo, hi = Fraction(mid - half, 1 << k), Fraction(mid + half, 1 << k)
+
+    def reach(disk: CertifiedRoot, t: Fraction) -> Fraction:
+        """|t - centre|^2 - radius^2, at most 0 when t lies in the disk."""
+        cx, cy, r = map(_fraction, (disk.value.real, disk.value.imag, disk.radius))
+        return (t - cx) ** 2 + cy**2 - r**2
+
+    if reach(root, lo) <= 0 and reach(root, hi) <= 0:
+        with workprec(mid.bit_length()):
+            return CertifiedRoot(mpc(mpf((mid, -k))), mpf((half, -k)))
+    # The point of [lo, hi] nearest a centre is the centre's real part, clamped.
+    if all(reach(disk, min(max(_fraction(disk.value.real), lo), hi)) > 0 for disk in rs.roots):
+        raise OracleViolationError(
+            f"a sign change of {f.to_text()} near {float(lo):.17g} lies in no certified root disk"
+        )
+    return None
 
 
 @dataclass(frozen=True)

@@ -104,9 +104,10 @@ def ledger_record(cert: Certificate, timestamp: str | None = None) -> str:
 
 @dataclass
 class VerifyReport:
-    points: int = 0
+    points: int = 0  # points visited
     failures: list[str] = field(default_factory=list)
     truncated: bool = False
+    grid: int = 0  # points on the grid, visited or not
 
     @property
     def passed(self) -> bool:
@@ -151,8 +152,8 @@ def run_verify(
     spec = SearchSpec(tuple(range(2, nmax + 1)), tuple(range(1, amax + 1)), p_limit - 1)
     if inject_fault is not None and inject_fault not in _FAULTS:
         raise InvalidInputError(f"unknown fault {inject_fault!r}")
-    report = VerifyReport()
     primes = primes_below(p_limit)
+    report = VerifyReport(grid=len(spec.pairs()) * len(primes))
     for n, a in spec.pairs():
         for p in primes:
             report.points += 1

@@ -184,6 +184,28 @@ class TestOracleFaults:
         with pytest.raises(OracleViolationError, match="deviates from 1 beyond certified bounds"):
             classify_irreducible(poly(1, -1, -1, -1, 1))
 
+    @pytest.mark.parametrize("shift, shrink", [(1e-9, 1), (0, 2**-20)])
+    def test_polished_lambda_outside_every_disk(self, monkeypatch, shift, shrink):
+        # lambda's float disk moves by 1e-9 * lambda with its radius kept, or
+        # its radius shrinks 2^20-fold (a certifier bound too small): the
+        # polish finds the true lambda, which no certified disk holds.
+        solve = roots._solve_cached
+
+        def lambda_disk_corrupted(coeffs, bits):
+            rs = solve(coeffs, bits)
+            assert bits == roots.DEFAULT_PRECISION_BITS
+            with rs.work():
+                moved = tuple(
+                    CertifiedRoot(r.value * (1 + shift), r.radius * shrink)
+                    if r.value.real > 3 else r
+                    for r in rs.roots
+                )
+            return CertifiedRootSet(moved, bits)
+
+        monkeypatch.setattr(roots, "_solve_cached", lambda_disk_corrupted)
+        with pytest.raises(OracleViolationError, match="lies in no certified root disk"):
+            classify_irreducible(poly(-5, 0, 0, -3, 1))
+
 
 class TestEdges:
     def test_reducible(self):

@@ -263,7 +263,10 @@ class TestVerify:
         fail_lines = [l for l in out.splitlines() if l.startswith("FAIL")]
         assert fail_lines
         assert all("monogenicity routes disagree" in l for l in fail_lines)
-        assert "failures on the" in err
+        # The failure list stops at 25 entries; the summary still names the
+        # whole grid, not the points visited before the stop.
+        assert "failure list truncated" in out
+        assert "failures on the 90-point grid" in err
 
     def test_failing_point_does_not_abort_the_grid(self, capsys, monkeypatch):
         def flaky(n, a, p, **kwargs):

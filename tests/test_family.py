@@ -11,7 +11,7 @@ import pytest
 
 from conftest import poly
 import perronpoly
-from perronpoly import __version__, family, roots, search
+from perronpoly import __version__, family, monogenicity, roots, search
 from perronpoly.classification import classify_irreducible
 from perronpoly.errors import InvalidInputError, NonConvergenceError, OracleViolationError
 from perronpoly.family import (
@@ -208,6 +208,13 @@ class TestCertificate:
         with pytest.raises(OracleViolationError, match="not bracketed"):
             strictly_perron_certificate(5, 2, 11)
 
+    def test_near_tie_lambda_keeps_its_rounding(self):
+        # lambda = 5.00016636124964070184999..., 5e-23 below the point where
+        # its 20th digit would round up: the printed digits need a disk far
+        # narrower than double precision gives.
+        d = strictly_perron_certificate(8, 5, 13).to_json_dict()
+        assert d["lambda"] == "5.0001663612496407018"
+
     def test_json_shape(self):
         d = strictly_perron_certificate(4, 3, 5).to_json_dict()
         assert set(d) == {
@@ -390,6 +397,23 @@ class TestStopRule:
         assert settled(g_status, None)  # reducible: no monogenicity verdict to settle
         assert not settled(SquarefreeStatus.squarefree(), within)
         assert not settled(SquarefreeStatus.unknown(big * big), None)
+
+    def test_each_local_test_runs_once(self, finishes, monkeypatch):
+        # Trial division leaves the verdict open at (16, 2, 37), rho then
+        # splits G's cofactor; the primes trial division already tested keep
+        # their verdicts instead of being tested again.
+        tested = []
+        local_verdict = monogenicity._local_verdict
+
+        def spy(poly, params, q, disc, method):
+            tested.append(q)
+            return local_verdict(poly, params, q, disc, method)
+
+        monkeypatch.setattr(monogenicity, "_local_verdict", spy)
+        cert = strictly_perron_certificate(16, 2, 37)
+        assert len(finishes) == 1 and cert.monogenicity.disc_factorization.complete
+        assert sorted(tested) == sorted(set(tested)) == [v.q for v in cert.monogenicity.locals]
+        assert cert.monogenic_verdict == monogenic(cert.poly).verdict
 
     @pytest.mark.parametrize("point, finished", [((16, 1, 17), 0), ((4, 3, 5), 1)])
     def test_mono_route_fault_trips_on_both_paths(self, finishes, point, finished):

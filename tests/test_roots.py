@@ -15,6 +15,7 @@ from conftest import poly, to_sympy
 from perronpoly import roots as roots_module
 from perronpoly.classification import STRICTLY_PERRON, classify
 from perronpoly.errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
+from perronpoly.family import build
 from perronpoly.polynomial import IntPoly, squarefree_part
 from perronpoly.roots import (
     DEFAULT_PRECISION_BITS,
@@ -316,3 +317,41 @@ class TestAberthStarts:
         assert sorted(z.real for z in zs) == pytest.approx([1, 2])
         refined = roots_module._refine_mp((2, -3, 1), [0.5, 0.5], 64, 50)
         assert sorted(float(z.real) for z in refined) == pytest.approx([1, 2])
+
+
+class TestFloatRung:
+    @pytest.mark.parametrize("n", [2, 8, 16, 24, 32, 40])
+    def test_float_disks_hold_the_roots(self, monkeypatch, fresh_root_cache, n):
+        # The default precision is answered by the exact disks around the
+        # double-precision approximations; each must hold the 200-bit root
+        # Newton reaches from its centre (the disks being disjoint, these
+        # are n distinct roots, so all of them).
+        def refine(*args):
+            raise AssertionError("the float rung should settle a family member")
+
+        monkeypatch.setattr(roots_module, "_refine_mp", refine)
+        for a, p in [(1, 5), (2, 13), (3, 101)]:
+            f = build(n, a, p)
+            rs = complex_roots(f)
+            assert rs.precision_bits == DEFAULT_PRECISION_BITS and len(rs) == n
+            desc = list(reversed(f.coeffs))
+            with mpmath.workprec(200):
+                for r in rs.roots:
+                    ref = mpmath.findroot(
+                        lambda z: mpmath.polyval(desc, z), r.value, solver="newton",
+                        df=lambda z: mpmath.polyval(desc, z, derivative=True)[1],
+                    )
+                    assert abs(ref - r.value) <= r.radius, (n, a, p, r)
+
+    def test_equal_centres_do_not_certify(self):
+        assert roots_module._certify((2, -3, 1), [1.5, 1.5], DEFAULT_PRECISION_BITS) is None
+        assert roots_module._certify((2, -3, 1), [1.0, 2.0], DEFAULT_PRECISION_BITS) is not None
+
+    def test_centres_and_radii_are_stored_exactly(self):
+        # A centre needing more than 53 bits must not be rounded to the
+        # ambient precision when it is stored, or its radius would be proven
+        # for a different point.
+        with mpmath.workprec(200):
+            z = mpmath.mpc(3 + mpmath.mpf(2) ** -150)
+        (root,) = roots_module._certify((-3, 1), [z], 200)
+        assert root.value == z and root.radius >= mpmath.mpf(2) ** -150
