@@ -11,18 +11,19 @@ exactly one of four subclasses:
                  root besides lambda outside it;
   StrictlyPerron Perron and none of the above.
 
-Every verdict rests on certified data: disks from the root solver, exact
-unit-circle counts for self-reciprocal inputs, and integer shortcuts where
-the answer is structural (binomials and polynomials in x^2 can never have a
-strictly dominant root, since their root moduli tie by symmetry). Otherwise
-two rules decide, from the certified modulus bounds and real-root census:
-Perron when the disk of a real positive root lies strictly above every
-other disk in modulus, NoPerronRoot when every real positive root has
-another root whose modulus lower bound reaches its upper bound. An exact
-tie between the top real positive root and another root, outside those
-structural shortcuts, satisfies neither rule: the routine escalates
-precision and, at the cap, raises PrecisionExhaustedError instead of
-guessing.
+Every verdict rests on certified data from one escalating attempt: disks
+from the root solver, exact unit-circle counts for self-reciprocal inputs,
+and integer shortcuts where the answer is structural (binomials and
+polynomials in x^2 can never have a strictly dominant root, since their
+root moduli tie by symmetry). Otherwise two rules decide, from the
+certified modulus bounds and real-root census: Perron when the disk of a
+real positive root lies strictly above every other disk in modulus,
+NoPerronRoot when every real positive root has another root whose modulus
+lower bound reaches its upper bound. An exact tie between the top real
+positive root and another root, outside those structural shortcuts,
+satisfies neither rule: the routine escalates precision and, at the cap,
+raises PrecisionExhaustedError instead of guessing. The census behind a
+decision must then obey Descartes' rule of signs, or OracleViolationError.
 """
 from __future__ import annotations
 
@@ -32,13 +33,12 @@ from mpmath import log10, nstr, workprec
 
 from .errors import InvalidInputError, OracleViolationError
 from .irreducibility import irreducibility_witness
-from .polynomial import IntPoly, is_self_reciprocal
+from .polynomial import IntPoly, descartes_counts, is_self_reciprocal
 from .roots import (
     DEFAULT_PRECISION_BITS,
     CertifiedRoot,
     CertifiedRootSet,
     escalate,
-    modulus_profile,
     polish_real_root,
     try_modulus_tags,
     try_real_census,
@@ -95,28 +95,15 @@ def _decimal(root: CertifiedRoot, bits: int) -> str:
         return nstr(value, max(1, min(20, digits)))
 
 
-def _is_binomial(f: IntPoly) -> bool:
-    return all(f.coeff(k) == 0 for k in range(1, f.degree))
+def _structural_tie(f: IntPoly) -> bool:
+    """Whether the maximal root modulus of f (degree >= 2) is attained at
+    least twice for an exact reason.
 
-
-def _is_even_polynomial(f: IntPoly) -> bool:
-    return all(f.coeff(k) == 0 for k in range(1, f.degree + 1, 2))
-
-
-def _structural_tie(f: IntPoly) -> str | None:
-    """Exact reason the maximal root modulus is attained at least twice.
-
-    A binomial x^n - c (n >= 2) has all roots on one circle; a polynomial in
-    x^2 has roots in +-pairs of equal modulus. Either way no single root can
+    A binomial x^n - c has all roots on one circle; a polynomial in x^2 has
+    roots in +-pairs of equal modulus. Either way no single root can
     strictly dominate, whatever the numerics say.
     """
-    if f.degree < 2:
-        return None
-    if _is_binomial(f):
-        return "all roots share one modulus (binomial)"
-    if _is_even_polynomial(f):
-        return "roots occur in +-pairs (polynomial in x^2)"
-    return None
+    return not any(f.coeffs[1:-1]) or not any(f.coeffs[1::2])
 
 
 def _no_perron_root(f: IntPoly, profile: tuple[int, int, int], bits: int) -> Classification:
@@ -160,21 +147,35 @@ def classify(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Classi
 def classify_irreducible(
     f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Classification:
-    """The root stage of classify, for monic f already known to be irreducible."""
+    """The root stage of classify, for monic f already known to be
+    irreducible, so squarefree with f(0) != 0 at degree >= 2. classify and
+    the family certificate establish that; it is not checked again here."""
     if f.degree == 1:
         return _degree_one(f)
-
     tie = _structural_tie(f)
-    if tie is not None:
-        prof = modulus_profile(f, precision_bits=precision_bits)
-        return _no_perron_root(f, prof.counts, prof.rootset.precision_bits)
 
     def attempt(rs: CertifiedRootSet) -> Classification | None:
-        tags = try_modulus_tags(f, rs)
-        census = try_real_census(rs)
-        if tags is None or census is None:
+        bounds = rs.modulus_bounds()
+        tags = try_modulus_tags(f, bounds)
+        if tags is None:
             return None
-        return _decide(f, rs, tags, census[0])
+        profile = (tags.count("in"), tags.count("on"), tags.count("out"))
+        if tie:
+            return _no_perron_root(f, profile, rs.precision_bits)
+        census = try_real_census(rs)
+        if census is None:
+            return None
+        cls = _decide(f, rs, bounds, tags, profile, census[0])
+        counts, variations = census[1:3], descartes_counts(f)
+        # The exact route: by Descartes' rule each certified count is at most
+        # its sign variations and of the same parity. Checked only once a rule
+        # has decided, so the decision's own checks fire first.
+        if cls is not None and any(c > v or (v - c) % 2 for c, v in zip(counts, variations)):
+            raise OracleViolationError(
+                f"real-root census {counts} disagrees with the Descartes counts "
+                f"{variations} for {f.pretty()}"
+            )
+        return cls
 
     failure = f"could not certify dominance structure of {f.to_text()}"
     return escalate(f, precision_bits, attempt, failure)[1]
@@ -183,12 +184,14 @@ def classify_irreducible(
 def _decide(
     f: IntPoly,
     rs: CertifiedRootSet,
+    bounds: tuple,
     tags: tuple[str, ...],
+    profile: tuple[int, int, int],
     real_flags: tuple[bool, ...],
 ) -> Classification | None:
     """One dominance decision attempt from a fully tagged root set.
 
-    Two certified rules, read off the modulus bounds:
+    Two certified rules, read off the modulus bounds of rs:
 
       Perron        the disk of a real positive root lies strictly above
                     every other disk in modulus;
@@ -204,8 +207,6 @@ def _decide(
     _structural_tie does not catch it, never satisfies either rule.
     """
     n = len(rs.roots)
-    profile = (tags.count("in"), tags.count("on"), tags.count("out"))
-    bounds = rs.modulus_bounds()
     lower = [b[0] for b in bounds]
     upper = [b[1] for b in bounds]
     i_star = max(range(n), key=lambda i: lower[i])

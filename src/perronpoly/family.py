@@ -19,9 +19,8 @@ from .intarith import DEFAULT_BUDGET, TRIAL_BOUND, Factorization, SquarefreeStat
 from .intarith import finish_factorization, squarefree_status, squarefree_status_of, trial_divide
 from .monogenicity import DIVIDES, MonogenicityReport, TrinomialParams
 from .monogenicity import monogenic_from_factorization
-from .polynomial import IntPoly, sign_variations
+from .polynomial import IntPoly, descartes_counts
 from .polynomial import discriminant as discriminant_resultant
-from .roots import real_axis_profile
 
 SUBCLASS_TEXT = {
     "Pisot": "Pisot",
@@ -104,7 +103,6 @@ def discriminant_closed(n: int, a: int, p: int) -> int:
     >>> discriminant_closed(4, 3, 5)
     -86675
     """
-    FamilyParams(n, a, p)
     sign = -1 if ((n - 1) * (n + 2) // 2) % 2 else 1
     return sign * p ** (n - 2) * g_value(n, a, p)
 
@@ -142,24 +140,16 @@ def _squarefree_verdict(status: SquarefreeStatus) -> str:
 
 
 def descartes_profile(n: int, a: int, p: int) -> tuple[int, int]:
-    """(positive, negative) real-root counts, computed twice: exactly by the
-    Descartes count of f(x) and f(-x) (each 0 or 1 here, where Descartes'
-    rule is exact) and numerically by the certified census. The two must
-    agree, and must equal (1, 1) for even n and (1, 0) for odd n — sign
-    analysis of the coefficients forces that parity.
+    """(positive, negative) real-root counts by Descartes' rule, exact here
+    where f(x) and f(-x) each have 0 or 1 sign variations. They must equal
+    (1, 1) for even n and (1, 0) for odd n, the parity that sign analysis of
+    the coefficients forces. classify_irreducible checks the certified
+    census against the same rule.
     """
     if not family_irreducible(n, a, p):
         raise InvalidInputError("real-root parity is stated for the irreducible case")
     f = build(n, a, p)
-    mirrored = tuple(-c if k % 2 else c for k, c in enumerate(f.coeffs))
-    exact = (sign_variations(f.coeffs), sign_variations(mirrored))
-    census = real_axis_profile(f)
-    certified = (census.positive, census.negative)
-    if certified != exact:
-        raise OracleViolationError(
-            f"real-root census {certified} disagrees with Descartes counts {exact} "
-            f"for {f.pretty()}"
-        )
+    exact = descartes_counts(f)
     expected = (1, 1) if n % 2 == 0 else (1, 0)
     if exact != expected:
         raise OracleViolationError(
@@ -265,7 +255,8 @@ def strictly_perron_certificate(
     negative to positive across lambda ± 1e-12*max(1, lambda) in exact
     rational arithmetic, which with the Descartes count (one sign variation
     ⇒ exactly one positive root; descartes_profile) pins that root without
-    the root solver. Any mismatch raises OracleViolationError — a
+    the root solver, and the classifier checks its real-root census against
+    Descartes' rule. Any mismatch raises OracleViolationError — a
     certificate is never produced from contradictory evidence. Every check
     runs even when an early step already settles the headline question, so
     downstream consumers get complete diagnostics.
@@ -279,7 +270,8 @@ def strictly_perron_certificate(
     factorization gives G_status, the squarefree verdict and, times p^(n-2),
     the factored |disc| for the local tests; a prime already tested on the
     partial factorization keeps its verdict, so each local test runs once.
-    Irreducibility is the family dichotomy (run_verify checks it).
+    Irreducibility is the family dichotomy (run_verify checks it). The
+    roots are certified once, without a squarefree gcd: disc != 0 shows it.
 
     `_fault` deliberately corrupts an internal value so the tripwires
     themselves can be exercised: "disc-sign" flips the closed-form

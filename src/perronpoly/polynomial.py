@@ -395,20 +395,22 @@ def count_real_roots(f: IntPoly) -> tuple[int, int]:
     return sturm_count(f, 0, bound), sturm_count(f, -bound, 0)
 
 
-def sign_variations(coeffs: tuple[int, ...]) -> int:
-    """Sign changes along a coefficient sequence, zeros skipped: by
-    Descartes' rule, the positive real-root count of the polynomial plus an
-    even number, so the count itself when it is 0 or 1.
+def descartes_counts(f: IntPoly) -> tuple[int, int]:
+    """Sign changes along the coefficients of f(x) and of f(-x), zeros
+    skipped: by Descartes' rule, the positive and the negative real-root
+    counts of f, each plus an even number, so the counts themselves when
+    they are 0 or 1.
 
-    >>> sign_variations((-3, -1, 1))  # x^2 - x - 3: one positive root
-    1
-    >>> sign_variations((-3, 1, 1))  # its f(-x): one negative root
-    1
-    >>> sign_variations((-2, 0, -1, -1))  # -(x^3 + x^2 + 2): none
-    0
+    >>> descartes_counts(IntPoly((-3, -1, 1)))  # x^2 - x - 3
+    (1, 1)
+    >>> descartes_counts(IntPoly((-2, 0, -1, -1)))  # -(x^3 + x^2 + 2)
+    (0, 1)
     """
-    signs = [c > 0 for c in coeffs if c]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
+    counts = []
+    for coeffs in (f.coeffs, [-c if k % 2 else c for k, c in enumerate(f.coeffs)]):
+        signs = [c > 0 for c in coeffs if c]
+        counts.append(sum(s != t for s, t in zip(signs, signs[1:])))
+    return counts[0], counts[1]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ disks contains every root of f, and when they are pairwise disjoint (an
 exact integer inequality) each disk holds exactly one root.
 
 Every decision escalates through one loop, escalate, with one cap. It
-solves f at the starting precision (DEFAULT_PRECISION_BITS unless the caller
+solves f at a starting precision (DEFAULT_PRECISION_BITS unless the caller
 asks otherwise); whenever the disks collide or cannot settle the question,
 it solves f again at doubled precision, at most MAX_ESCALATIONS times per
 decision, and then raises PrecisionExhaustedError. Isolation itself
@@ -26,6 +26,10 @@ decision, and then raises PrecisionExhaustedError. Isolation itself
 decision and the factor oracle are each one such decision. A float disk is
 only as narrow as double precision allows, so the one root whose digits get
 printed is refined alone (polish_real_root) instead of the whole set.
+
+The solver assumes a squarefree f: complex_roots, modulus_profile and
+real_axis_profile check it with one gcd; the package's own callers pass
+input known to be squarefree and call escalate directly.
 
 Roots exactly on the unit circle can never be separated from it numerically;
 they are handled exactly instead: for a palindromic polynomial the on-circle
@@ -315,9 +319,6 @@ def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None
         raise InvalidInputError("complex_roots needs degree >= 1")
     if bits < 16:
         raise InvalidInputError("precision_bits must be at least 16")
-    f = IntPoly(coeffs)  # the squarefree gate sits behind the cache: a hit runs no gcd
-    if n >= 2 and poly_gcd(f, f.derivative()).degree >= 1:
-        raise InvalidInputError("complex_roots requires a squarefree polynomial")
     starts = _float_aberth(coeffs)
     if starts is not None and bits == DEFAULT_PRECISION_BITS:
         certified = _certify(coeffs, starts, bits)
@@ -335,6 +336,12 @@ def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None
     return None if certified is None else CertifiedRootSet(certified, bits)
 
 
+def _require_squarefree(f: IntPoly) -> None:
+    """The solver's precondition, checked where outside input arrives."""
+    if f.degree >= 2 and poly_gcd(f, f.derivative()).degree >= 1:
+        raise InvalidInputError("complex_roots requires a squarefree polynomial")
+
+
 def complex_roots(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> CertifiedRootSet:
     """All complex roots of squarefree f, in certified disjoint disks.
 
@@ -342,25 +349,23 @@ def complex_roots(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> C
     PrecisionExhaustedError when disks cannot be separated within the
     escalation schedule.
     """
+    _require_squarefree(f)
     return escalate(
         f, precision_bits, lambda rs: rs,
         f"could not isolate the roots of degree-{f.degree} polynomial",
     )[0]
 
 
-def escalate(f: IntPoly, start: CertifiedRootSet | int, attempt, failure: str):
-    """(root set, result) for the first non-None attempt(rs).
+def escalate(f: IntPoly, bits: int, attempt, failure: str):
+    """(root set, result) for the first non-None attempt(rs), f squarefree.
 
-    start is a root set to try first or the precision to solve f at. After
-    each failure f is solved again at doubled precision, at most
-    MAX_ESCALATIONS times; past that, PrecisionExhaustedError with failure and
-    the last precision tried.
+    f is solved at bits bits, and after each failure again at doubled
+    precision, at most MAX_ESCALATIONS times; past that,
+    PrecisionExhaustedError with failure and the last precision tried.
     """
-    given = isinstance(start, CertifiedRootSet)
-    bits = start.precision_bits if given else start
     for escalation in range(MAX_ESCALATIONS + 1):
         tried = bits << escalation
-        rs = start if given and not escalation else _solve_cached(f.coeffs, tried)
+        rs = _solve_cached(f.coeffs, tried)
         result = None if rs is None else attempt(rs)
         if result is not None:
             return rs, result
@@ -430,7 +435,6 @@ class ModulusProfile:
     inside: int
     on_circle: int
     outside: int
-    assignments: tuple[str, ...]  # per root: "in" | "on" | "out"
     rootset: CertifiedRootSet
 
     @property
@@ -458,8 +462,9 @@ def expected_on_circle(f: IntPoly) -> int:
     return 2 * sturm_count(trace_transform(f), -2, 2)
 
 
-def try_modulus_tags(f: IntPoly, rs: CertifiedRootSet) -> tuple[str, ...] | None:
-    """One classification attempt of each root against the unit circle.
+def try_modulus_tags(f: IntPoly, bounds) -> tuple[str, ...] | None:
+    """One classification attempt of each root against the unit circle,
+    from the modulus bounds of a root set (CertifiedRootSet.modulus_bounds).
 
     Returns per-root tags "in" / "on" / "out" when the disks at this
     precision settle every root, or None when they do not and the caller
@@ -469,7 +474,7 @@ def try_modulus_tags(f: IntPoly, rs: CertifiedRootSet) -> tuple[str, ...] | None
     expected_on = expected_on_circle(f)
     tags: list[str] = []
     ambiguous = 0
-    for lo, hi in rs.modulus_bounds():
+    for lo, hi in bounds:
         if lo > 1:
             tags.append("out")
         elif hi < 1:
@@ -486,23 +491,20 @@ def try_modulus_tags(f: IntPoly, rs: CertifiedRootSet) -> tuple[str, ...] | None
     return tuple("on" if t == "?" else t for t in tags)
 
 
-def modulus_profile(
-    f: IntPoly,
-    roots: CertifiedRootSet | None = None,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> ModulusProfile:
-    """Certified (inside, on, outside) counts for the roots of f.
+def modulus_profile(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> ModulusProfile:
+    """Certified (inside, on, outside) counts for the roots of squarefree f.
 
     An "on" verdict is only ever assigned through the exact palindromic route;
     otherwise precision escalates until every disk clears the circle. The
     caller is expected to pass irreducible f (or at least f with no root at
     +-1), as the exact route needs f(1) != 0 and f(-1) != 0.
     """
+    _require_squarefree(f)
     rs, tags = escalate(
-        f, precision_bits if roots is None else roots, lambda rs: try_modulus_tags(f, rs),
+        f, precision_bits, lambda rs: try_modulus_tags(f, rs.modulus_bounds()),
         "could not separate all root disks from the unit circle",
     )
-    return ModulusProfile(tags.count("in"), tags.count("on"), tags.count("out"), tags, rs)
+    return ModulusProfile(tags.count("in"), tags.count("on"), tags.count("out"), rs)
 
 
 @dataclass(frozen=True)
@@ -551,20 +553,17 @@ def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int, i
         return tuple(flags), pos, neg, nonreal
 
 
-def real_axis_profile(
-    f: IntPoly,
-    roots: CertifiedRootSet | None = None,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> RealAxisProfile:
-    """Decide which roots are real, and count signs, from certified disks.
+def real_axis_profile(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealAxisProfile:
+    """Decide which roots of squarefree f are real, and count signs, from
+    certified disks.
 
     Needs f(0) != 0 so that sign decisions terminate; see try_real_census for
     the certification argument.
     """
     if f.constant == 0:
         raise InvalidInputError("real_axis_profile needs a nonzero constant term")
+    _require_squarefree(f)
     rs, (flags, pos, neg, nonreal) = escalate(
-        f, precision_bits if roots is None else roots, try_real_census,
-        "could not settle the real-root census",
+        f, precision_bits, try_real_census, "could not settle the real-root census"
     )
     return RealAxisProfile(pos, neg, nonreal, flags, rs)

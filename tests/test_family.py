@@ -11,8 +11,8 @@ import pytest
 
 from conftest import poly
 import perronpoly
-from perronpoly import __version__, family, monogenicity, roots, search
-from perronpoly.classification import classify_irreducible
+from perronpoly import __version__, classification, family, monogenicity, roots, search
+from perronpoly.classification import classify, classify_irreducible
 from perronpoly.errors import InvalidInputError, NonConvergenceError, OracleViolationError
 from perronpoly.family import (
     Certificate,
@@ -45,7 +45,7 @@ from perronpoly.monogenicity import (
     monogenic,
 )
 from perronpoly.polynomial import discriminant, poly_gcd, sturm_count
-from perronpoly.roots import real_axis_profile
+from perronpoly.roots import CertifiedRootSet, escalate, try_real_census
 from perronpoly.search import SearchSpec, SearchTally, ledger_record, run_search, run_verify
 
 
@@ -143,13 +143,26 @@ class TestDescartes:
         assert descartes_profile(5, 2, 7) == (1, 0)
 
     def test_census_off_by_one_trips(self, monkeypatch):
-        def miscounted(f):
-            census = real_axis_profile(f)
-            return replace(census, negative=census.negative + 1)
+        # The census is checked against Descartes' rule where the classifier
+        # makes it: one extra negative root trips at a family point, at a
+        # cubic with three real roots outside the family, and in verify.
+        census = classification.try_real_census
 
-        monkeypatch.setattr(family, "real_axis_profile", miscounted)
-        with pytest.raises(OracleViolationError, match="disagrees"):
-            descartes_profile(4, 3, 5)
+        def miscounted(rs):
+            result = census(rs)
+            if result is None:
+                return None
+            flags, pos, neg, nonreal = result
+            return flags, pos, neg + 1, nonreal
+
+        monkeypatch.setattr(classification, "try_real_census", miscounted)
+        with pytest.raises(OracleViolationError, match="disagrees with the Descartes counts"):
+            strictly_perron_certificate(4, 3, 5)
+        with pytest.raises(OracleViolationError, match="disagrees with the Descartes counts"):
+            classify(poly(1, -3, 0, 1))  # x^3 - 3x + 1
+        failures = run_verify(2, 1, 4).failures  # (2, 1, 2) is reducible
+        assert len(failures) == 1
+        assert failures[0].startswith("(n=2, a=1, p=3): pipeline check tripped: real-root census")
 
 
 class TestCertificate:
@@ -298,7 +311,10 @@ def _count_calls(monkeypatch, fn) -> list:
 def test_certificate_computes_each_fact_once(monkeypatch, point):
     # A plain member, an odd-n member with p = a + 1, and a reducible one.
     # G is trial-divided once and finished at most once; nothing else
-    # (p, the discriminant) is factored.
+    # (p, the discriminant) is factored. The roots of an irreducible member
+    # are certified in one attempt: one escalation, one real-axis census,
+    # one pass over the modulus bounds, and no squarefree gcd (disc != 0
+    # already proves f squarefree). A reducible member solves nothing.
     assert family.trial_divide is trial_divide
     assert family.finish_factorization is finish_factorization
     assert family.discriminant_resultant is discriminant
@@ -312,6 +328,12 @@ def test_certificate_computes_each_fact_once(monkeypatch, point):
     eigenvalues = _count_calls(monkeypatch, dominant_eigenvalue)
     sturm_chains = _count_calls(monkeypatch, sturm_count)
     gcds = _count_calls(monkeypatch, poly_gcd)
+    escalations = _count_calls(monkeypatch, escalate)
+    censuses = _count_calls(monkeypatch, try_real_census)
+    bounds, modulus_bounds = [], CertifiedRootSet.modulus_bounds
+    monkeypatch.setattr(
+        CertifiedRootSet, "modulus_bounds", lambda rs: bounds.append(rs) or modulus_bounds(rs)
+    )
     roots._solve_cached.cache_clear()
     strictly_perron_certificate(*point)
     assert trials == [(g_value(*point),)]
@@ -321,7 +343,9 @@ def test_certificate_computes_each_fact_once(monkeypatch, point):
     assert witnesses == [] and oracles == []
     assert companions == [] and eigenvalues == []
     assert sturm_chains == []
-    assert len(gcds) <= 1  # the squarefree gate runs on the solve, not on cache hits
+    assert gcds == []
+    attempts = 1 if family_irreducible(*point) else 0
+    assert len(escalations) == len(censuses) == len(bounds) == attempts
 
 
 class TestStopRule:

@@ -157,20 +157,27 @@ class TestExpectedOnCircle:
             expected_on_circle(poly(1, 1, 1, 1))
 
 
-def coarse_roots_of_x2_minus_4x_plus_2() -> CertifiedRootSet:
-    """A valid but coarse 16-bit root set of x^2 - 4x + 2 (roots 2 -+ sqrt 2):
-    disjoint disks of radius 0.6, the one around 0.586 straddling both the
-    unit circle and zero, so no decision can be read from it."""
+@pytest.fixture
+def coarse_x2_minus_4x_plus_2(monkeypatch):
+    """Make the solver answer x^2 - 4x + 2 (roots 2 -+ sqrt 2) at 16 bits with
+    a valid but coarse root set: disjoint disks of radius 0.6, the one
+    around 0.586 straddling both the unit circle and zero, so no decision
+    can be read from it. Other requests reach the real solver."""
     with mpmath.workprec(64):
         roots = tuple(
             CertifiedRoot(mpmath.mpc(2 + s * mpmath.sqrt(2)), mpmath.mpf("0.6")) for s in (-1, 1)
         )
-    return CertifiedRootSet(roots, 16)
+    coarse, solve = CertifiedRootSet(roots, 16), roots_module._solve_cached
+    monkeypatch.setattr(
+        roots_module, "_solve_cached",
+        lambda coeffs, bits: coarse if (coeffs, bits) == ((2, -4, 1), 16) else solve(coeffs, bits),
+    )
+    return poly(2, -4, 1)
 
 
 class TestModulusProfile:
-    def test_escalates_past_straddling_disks(self):
-        prof = modulus_profile(poly(2, -4, 1), roots=coarse_roots_of_x2_minus_4x_plus_2())
+    def test_escalates_past_straddling_disks(self, coarse_x2_minus_4x_plus_2):
+        prof = modulus_profile(coarse_x2_minus_4x_plus_2, precision_bits=16)
         assert prof.counts == (1, 0, 1)
         assert prof.rootset.precision_bits > 16
 
@@ -181,7 +188,6 @@ class TestModulusProfile:
     def test_lehmer_profile(self):
         prof = modulus_profile(LEHMER)
         assert prof.counts == (1, 8, 1)
-        assert prof.assignments.count("on") == 8
 
     def test_all_outside(self):
         prof = modulus_profile(poly(-5, -1, 0, 1))
@@ -200,10 +206,14 @@ class TestModulusProfile:
         with pytest.raises(OracleViolationError, match="accounting"):
             modulus_profile(poly(-1, -1, 1))
 
+    def test_rejects_nonsquarefree(self):
+        with pytest.raises(InvalidInputError, match="squarefree"):
+            modulus_profile(poly(4, -4, 1))  # (x - 2)^2
+
 
 class TestRealAxisProfile:
-    def test_escalates_past_disk_straddling_zero(self):
-        census = real_axis_profile(poly(2, -4, 1), roots=coarse_roots_of_x2_minus_4x_plus_2())
+    def test_escalates_past_disk_straddling_zero(self, coarse_x2_minus_4x_plus_2):
+        census = real_axis_profile(coarse_x2_minus_4x_plus_2, precision_bits=16)
         assert (census.positive, census.negative, census.nonreal) == (2, 0, 0)
         assert census.rootset.precision_bits > 16
 
@@ -224,6 +234,10 @@ class TestRealAxisProfile:
     def test_rejects_zero_constant(self):
         with pytest.raises(InvalidInputError):
             real_axis_profile(poly(0, 1, 1))
+
+    def test_rejects_nonsquarefree(self):
+        with pytest.raises(InvalidInputError, match="squarefree"):
+            real_axis_profile(poly(4, -4, 1))  # (x - 2)^2
 
     def test_huge_real_pair(self):
         big = 10**9
