@@ -19,12 +19,8 @@ from .errors import (
 from .family import (
     Certificate,
     FamilyParams,
-    build,
     descartes_profile,
-    discriminant_closed,
-    family_irreducible,
     family_monogenic,
-    g_value,
     strictly_perron_certificate,
 )
 from .intarith import factorize, is_prime, squarefree_status
@@ -53,18 +49,14 @@ __all__ = [
     "PerronPolyError",
     "PrecisionExhaustedError",
     "TrinomialParams",
-    "build",
     "classify",
     "complex_roots",
     "dedekind_local_test",
     "descartes_profile",
     "discriminant",
-    "discriminant_closed",
     "factor_oracle",
     "factorize",
-    "family_irreducible",
     "family_monogenic",
-    "g_value",
     "irreducibility_witness",
     "is_irreducible",
     "is_prime",

@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .classification import classify
 from .errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
-from .family import build, discriminant_closed
+from .family import FamilyParams
 from .intarith import DEFAULT_BUDGET
 from .monogenicity import METHOD_BOTH, METHOD_DEDEKIND, METHOD_JKS, monogenic
 from .polynomial import IntPoly
@@ -37,8 +37,7 @@ def _parse_poly(args: argparse.Namespace) -> IntPoly:
     if args.coeffs is not None:
         return IntPoly.from_text(args.coeffs)
     if args.trinomial is not None:
-        n, a, p = args.trinomial
-        return build(n, a, p)
+        return FamilyParams(*args.trinomial).poly
     raise InvalidInputError("one of --coeffs or --trinomial is required")
 
 
@@ -54,8 +53,9 @@ def _add_poly_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def cmd_disc(args: argparse.Namespace) -> int:
-    closed = discriminant_closed(args.n, args.a, args.p)
-    oracle = discriminant_resultant(build(args.n, args.a, args.p))
+    point = FamilyParams(args.n, args.a, args.p)
+    closed = point.disc
+    oracle = discriminant_resultant(point.poly)
     print(f"{closed}, {oracle}")
     print(json.dumps({
         "n": args.n, "a": args.a, "p": args.p,

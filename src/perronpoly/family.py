@@ -1,16 +1,19 @@
 """The trinomial family x^n - a*x^(n-1) - p and its end-to-end certificate.
 
-Everything specific to this one-parameter-of-three family lives here: the
-closed-form discriminant and its companion integer G(p), the constant-time
-irreducibility dichotomy, the monogenic-iff-G-squarefree criterion, real-root
-parity, and the certificate pipeline that runs every check side by side with
-its independent oracle and refuses to produce a verdict when any pair
+A family point is a FamilyParams: (n, a, p) checked once, when the point is
+made, with the closed forms the paper proves things about as its attributes
+(the member f, G(p), the closed-form discriminant and the constant-time
+irreducibility dichotomy). Everything else here takes a point and reads
+them: the monogenic-iff-G-squarefree criterion, real-root parity, and the
+certificate pipeline that runs every check side by side with its
+independent oracle and refuses to produce a verdict when any pair
 disagrees.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .classification import NOT_IRREDUCIBLE, PERRON, Classification, classify_irreducible
@@ -32,11 +35,13 @@ SUBCLASS_TEXT = {
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Parameters (n, a, p) of x^n - a*x^(n-1) - p.
+    """A family point (n, a, p) of x^n - a*x^(n-1) - p, validated once.
 
     p must be prime. Coprimality of a and n is recorded (it gates the
     headline theorem) but deliberately not required: the pipeline studies
-    non-coprime points too.
+    non-coprime points too. The closed forms are attributes computed from
+    the validated point: poly and g once each, disc and irreducible on
+    demand.
     """
 
     n: int
@@ -61,73 +66,72 @@ class FamilyParams:
         also rules out the one reducible configuration)."""
         return self.coprime and self.p > self.a + 1
 
+    @cached_property
+    def poly(self) -> IntPoly:
+        """The family member x^n - a*x^(n-1) - p.
 
-def build(n: int, a: int, p: int) -> IntPoly:
-    """The family member x^n - a*x^(n-1) - p.
+        >>> FamilyParams(2, 1, 3).poly.to_text()
+        '-3,-1,1'
+        >>> FamilyParams(4, 3, 5).poly.pretty()
+        'x^4 - 3*x^3 - 5'
+        """
+        coeffs = [0] * (self.n + 1)
+        coeffs[0] = -self.p
+        coeffs[self.n - 1] = -self.a
+        coeffs[self.n] = 1
+        return IntPoly(tuple(coeffs))
 
-    >>> build(2, 1, 3).to_text()
-    '-3,-1,1'
-    >>> build(4, 3, 5).pretty()
-    'x^4 - 3*x^3 - 5'
-    """
-    params = FamilyParams(n, a, p)
-    coeffs = [0] * (params.n + 1)
-    coeffs[0] = -params.p
-    coeffs[params.n - 1] = -params.a
-    coeffs[params.n] = 1
-    return IntPoly(tuple(coeffs))
+    @cached_property
+    def g(self) -> int:
+        """G(p) = n^n * p + a^n * (n-1)^(n-1), the squarefree-or-not heart of
+        the discriminant.
 
+        >>> FamilyParams(2, 1, 3).g
+        13
+        >>> FamilyParams(3, 1, 2).g
+        58
+        >>> FamilyParams(4, 3, 5).g
+        3467
+        """
+        n = self.n
+        return n**n * self.p + self.a**n * (n - 1) ** (n - 1)
 
-def g_value(n: int, a: int, p: int) -> int:
-    """G(p) = n^n * p + a^n * (n-1)^(n-1), the squarefree-or-not heart of
-    the discriminant.
+    @property
+    def disc(self) -> int:
+        """Closed-form discriminant: (-1)^((n-1)(n+2)/2) * p^(n-2) * G(p).
 
-    >>> g_value(2, 1, 3)
-    13
-    >>> g_value(3, 1, 2)
-    58
-    >>> g_value(4, 3, 5)
-    3467
-    """
-    FamilyParams(n, a, p)
-    return n**n * p + a**n * (n - 1) ** (n - 1)
+        >>> FamilyParams(2, 1, 3).disc
+        13
+        >>> FamilyParams(3, 1, 2).disc
+        -116
+        >>> FamilyParams(4, 3, 5).disc
+        -86675
+        """
+        n = self.n
+        sign = -1 if ((n - 1) * (n + 2) // 2) % 2 else 1
+        return sign * self.p ** (n - 2) * self.g
 
-
-def discriminant_closed(n: int, a: int, p: int) -> int:
-    """Closed-form discriminant: (-1)^((n-1)(n+2)/2) * p^(n-2) * G(p).
-
-    >>> discriminant_closed(2, 1, 3)
-    13
-    >>> discriminant_closed(3, 1, 2)
-    -116
-    >>> discriminant_closed(4, 3, 5)
-    -86675
-    """
-    sign = -1 if ((n - 1) * (n + 2) // 2) % 2 else 1
-    return sign * p ** (n - 2) * g_value(n, a, p)
-
-
-def family_irreducible(n: int, a: int, p: int) -> bool:
-    """Constant-time irreducibility dichotomy: reducible exactly when n is
-    even and p = a + 1 (then x + 1 divides). The factorization oracle
-    confirms this empirically in the test suite; here it is a formula.
-    """
-    FamilyParams(n, a, p)
-    return not (n % 2 == 0 and p == a + 1)
+    @property
+    def irreducible(self) -> bool:
+        """Constant-time irreducibility dichotomy: reducible exactly when n is
+        even and p = a + 1 (then x + 1 divides). The factorization oracle
+        confirms this in the test suite and in run_verify; here it is a
+        formula.
+        """
+        return not (self.n % 2 == 0 and self.p == self.a + 1)
 
 
-def family_monogenic(n: int, a: int, p: int, budget: int = DEFAULT_BUDGET) -> str:
+def family_monogenic(point: FamilyParams, budget: int = DEFAULT_BUDGET) -> str:
     """Monogenicity by the squarefree criterion: for irreducible members
     with gcd(a, n) = 1, the field is monogenic exactly when G(p) is
     squarefree. Returns "Monogenic", "NotMonogenic(q)", or "Unknown(...)"
     when the budget ran out before G's square part was settled.
     """
-    params = FamilyParams(n, a, p)
-    if not family_irreducible(n, a, p):
+    if not point.irreducible:
         raise InvalidInputError("the squarefree criterion needs the irreducible case")
-    if not params.coprime:
+    if not point.coprime:
         raise InvalidInputError("the squarefree criterion needs gcd(a, n) = 1")
-    return _squarefree_verdict(squarefree_status(g_value(n, a, p), budget=budget))
+    return _squarefree_verdict(squarefree_status(point.g, budget=budget))
 
 
 def _squarefree_verdict(status: SquarefreeStatus) -> str:
@@ -139,21 +143,21 @@ def _squarefree_verdict(status: SquarefreeStatus) -> str:
     return f"Unknown(G squarefree status unknown, cofactor {status.cofactor})"
 
 
-def descartes_profile(n: int, a: int, p: int) -> tuple[int, int]:
+def descartes_profile(point: FamilyParams) -> tuple[int, int]:
     """(positive, negative) real-root counts by Descartes' rule, exact here
     where f(x) and f(-x) each have 0 or 1 sign variations. They must equal
     (1, 1) for even n and (1, 0) for odd n, the parity that sign analysis of
     the coefficients forces. classify_irreducible checks the certified
     census against the same rule.
     """
-    if not family_irreducible(n, a, p):
+    if not point.irreducible:
         raise InvalidInputError("real-root parity is stated for the irreducible case")
-    f = build(n, a, p)
-    exact = descartes_counts(f)
-    expected = (1, 1) if n % 2 == 0 else (1, 0)
+    exact = descartes_counts(point.poly)
+    expected = (1, 1) if point.n % 2 == 0 else (1, 0)
     if exact != expected:
         raise OracleViolationError(
-            f"real-root parity {exact} contradicts the sign analysis {expected} for {f.pretty()}"
+            f"real-root parity {exact} contradicts the sign analysis {expected} "
+            f"for {point.poly.pretty()}"
         )
     return exact
 
@@ -163,7 +167,9 @@ class Certificate:
     """Full diagnostic record for one family member.
 
     Every derived quantity sits next to the oracle that checked it; the
-    conclusion is composed from the checked verdicts only.
+    conclusion is composed from the checked verdicts only. The point's own
+    closed forms (poly, G, disc, the dichotomy) are read from params: a
+    certificate exists only when the resultant equals params.disc.
 
     monogenicity is the local-test report, None for a reducible member. Its
     disc_factorization may be the partial, trial-division-only one: when
@@ -173,11 +179,7 @@ class Certificate:
     """
 
     params: FamilyParams
-    poly: IntPoly
-    disc: int
-    g: int
     g_status: str
-    irreducible: bool
     monogenicity: MonogenicityReport | None
     monogenic_verdict: str
     classification: Classification
@@ -188,11 +190,11 @@ class Certificate:
             "n": self.params.n,
             "a": self.params.a,
             "p": self.params.p,
-            "poly": self.poly.to_text(),
-            "disc": self.disc,
-            "G": self.g,
+            "poly": self.params.poly.to_text(),
+            "disc": self.params.disc,
+            "G": self.params.g,
             "G_status": self.g_status,
-            "irreducible": self.irreducible,
+            "irreducible": self.params.irreducible,
             "monogenic": self.monogenic_verdict,
             "class": self.classification.headline,
             "lambda": self.classification.dominant,
@@ -261,15 +263,17 @@ def strictly_perron_certificate(
     runs even when an early step already settles the headline question, so
     downstream consumers get complete diagnostics.
 
-    Each fact is computed once. G is trial-divided once. When that already
-    fixes both reported verdicts — G_status is NotSquarefree(q), and the
-    member is reducible or the local tests on the partial factorization give
-    NotMonogenic(q') with q' <= TRIAL_BOUND — the rho step is skipped, since
-    every prime it could add exceeds TRIAL_BOUND. Otherwise the
-    factorization is finished once, within the budget. The resulting G
-    factorization gives G_status, the squarefree verdict and, times p^(n-2),
-    the factored |disc| for the local tests; a prime already tested on the
-    partial factorization keeps its verdict, so each local test runs once.
+    Each fact is computed once. The point is validated once, and f, G, the
+    closed-form disc and the dichotomy are read from it. G is trial-divided
+    once. When that already fixes both reported verdicts — G_status is
+    NotSquarefree(q), and the member is reducible or the local tests on the
+    partial factorization give NotMonogenic(q') with q' <= TRIAL_BOUND — the
+    rho step is skipped, since every prime it could add exceeds
+    TRIAL_BOUND. Otherwise the factorization is finished once, within the
+    budget. The resulting G factorization gives G_status, the squarefree
+    verdict and, times p^(n-2), the factored |disc| for the local tests; a
+    prime already tested on the partial factorization keeps its verdict, so
+    each local test runs once.
     Irreducibility is the family dichotomy (run_verify checks it). The
     roots are certified once, without a squarefree gcd: disc != 0 shows it.
 
@@ -277,14 +281,12 @@ def strictly_perron_certificate(
     themselves can be exercised: "disc-sign" flips the closed-form
     discriminant, "mono-route" flips the squarefree-route verdict.
     """
-    params = FamilyParams(n, a, p)
+    point = FamilyParams(n, a, p)
     if _fault is not None and _fault not in _FAULTS:
         raise InvalidInputError(f"unknown fault {_fault!r}")
-    f = build(n, a, p)
+    f = point.poly
 
-    disc_closed = discriminant_closed(n, a, p)
-    if _fault == "disc-sign":
-        disc_closed = -disc_closed
+    disc_closed = -point.disc if _fault == "disc-sign" else point.disc
     disc_oracle = discriminant_resultant(f)
     if disc_closed != disc_oracle:
         raise OracleViolationError(
@@ -292,29 +294,29 @@ def strictly_perron_certificate(
             f"resultant {disc_oracle}"
         )
 
-    g = g_value(n, a, p)
-    irreducible = family_irreducible(n, a, p)
     trinomial = TrinomialParams(n, n - 1, -a, -p)
 
     def local_tests(g_fact: Factorization, known=()) -> MonogenicityReport:
         disc_fact = _times_prime_power(g_fact, p, n - 2)
         return monogenic_from_factorization(f, trinomial, disc_oracle, disc_fact, known=known)
 
-    g_fact = trial_divide(g)
+    g_fact = trial_divide(point.g)
     g_status = squarefree_status_of(g_fact)
-    report = local_tests(g_fact) if irreducible and g_status.kind == "not_squarefree" else None
+    report = (
+        local_tests(g_fact) if point.irreducible and g_status.kind == "not_squarefree" else None
+    )
     if not _settled_by_trial_division(g_status, report):
         finished = finish_factorization(g_fact, budget)
         if finished != g_fact:  # rho split the cofactor: test only the primes it added
             g_fact, g_status = finished, squarefree_status_of(finished)
             if report is not None:
                 report = local_tests(g_fact, report.locals)
-    if irreducible and report is None:
+    if point.irreducible and report is None:
         report = local_tests(g_fact)
 
-    if irreducible:
+    if point.irreducible:
         verdict = report.verdict
-        if params.coprime:
+        if point.coprime:
             family_verdict = _squarefree_verdict(g_status)
             if _fault == "mono-route":
                 was_monogenic = family_verdict == "Monogenic"
@@ -342,19 +344,14 @@ def strictly_perron_certificate(
                 f"{f.pretty()} within {float(eps):.3g}"
             )
 
-    if irreducible:
-        descartes_profile(n, a, p)
+    if point.irreducible:
+        descartes_profile(point)
 
-    conclusion = _conclusion(cls, verdict)
     return Certificate(
-        params=params,
-        poly=f,
-        disc=disc_oracle,
-        g=g,
+        params=point,
         g_status=str(g_status),
-        irreducible=irreducible,
         monogenicity=report,
         monogenic_verdict=verdict,
         classification=cls,
-        conclusion=conclusion,
+        conclusion=_conclusion(cls, verdict),
     )

@@ -341,6 +341,8 @@ def monogenic(
         params = TrinomialParams.from_polynomial(f)
     if method not in (METHOD_JKS, METHOD_DEDEKIND, METHOD_BOTH):
         raise InvalidInputError(f"unknown method {method!r}")
+    if budget < 0:
+        raise InvalidInputError(f"need budget >= 0, got {budget}")
     if method == METHOD_JKS and params is None:
         raise InvalidInputError("the trinomial criterion needs a trinomial x^n + A x^m + B")
     if poly.lead == -1:

@@ -18,7 +18,7 @@ from typing import Iterator
 from . import __version__
 from .errors import InvalidInputError, OracleViolationError, PerronPolyError
 from .errors import PrecisionExhaustedError
-from .family import _FAULTS, Certificate, family_irreducible, strictly_perron_certificate
+from .family import _FAULTS, Certificate, strictly_perron_certificate
 from .intarith import DEFAULT_BUDGET, primes_below
 from .irreducibility import ORACLE_MAX_DEGREE, is_irreducible
 
@@ -42,6 +42,8 @@ class SearchSpec:
             raise InvalidInputError("the grid needs a >= 1")
         if self.p_max < 2:
             raise InvalidInputError("the grid needs at least one prime")
+        if self.budget < 0:
+            raise InvalidInputError(f"need budget >= 0, got {self.budget}")
 
     def pairs(self) -> list[tuple[int, int]]:
         out = []
@@ -51,6 +53,14 @@ class SearchSpec:
                     continue
                 out.append((n, a))
         return out
+
+    def points(self) -> Iterator[tuple[int, int, int]]:
+        """(n, a, p) in search order: the pairs as given, primes ascending up
+        to and including p_max within each pair."""
+        primes = primes_below(self.p_max + 1)
+        for n, a in self.pairs():
+            for p in primes:
+                yield n, a, p
 
 
 @dataclass
@@ -71,7 +81,7 @@ class SearchTally:
             self.misses += 1
         if cert.monogenic_verdict.startswith("Unknown"):
             self.unknowns += 1
-        if not cert.irreducible:
+        if not cert.params.irreducible:
             self.reducible += 1
 
     def summary(self) -> str:
@@ -83,15 +93,12 @@ class SearchTally:
 
 
 def run_search(spec: SearchSpec, tally: SearchTally | None = None) -> Iterator[Certificate]:
-    """Yield certificates in deterministic order: (n, a) pairs as given by
-    the spec, primes ascending up to and including p_max."""
-    primes = primes_below(spec.p_max + 1)
-    for n, a in spec.pairs():
-        for p in primes:
-            cert = strictly_perron_certificate(n, a, p, budget=spec.budget)
-            if tally is not None:
-                tally.record(cert)
-            yield cert
+    """Yield certificates in the deterministic order of spec.points()."""
+    for n, a, p in spec.points():
+        cert = strictly_perron_certificate(n, a, p, budget=spec.budget)
+        if tally is not None:
+            tally.record(cert)
+        yield cert
 
 
 def ledger_record(cert: Certificate, timestamp: str | None = None) -> str:
@@ -125,8 +132,8 @@ def run_verify(
     inject_fault: str | None = None,
 ) -> VerifyReport:
     """Check every promised family property on the grid n in [2, nmax],
-    a in [1, amax], primes p < p_limit. An empty grid raises
-    InvalidInputError, as in SearchSpec.
+    a in [1, amax], primes p < p_limit. An empty grid or a negative budget
+    raises InvalidInputError, as in SearchSpec.
 
     Checked per point: both discriminant routes agree; both monogenicity
     routes agree (these two are enforced inside certificate construction);
@@ -149,26 +156,26 @@ def run_verify(
     intermediate value actually trips a check. An unknown fault name raises
     InvalidInputError before any point runs.
     """
-    spec = SearchSpec(tuple(range(2, nmax + 1)), tuple(range(1, amax + 1)), p_limit - 1)
+    spec = SearchSpec(
+        tuple(range(2, nmax + 1)), tuple(range(1, amax + 1)), p_limit - 1, budget=budget
+    )
     if inject_fault is not None and inject_fault not in _FAULTS:
         raise InvalidInputError(f"unknown fault {inject_fault!r}")
-    primes = primes_below(p_limit)
-    report = VerifyReport(grid=len(spec.pairs()) * len(primes))
-    for n, a in spec.pairs():
-        for p in primes:
-            report.points += 1
-            point = f"(n={n}, a={a}, p={p})"
-            try:
-                cert = strictly_perron_certificate(n, a, p, budget=budget, _fault=inject_fault)
-            except (OracleViolationError, PrecisionExhaustedError) as exc:
-                problems = [f"pipeline check tripped: {exc}"]
-            except PerronPolyError as exc:
-                problems = [f"{type(exc).__name__}: {exc}"]
-            else:
-                problems = _point_problems(cert)
-            for problem in problems:
-                if not _note(report, f"{point}: {problem}"):
-                    return report
+    points = list(spec.points())
+    report = VerifyReport(grid=len(points))
+    for n, a, p in points:
+        report.points += 1
+        try:
+            cert = strictly_perron_certificate(n, a, p, budget=spec.budget, _fault=inject_fault)
+        except (OracleViolationError, PrecisionExhaustedError) as exc:
+            problems = [f"pipeline check tripped: {exc}"]
+        except PerronPolyError as exc:
+            problems = [f"{type(exc).__name__}: {exc}"]
+        else:
+            problems = _point_problems(cert)
+        for problem in problems:
+            if not _note(report, f"(n={n}, a={a}, p={p}): {problem}"):
+                return report
     return report
 
 
@@ -182,12 +189,12 @@ def _note(report: VerifyReport, failure: str) -> bool:
 
 
 def _point_problems(cert: Certificate) -> list[str]:
-    n, a, p = cert.params.n, cert.params.a, cert.params.p
+    point = cert.params
+    n, a, p = point.n, point.a, point.p
     problems = []
 
     if n <= ORACLE_MAX_DEGREE:
-        dichotomy = family_irreducible(n, a, p)
-        oracle = is_irreducible(cert.poly)
+        dichotomy, oracle = point.irreducible, is_irreducible(point.poly)
         if dichotomy != oracle:
             problems.append(
                 f"irreducibility dichotomy says {dichotomy}, factorization oracle says {oracle}"
@@ -202,7 +209,7 @@ def _point_problems(cert: Certificate) -> list[str]:
             f"hypotheses hold and G is squarefree but conclusion is {cert.conclusion!r}"
         )
 
-    if cert.irreducible and n % 2 == 0 and p > a + 1:
+    if point.irreducible and n % 2 == 0 and p > a + 1:
         profile = cert.classification.profile
         if profile[0] or profile[1]:
             problems.append(f"certified profile {profile} puts a root inside or on the unit circle")

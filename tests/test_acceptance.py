@@ -20,7 +20,7 @@ import pytest
 
 from conftest import poly
 from perronpoly.classification import PERRON, STRICTLY_PERRON, classify
-from perronpoly.family import build, discriminant_closed, family_irreducible, g_value
+from perronpoly.family import FamilyParams
 from perronpoly.intarith import factorize, primes_below, squarefree_status
 from perronpoly.irreducibility import factor_oracle
 from perronpoly.matrices import (
@@ -70,7 +70,7 @@ def coprime_points():
             for p in P300:
                 if n % 2 == 0 and p == a + 1:
                     continue
-                disc = discriminant_closed(n, a, p)
+                disc = FamilyParams(n, a, p).disc
                 fac = factorize(abs(disc))
                 assert fac.complete, (n, a, p)
                 squares = tuple(q for q, e in fac.factors if e >= 2)
@@ -84,8 +84,9 @@ def test_c01_discriminant_identity(capsys):
     t0 = time.perf_counter()
     bad = []
     for n, a, p in GRID:
-        closed = discriminant_closed(n, a, p)
-        via_resultant = discriminant(build(n, a, p))
+        point = FamilyParams(n, a, p)
+        closed = point.disc
+        via_resultant = discriminant(point.poly)
         if closed != via_resultant:
             bad.append((n, a, p, closed, via_resultant))
     elapsed = time.perf_counter() - t0
@@ -106,8 +107,9 @@ def test_c02_monogenic_iff_squarefree(capsys, coprime_points):
     mismatches = []
     unknowns = 0
     for n, a, p, _ in coprime_points:
-        verdict = monogenic(build(n, a, p), method=METHOD_JKS).verdict
-        status = squarefree_status(g_value(n, a, p))
+        point = FamilyParams(n, a, p)
+        verdict = monogenic(point.poly, method=METHOD_JKS).verdict
+        status = squarefree_status(point.g)
         if verdict.startswith("Unknown") or not status.is_decided:
             unknowns += 1
             continue
@@ -141,7 +143,7 @@ def test_c03_jks_agrees_with_dedekind(capsys, coprime_points):
         if not squares:
             continue
         t = TrinomialParams(n, n - 1, -a, -p)
-        f = build(n, a, p)
+        f = FamilyParams(n, a, p).poly
         for q in squares:
             j = jks_local_test(t, q)
             if not j.applicable:
@@ -171,10 +173,11 @@ def test_c04_reducibility_dichotomy(capsys):
     for n in range(2, 8):
         for a in range(1, 7):
             for p in P100:
-                f = build(n, a, p)
+                point = FamilyParams(n, a, p)
+                f = point.poly
                 by_oracle = factor_oracle(f) == ((f, 1),)
                 predicted = not (n % 2 == 0 and p == a + 1)
-                if by_oracle != predicted or family_irreducible(n, a, p) != predicted:
+                if by_oracle != predicted or point.irreducible != predicted:
                     bad.append((n, a, p, by_oracle, predicted))
                 if not predicted:
                     reducible_count += 1
@@ -197,10 +200,10 @@ def test_c05_qualifying_points_are_strictly_perron(capsys):
     for n, a, p in GRID:
         if gcd(a, n) != 1 or p <= a + 1:
             continue
-        if not squarefree_status(g_value(n, a, p)).is_squarefree:
+        if not squarefree_status(FamilyParams(n, a, p).g).is_squarefree:
             continue
         qualifying += 1
-        cls = classify(build(n, a, p))
+        cls = classify(FamilyParams(n, a, p).poly)
         if cls.kind != PERRON or cls.subclass != STRICTLY_PERRON:
             bad.append((n, a, p, cls.kind, cls.subclass))
     ok = not bad and qualifying > 0
@@ -247,7 +250,7 @@ def test_c07_companion_matrix_checks(capsys):
     same characteristic polynomial."""
     bad = []
     for n, a, p in GRID:
-        f = build(n, a, p)
+        f = FamilyParams(n, a, p).poly
         m = companion_matrix(f)
         if char_poly(m) != f:
             bad.append((n, a, p, "char-poly"))
@@ -287,10 +290,11 @@ def test_c08_real_root_counts_and_certified_moduli(capsys):
     negative_certified = 0
     all_out_points = 0
     for n, a, p in GRID:
-        if not family_irreducible(n, a, p):
+        point = FamilyParams(n, a, p)
+        if not point.irreducible:
             continue
         irreducible_points += 1
-        f = build(n, a, p)
+        f = point.poly
         rap = real_axis_profile(f)
         want = (1, 1) if n % 2 == 0 else (1, 0)
         if (rap.positive, rap.negative) != want:
@@ -346,7 +350,7 @@ def test_c09_squarefree_engine_and_condition_v(capsys):
     quantity_bad = []
     for n, a, p in GRID:
         t = TrinomialParams(n, n - 1, -a, -p)
-        if jks_condition_v_quantity(t) != -g_value(n, a, p):
+        if jks_condition_v_quantity(t) != -FamilyParams(n, a, p).g:
             quantity_bad.append((n, a, p))
     ok = not mismatches and not quantity_bad
     _report(

@@ -328,3 +328,19 @@ class TestTopLevel:
             main(argv)
         assert exc.value.code == 2
         assert "--precision" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--n", "2", "--a", "1", "--pmax", "3"],
+            ["verify", "--nmax", "2", "--amax", "1", "--pmax", "4"],
+            ["monogenic", "--coeffs", "-3,-1,1"],
+        ],
+    )
+    def test_negative_budget_rejected(self, capsys, argv):
+        # A factoring budget below zero is invalid input, not an instant
+        # Unknown; --budget 0 stays valid (test_budget_exhaustion_exits_5).
+        rc, out, err = run(capsys, *argv, "--budget", "-1")
+        assert rc == 2
+        assert out == ""
+        assert "budget" in err

@@ -17,12 +17,8 @@ from perronpoly.errors import InvalidInputError, NonConvergenceError, OracleViol
 from perronpoly.family import (
     Certificate,
     FamilyParams,
-    build,
     descartes_profile,
-    discriminant_closed,
-    family_irreducible,
     family_monogenic,
-    g_value,
     strictly_perron_certificate,
 )
 from perronpoly.intarith import (
@@ -69,57 +65,60 @@ class TestParams:
 
 class TestClosedForms:
     def test_build(self):
-        assert build(2, 1, 3) == poly(-3, -1, 1)
-        assert build(4, 3, 5) == poly(-5, 0, 0, -3, 1)
-        assert build(4, 3, 5).pretty() == "x^4 - 3*x^3 - 5"
+        assert FamilyParams(2, 1, 3).poly == poly(-3, -1, 1)
+        assert FamilyParams(4, 3, 5).poly == poly(-5, 0, 0, -3, 1)
+        assert FamilyParams(4, 3, 5).poly.pretty() == "x^4 - 3*x^3 - 5"
 
     def test_g_value(self):
-        assert g_value(2, 1, 3) == 13
-        assert g_value(3, 1, 2) == 58
-        assert g_value(4, 3, 5) == 3467
+        assert FamilyParams(2, 1, 3).g == 13
+        assert FamilyParams(3, 1, 2).g == 58
+        assert FamilyParams(4, 3, 5).g == 3467
 
     def test_discriminant_closed(self):
-        assert discriminant_closed(2, 1, 3) == 13
-        assert discriminant_closed(3, 1, 2) == -116
-        assert discriminant_closed(4, 3, 5) == -86675
+        assert FamilyParams(2, 1, 3).disc == 13
+        assert FamilyParams(3, 1, 2).disc == -116
+        assert FamilyParams(4, 3, 5).disc == -86675
 
     def test_closed_matches_resultant_grid(self):
         for n in range(2, 7):
             for a in range(1, 5):
                 for p in primes_below(30):
-                    assert discriminant_closed(n, a, p) == discriminant(build(n, a, p))
+                    point = FamilyParams(n, a, p)
+                    assert point.disc == discriminant(point.poly)
 
     def test_irreducibility_dichotomy(self):
         # Reducible exactly at even n with p = a + 1.
-        assert not family_irreducible(2, 1, 2)
-        assert not family_irreducible(4, 1, 2)
-        assert not family_irreducible(6, 2, 3)
-        assert family_irreducible(3, 1, 2)  # odd n, p = a + 1
-        assert family_irreducible(2, 1, 3)
+        assert not FamilyParams(2, 1, 2).irreducible
+        assert not FamilyParams(4, 1, 2).irreducible
+        assert not FamilyParams(6, 2, 3).irreducible
+        assert FamilyParams(3, 1, 2).irreducible  # odd n, p = a + 1
+        assert FamilyParams(2, 1, 3).irreducible
         for n in range(2, 6):
             for a in range(1, 5):
                 for p in primes_below(20):
-                    assert family_irreducible(n, a, p) == is_irreducible(build(n, a, p))
+                    point = FamilyParams(n, a, p)
+                    assert point.irreducible == is_irreducible(point.poly)
 
     def test_companion_shape(self):
-        m = companion_matrix(build(4, 3, 5))
-        assert char_poly(m) == build(4, 3, 5)
+        f = FamilyParams(4, 3, 5).poly
+        m = companion_matrix(f)
+        assert char_poly(m) == f
         assert m[0][-1] == 5 and m[-1][-1] == 3
 
 
 class TestFamilyMonogenic:
     def test_verdicts(self):
-        assert family_monogenic(2, 1, 3) == "Monogenic"
+        assert family_monogenic(FamilyParams(2, 1, 3)) == "Monogenic"
         # G(31) = 125 = 5^3 for n = 2, a = 1.
-        assert family_monogenic(2, 1, 31) == "NotMonogenic(5)"
+        assert family_monogenic(FamilyParams(2, 1, 31)) == "NotMonogenic(5)"
 
     def test_requires_coprime(self):
         with pytest.raises(InvalidInputError):
-            family_monogenic(4, 2, 5)
+            family_monogenic(FamilyParams(4, 2, 5))
 
     def test_requires_irreducible(self):
         with pytest.raises(InvalidInputError):
-            family_monogenic(2, 1, 2)
+            family_monogenic(FamilyParams(2, 1, 2))
 
     def test_agrees_with_local_tests_everywhere(self):
         # The squarefree-G criterion and the local index tests are fully
@@ -130,17 +129,18 @@ class TestFamilyMonogenic:
                 if math.gcd(a, n) != 1:
                     continue
                 for p in primes_below(60):
-                    if not family_irreducible(n, a, p):
+                    point = FamilyParams(n, a, p)
+                    if not point.irreducible:
                         continue
-                    assert family_monogenic(n, a, p) == monogenic(build(n, a, p)).verdict, (n, a, p)
+                    assert family_monogenic(point) == monogenic(point.poly).verdict, (n, a, p)
 
 
 class TestDescartes:
     def test_parity_profiles(self):
-        assert descartes_profile(2, 1, 3) == (1, 1)
-        assert descartes_profile(4, 3, 5) == (1, 1)
-        assert descartes_profile(3, 1, 2) == (1, 0)
-        assert descartes_profile(5, 2, 7) == (1, 0)
+        assert descartes_profile(FamilyParams(2, 1, 3)) == (1, 1)
+        assert descartes_profile(FamilyParams(4, 3, 5)) == (1, 1)
+        assert descartes_profile(FamilyParams(3, 1, 2)) == (1, 0)
+        assert descartes_profile(FamilyParams(5, 2, 7)) == (1, 0)
 
     def test_census_off_by_one_trips(self, monkeypatch):
         # The census is checked against Descartes' rule where the classifier
@@ -168,8 +168,8 @@ class TestDescartes:
 class TestCertificate:
     def test_strictly_perron_monogenic(self):
         cert = strictly_perron_certificate(4, 3, 5)
-        assert cert.irreducible
-        assert cert.g == 3467
+        assert cert.params.irreducible
+        assert cert.params.g == 3467
         assert cert.g_status == "Squarefree"
         assert cert.monogenic_verdict == "Monogenic"
         assert cert.classification.headline == "StrictlyPerron"
@@ -195,7 +195,7 @@ class TestCertificate:
 
     def test_reducible_member(self):
         cert = strictly_perron_certificate(2, 1, 2)
-        assert not cert.irreducible
+        assert not cert.params.irreducible
         assert cert.monogenicity is None
         assert cert.monogenic_verdict == "NotApplicable(reducible)"
         assert cert.conclusion == "reducible"
@@ -205,8 +205,8 @@ class TestCertificate:
         cert = strictly_perron_certificate(5, 2, 11)
         lam = Fraction(cert.classification.dominant)
         eps = Fraction(1, 10**12) * lam
-        assert cert.poly(lam - eps) < 0 < cert.poly(lam + eps)
-        eigen = dominant_eigenvalue(companion_matrix(cert.poly))
+        assert cert.params.poly(lam - eps) < 0 < cert.params.poly(lam + eps)
+        eigen = dominant_eigenvalue(companion_matrix(cert.params.poly))
         assert eigen == pytest.approx(float(lam), abs=1e-8)
 
     def test_shifted_root_trips_the_bracket(self, monkeypatch):
@@ -310,14 +310,17 @@ def _count_calls(monkeypatch, fn) -> list:
 @pytest.mark.parametrize("point", [(4, 3, 5), (3, 2, 3), (4, 1, 2)])
 def test_certificate_computes_each_fact_once(monkeypatch, point):
     # A plain member, an odd-n member with p = a + 1, and a reducible one.
-    # G is trial-divided once and finished at most once; nothing else
-    # (p, the discriminant) is factored. The roots of an irreducible member
+    # The point is validated once: one primality test, of p. G is
+    # trial-divided once and finished at most once; nothing else (p, the
+    # discriminant) is factored. The roots of an irreducible member
     # are certified in one attempt: one escalation, one real-axis census,
     # one pass over the modulus bounds, and no squarefree gcd (disc != 0
     # already proves f squarefree). A reducible member solves nothing.
     assert family.trial_divide is trial_divide
     assert family.finish_factorization is finish_factorization
     assert family.discriminant_resultant is discriminant
+    expected = FamilyParams(*point)
+    primality = _count_family_primality(monkeypatch)
     trials = _count_calls(monkeypatch, trial_divide)
     finishes = _count_calls(monkeypatch, finish_factorization)
     factorizations = _count_calls(monkeypatch, factorize)
@@ -336,16 +339,40 @@ def test_certificate_computes_each_fact_once(monkeypatch, point):
     )
     roots._solve_cached.cache_clear()
     strictly_perron_certificate(*point)
-    assert trials == [(g_value(*point),)]
+    assert primality == [(point[2],)]
+    assert trials == [(expected.g,)]
     assert len(finishes) <= 1
     assert factorizations == []
-    assert discriminants == [(build(*point),)]
+    assert discriminants == [(expected.poly,)]
     assert witnesses == [] and oracles == []
     assert companions == [] and eigenvalues == []
     assert sturm_chains == []
     assert gcds == []
-    attempts = 1 if family_irreducible(*point) else 0
+    attempts = 1 if expected.irreducible else 0
     assert len(escalations) == len(censuses) == len(bounds) == attempts
+
+
+def _count_family_primality(monkeypatch) -> list:
+    """Spy on the is_prime binding FamilyParams validates p with (not the
+    one the local tests check their own primes with); returns the call log."""
+    assert family.is_prime is is_prime
+    calls = []
+
+    def counted(q):
+        calls.append((q,))
+        return is_prime(q)
+
+    monkeypatch.setattr(family, "is_prime", counted)
+    return calls
+
+
+def test_verify_validates_each_point_once(monkeypatch):
+    # run_verify(2, 1, 4) covers the reducible (2, 1, 2) and the irreducible
+    # (2, 1, 3); its dichotomy check reads the certificate's point.
+    primality = _count_family_primality(monkeypatch)
+    report = run_verify(2, 1, 4)
+    assert report.passed and report.points == 2
+    assert primality == [(2,), (3,)]
 
 
 class TestStopRule:
@@ -391,7 +418,7 @@ class TestStopRule:
             "NotSquarefree(2)", "Monogenic", "monogenic strictly-Perron",
         )
         assert len(finishes) == 1
-        assert cert.monogenic_verdict == monogenic(cert.poly).verdict
+        assert cert.monogenic_verdict == monogenic(cert.params.poly).verdict
 
     def test_partial_report_covers_trial_primes_and_p(self):
         report = strictly_perron_certificate(24, 2, 7).monogenicity
@@ -437,7 +464,7 @@ class TestStopRule:
         cert = strictly_perron_certificate(16, 2, 37)
         assert len(finishes) == 1 and cert.monogenicity.disc_factorization.complete
         assert sorted(tested) == sorted(set(tested)) == [v.q for v in cert.monogenicity.locals]
-        assert cert.monogenic_verdict == monogenic(cert.poly).verdict
+        assert cert.monogenic_verdict == monogenic(cert.params.poly).verdict
 
     @pytest.mark.parametrize("point, finished", [((16, 1, 17), 0), ((4, 3, 5), 1)])
     def test_mono_route_fault_trips_on_both_paths(self, finishes, point, finished):
@@ -455,6 +482,9 @@ class TestSearch:
             SearchSpec((2,), (1,), 1)
         with pytest.raises(InvalidInputError):
             SearchSpec((1,), (1,), 50)
+        with pytest.raises(InvalidInputError):
+            SearchSpec((2,), (1,), 50, budget=-1)
+        assert SearchSpec((2,), (1,), 50, budget=0).budget == 0
 
     def test_pairs_order_and_coprime_filter(self):
         spec = SearchSpec((2, 3), (1, 2), 10)
@@ -494,7 +524,14 @@ class TestSearch:
     def test_verify_checks_dichotomy_against_oracle(self, monkeypatch):
         # A dichotomy that calls every member irreducible must trip at the
         # reducible points (even n, p = a + 1) below the oracle ceiling.
-        monkeypatch.setattr(search, "family_irreducible", lambda n, a, p: True)
+        class AllIrreducible(FamilyParams):
+            irreducible = True
+
+        def misjudged(n, a, p, **kwargs):
+            cert = strictly_perron_certificate(n, a, p, **kwargs)
+            return replace(cert, params=AllIrreducible(n, a, p))
+
+        monkeypatch.setattr(search, "strictly_perron_certificate", misjudged)
         report = run_verify(4, 1, 3)
         assert [f.split(":")[0] for f in report.failures] == ["(n=2, a=1, p=2)", "(n=4, a=1, p=2)"]
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import poly
 from perronpoly.errors import InvalidInputError, NonConvergenceError
-from perronpoly.family import build
+from perronpoly.family import FamilyParams
 from perronpoly.matrices import (
     adjacency,
     char_poly,
@@ -49,7 +49,7 @@ class TestCompanion:
     def test_family_member_is_irreducible(self):
         # The subdiagonal 1s and p in the top-right corner close one cycle
         # through every index, so the pattern digraph is strongly connected.
-        assert matrix_irreducible(companion_matrix(build(4, 3, 5)))
+        assert matrix_irreducible(companion_matrix(FamilyParams(4, 3, 5).poly))
 
     @given(monic_polys)
     @settings(max_examples=80, deadline=None)

@@ -115,11 +115,11 @@ class TestJksLocalTest:
     def test_condition_five_quantity_matches_family(self):
         # For x^n - a x^{n-1} - p the generic-prime quantity is exactly
         # -(n^n p + a^n (n-1)^(n-1)).
-        from perronpoly.family import g_value
+        from perronpoly.family import FamilyParams
 
         for n, a, p in [(2, 1, 3), (3, 1, 2), (3, 2, 5), (5, 4, 7), (7, 6, 13)]:
             t = TrinomialParams(n, n - 1, -a, -p)
-            assert jks_condition_v_quantity(t) == -g_value(n, a, p)
+            assert jks_condition_v_quantity(t) == -FamilyParams(n, a, p).g
 
     def test_rejects_bad_q(self):
         t = TrinomialParams(2, 1, -1, -11)

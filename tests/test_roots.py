@@ -15,7 +15,7 @@ from conftest import poly, to_sympy
 from perronpoly import roots as roots_module
 from perronpoly.classification import STRICTLY_PERRON, classify
 from perronpoly.errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
-from perronpoly.family import build
+from perronpoly.family import FamilyParams
 from perronpoly.polynomial import IntPoly, squarefree_part
 from perronpoly.roots import (
     DEFAULT_PRECISION_BITS,
@@ -345,7 +345,7 @@ class TestFloatRung:
 
         monkeypatch.setattr(roots_module, "_refine_mp", refine)
         for a, p in [(1, 5), (2, 13), (3, 101)]:
-            f = build(n, a, p)
+            f = FamilyParams(n, a, p).poly
             rs = complex_roots(f)
             assert rs.precision_bits == DEFAULT_PRECISION_BITS and len(rs) == n
             desc = list(reversed(f.coeffs))
