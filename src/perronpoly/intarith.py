@@ -6,29 +6,36 @@ topped up with a strong Lucas test (Selfridge parameters), for which no
 composite passing both tests is known. The intended operating range of the
 package is N <= 2**128.
 
-Factorization is budgeted and runs in two public steps. trial_divide makes one
-pass over a sieved prime table and returns a partial Factorization whose
-cofactor is 1 or free of primes up to TRIAL_BOUND; finish_factorization then
-splits that cofactor by perfect-power extraction and Brent-cycle rho with a
-deterministic parameter schedule. factorize is the two steps in a row. A
-caller that only needs what the small primes settle (the smallest square
-prime, say) can stop after the first step, since the second only adds primes
-above TRIAL_BOUND. The budget counts rho iterations; when it runs out the
-unfinished part is reported as an explicit composite cofactor rather than
-guessed at.
+Factorization is budgeted and runs in two public steps. trial_divide walks a
+sieved prime table in blocks of consecutive primes: one gcd with a block's
+product says whether any of its primes divides what is left (Bernstein's
+batched trial division), and only then are they tried one by one. It returns
+the partial Factorization a prime-by-prime pass gives, whose cofactor is 1 or
+free of primes up to TRIAL_BOUND; finish_factorization then splits that
+cofactor by perfect-power extraction and Brent-cycle rho with a deterministic
+parameter schedule. factorize is the two steps in a row. A caller that only
+needs what the small primes settle (the smallest square prime, say) can stop
+after the first step, since the second only adds primes above TRIAL_BOUND.
+The budget counts rho iterations; when it runs out the unfinished part is
+reported as an explicit composite cofactor rather than guessed at.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 
 from .errors import InvalidInputError
 
 DEFAULT_BUDGET = 10**6
 
 TRIAL_BOUND = 10**6
+
+# Consecutive table primes per trial-division block; the table's 78,498 primes
+# make 614 blocks, the last of 34 primes, with products of up to 2.6 kbit.
+_TRIAL_BLOCK = 128
 
 # Exhaustive strong-pseudoprime witness set below 2**64 (Sinclair's seven bases).
 _WITNESSES_U64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
@@ -53,8 +60,17 @@ def _trial_primes() -> tuple[int, ...]:
     sieve[0] = sieve[1] = 0
     for i in range(2, isqrt(bound) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i in range(bound + 1) if sieve[i])
+            sieve[i * i :: i] = bytes((bound - i * i) // i + 1)
+    return tuple(compress(range(bound + 1), sieve))
+
+
+@lru_cache(maxsize=None)
+def _trial_blocks() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The prime table cut into runs of _TRIAL_BLOCK consecutive primes, each
+    paired with its product; built on the first trial division."""
+    table = _trial_primes()
+    runs = (table[i : i + _TRIAL_BLOCK] for i in range(0, len(table), _TRIAL_BLOCK))
+    return tuple((prod(run), run) for run in runs)
 
 
 def primes_below(bound: int) -> list[int]:
@@ -268,10 +284,14 @@ class Factorization:
 
 
 def trial_divide(n: int) -> Factorization:
-    """The first factoring step: one trial-division pass over the sieved
-    primes. The result is complete when the cofactor left is 1 or a prime
-    (the pass stops once p*p exceeds it); otherwise its cofactor has no prime
-    factor up to TRIAL_BOUND, and every prime found is at most TRIAL_BOUND.
+    """The first factoring step: trial division by the sieved primes, a block
+    at a time. One gcd with a block's product tells whether any of its primes
+    divides what is left; only then are they tried, in order, until the gcd's
+    primes are all found. The walk still stops at the first prime p with p*p
+    above what is left, so the result is the one a prime-by-prime pass gives:
+    complete when the cofactor left is 1 or a prime; otherwise its cofactor
+    has no prime factor up to TRIAL_BOUND, and every prime found is at most
+    TRIAL_BOUND.
 
     >>> trial_divide(2**3 * 1000003**2)
     Factorization(factors=((2, 3),), cofactor=1000006000009, complete=False)
@@ -280,15 +300,23 @@ def trial_divide(n: int) -> Factorization:
         raise InvalidInputError(f"factoring requires N >= 1, got {n}")
     found: list[tuple[int, int]] = []
     rem = n
-    for p in _trial_primes():
-        if p * p > rem:
+    for product, run in _trial_blocks():
+        if run[0] * run[0] > rem:
             break
-        if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            found.append((p, e))
+        g = gcd(rem, product)
+        # g is the product of the run's primes that divide rem. Leaving the
+        # run once g is 1 skips none of them, and a p*p stop is repeated by
+        # the next run's first prime, which meets the same rem.
+        for p in run:
+            if g == 1 or p * p > rem:
+                break
+            if g % p == 0:
+                g //= p
+                e = 0
+                while rem % p == 0:
+                    rem //= p
+                    e += 1
+                found.append((p, e))
     if rem > 1 and isqrt(rem) <= TRIAL_BOUND:
         # Trial division left no factor up to sqrt(rem), so rem is prime.
         found.append((rem, 1))

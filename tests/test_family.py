@@ -289,6 +289,14 @@ class TestCertificate:
         assert cert.monogenic_verdict == "Monogenic"
         assert cert.conclusion == "monogenic strictly-Perron"
 
+    def test_square_of_the_largest_table_prime(self):
+        # G = 13 * 43 * 999983^2, and 999983 is the last prime of the trial
+        # table, in its short final block: missing it would leave 999983^2 as
+        # a cofactor below TRIAL_BOUND^2, taken for a prime.
+        d = strictly_perron_certificate(3, 1, 20702999783761).to_json_dict()
+        assert d["G_status"] == "NotSquarefree(999983)"
+        assert d["monogenic"] == "NotMonogenic(999983)"
+
 
 def _count_calls(monkeypatch, fn) -> list:
     """Wrap every binding of fn across the package; returns the call log."""

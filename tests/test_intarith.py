@@ -4,16 +4,21 @@ sympy plays referee for everything it can answer independently.
 """
 from __future__ import annotations
 
+import math
+
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perronpoly.errors import InvalidInputError
+from perronpoly.family import FamilyParams
 from perronpoly.intarith import (
+    _TRIAL_BLOCK,
     TRIAL_BOUND,
     Factorization,
     SquarefreeStatus,
+    _trial_primes,
     factorize,
     finish_factorization,
     is_prime,
@@ -138,6 +143,90 @@ class TestTwoSteps:
         assert all(p <= TRIAL_BOUND or partial.complete for p, _ in partial.factors)
         assert all(partial.cofactor % p for p in (2, 3, 5, 7, 999983))
         assert finish_factorization(partial) == factorize(n)
+
+
+def _reference_trial_divide(n: int) -> Factorization:
+    """Trial division one table prime at a time, stopping at the first p with
+    p*p above what is left: the pass trial_divide batches into block gcds."""
+    found = []
+    rem = n
+    for p in _trial_primes():
+        if p * p > rem:
+            break
+        if rem % p == 0:
+            e = 0
+            while rem % p == 0:
+                rem //= p
+                e += 1
+            found.append((p, e))
+    if rem > 1 and math.isqrt(rem) <= TRIAL_BOUND:
+        found.append((rem, 1))
+        rem = 1
+    return Factorization(tuple(found), rem, rem == 1)
+
+
+_TABLE = _trial_primes()
+
+
+class TestBlockTrialDivision:
+    """trial_divide returns exactly what the prime-by-prime pass returns."""
+
+    def assert_agrees(self, n):
+        assert trial_divide(n) == _reference_trial_divide(n), n
+
+    def test_table_shape(self):
+        assert len(_TABLE) == 78498 and _TABLE[-1] == 999983
+        assert len(_TABLE) % _TRIAL_BLOCK == 34  # a short last block
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1, 2, 999983, 1000003,
+            999983**2, 999979 * 999983,
+            999983 * 1000003,  # above 10**12, so the walk reaches the last block
+            2**200,
+        ],
+    )
+    def test_edges_of_the_table(self, n):
+        self.assert_agrees(n)
+
+    def test_block_boundaries(self):
+        # The last prime of every block times the first of the next: all of
+        # them at once, and alone at the first and last boundaries, where the
+        # walk stops right after the boundary.
+        starts = range(_TRIAL_BLOCK, len(_TABLE), _TRIAL_BLOCK)
+        pairs = [_TABLE[start - 1] * _TABLE[start] for start in starts]
+        self.assert_agrees(math.prod(pairs))
+        self.assert_agrees(math.prod(pairs) ** 2)
+        for pair in pairs[:8] + pairs[-8:]:
+            self.assert_agrees(pair)
+
+    @pytest.mark.parametrize("n", [16, 24])
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_family_g_at_high_degree(self, n, a):
+        for p in _TABLE[:14]:
+            self.assert_agrees(FamilyParams(n, a, p).g)
+
+    @pytest.mark.parametrize(
+        "p", [sympy.nextprime(10**9), sympy.nextprime(10**9 + 7), sympy.nextprime(2**61)]
+    )
+    def test_family_g_at_large_p(self, p):
+        for n in range(3, 9):
+            for a in (1, 2, 3):
+                self.assert_agrees(FamilyParams(n, a, p).g)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, len(_TABLE) - 1), st.integers(1, 4)), max_size=6
+        ),
+        st.one_of(st.just(1), st.integers(TRIAL_BOUND, 10**15).map(sympy.nextprime)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_smooth_part_times_a_large_prime(self, powers, cofactor):
+        n = cofactor
+        for i, e in powers:
+            n *= _TABLE[i] ** e
+        self.assert_agrees(n)
 
 
 class TestValuation:
