@@ -35,7 +35,6 @@ from .errors import InvalidInputError, OracleViolationError
 from .irreducibility import irreducibility_witness
 from .polynomial import IntPoly, descartes_counts, is_self_reciprocal
 from .roots import (
-    DEFAULT_PRECISION_BITS,
     CertifiedRoot,
     CertifiedRootSet,
     escalate,
@@ -89,7 +88,7 @@ class Classification:
 def _decimal(root: CertifiedRoot, bits: int) -> str:
     """The real part of root to the significant digits its disk certifies
     (about log10(|value| / radius)), at most 20."""
-    with workprec(max(bits, 64)):
+    with workprec(bits):
         value = root.value.real
         digits = int(log10(abs(value) / root.radius))
         return nstr(value, max(1, min(20, digits)))
@@ -125,12 +124,14 @@ def _degree_one(f: IntPoly) -> Classification:
     return Classification(f.to_text(), NO_PERRON_ROOT, None, None, prof, 0)
 
 
-def classify(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Classification:
+def classify(f: IntPoly) -> Classification:
     """Full taxonomy verdict for monic f (a leading -1 is normalized away).
 
     Runs the irreducibility pipeline first; reducible inputs come back as
-    NotIrreducible without any root work. PrecisionExhaustedError propagates
-    from the certified stages; it is never converted into a verdict.
+    NotIrreducible without any root work. The roots are solved at
+    roots.DEFAULT_PRECISION_BITS and escalated only as far as the decision
+    needs; PrecisionExhaustedError propagates from the certified stages and
+    is never converted into a verdict.
     """
     if f.degree < 1:
         raise InvalidInputError("classify needs degree >= 1")
@@ -139,14 +140,12 @@ def classify(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> Classi
     if not f.is_monic:
         raise InvalidInputError("classify expects a monic polynomial")
 
-    if not irreducibility_witness(f, precision_bits).irreducible:
+    if not irreducibility_witness(f).irreducible:
         return Classification(f.to_text(), NOT_IRREDUCIBLE, None, None, None, None)
-    return classify_irreducible(f, precision_bits)
+    return classify_irreducible(f)
 
 
-def classify_irreducible(
-    f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> Classification:
+def classify_irreducible(f: IntPoly) -> Classification:
     """The root stage of classify, for monic f already known to be
     irreducible, so squarefree with f(0) != 0 at degree >= 2. classify and
     the family certificate establish that; it is not checked again here."""
@@ -178,7 +177,7 @@ def classify_irreducible(
         return cls
 
     failure = f"could not certify dominance structure of {f.to_text()}"
-    return escalate(f, precision_bits, attempt, failure)[1]
+    return escalate(f, attempt, failure)[1]
 
 
 def _decide(

@@ -16,9 +16,9 @@ import sys
 from . import __version__
 from .classification import classify
 from .errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
-from .family import FamilyParams
+from .family import FamilyParams, member_classification, member_monogenicity
 from .intarith import DEFAULT_BUDGET
-from .monogenicity import METHOD_BOTH, METHOD_DEDEKIND, METHOD_JKS, monogenic
+from .monogenicity import monogenic
 from .polynomial import IntPoly
 from .polynomial import discriminant as discriminant_resultant
 from .search import SearchSpec, SearchTally, ledger_record, run_search, run_verify
@@ -31,13 +31,14 @@ CSV_COLUMNS = [
 ]
 
 
-def _parse_poly(args: argparse.Namespace) -> IntPoly:
+def _parse_poly(args: argparse.Namespace) -> IntPoly | FamilyParams:
+    """The polynomial of --coeffs, or the family point of --trinomial."""
     if args.coeffs is not None and args.trinomial is not None:
         raise InvalidInputError("give either --coeffs or --trinomial, not both")
     if args.coeffs is not None:
         return IntPoly.from_text(args.coeffs)
     if args.trinomial is not None:
-        return FamilyParams(*args.trinomial).poly
+        return FamilyParams(*args.trinomial)
     raise InvalidInputError("one of --coeffs or --trinomial is required")
 
 
@@ -65,15 +66,18 @@ def cmd_disc(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    f = _parse_poly(args)
-    result = classify(f, precision_bits=args.precision)
+    given = _parse_poly(args)
+    result = member_classification(given) if isinstance(given, FamilyParams) else classify(given)
     print(json.dumps(result.to_json_dict()))
     return 0
 
 
 def cmd_monogenic(args: argparse.Namespace) -> int:
-    f = _parse_poly(args)
-    report = monogenic(f, method=args.method, budget=args.budget)
+    given = _parse_poly(args)
+    if isinstance(given, FamilyParams):
+        report = member_monogenicity(given, args.budget)
+    else:
+        report = monogenic(given, budget=args.budget)
     print(json.dumps(report.to_json_dict()))
     return 5 if report.verdict.startswith("Unknown") else 0
 
@@ -169,16 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     cls = sub.add_parser("classify", help="root-location class of a monic polynomial")
     _add_poly_flags(cls)
-    cls.add_argument("--precision", type=int, default=64, help="starting precision bits")
     cls.set_defaults(func=cmd_classify)
 
     mono = sub.add_parser("monogenic", help="monogenicity report for an irreducible polynomial")
     _add_poly_flags(mono)
-    mono.add_argument(
-        "--method",
-        choices=[METHOD_JKS, METHOD_DEDEKIND, METHOD_BOTH],
-        default=METHOD_BOTH,
-    )
     mono.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="factoring budget")
     mono.set_defaults(func=cmd_monogenic)
 

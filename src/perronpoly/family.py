@@ -4,9 +4,10 @@ A family point is a FamilyParams: (n, a, p) checked once, when the point is
 made, with the closed forms the paper proves things about as its attributes
 (the member f, G(p), the closed-form discriminant and the constant-time
 irreducibility dichotomy). Everything else here takes a point and reads
-them: the monogenic-iff-G-squarefree criterion, real-root parity, and the
-certificate pipeline that runs every check side by side with its
-independent oracle and refuses to produce a verdict when any pair
+them: the monogenic-iff-G-squarefree criterion, real-root parity, a
+member's class and monogenicity report with irreducibility taken from the
+dichotomy, and the certificate pipeline that runs every check side by side
+with its independent oracle and refuses to produce a verdict when any pair
 disagrees.
 """
 from __future__ import annotations
@@ -18,10 +19,11 @@ from math import gcd
 
 from .classification import NOT_IRREDUCIBLE, PERRON, Classification, classify_irreducible
 from .errors import InvalidInputError, OracleViolationError
-from .intarith import DEFAULT_BUDGET, TRIAL_BOUND, Factorization, SquarefreeStatus, is_prime
-from .intarith import finish_factorization, squarefree_status, squarefree_status_of, trial_divide
-from .monogenicity import DIVIDES, MonogenicityReport, TrinomialParams
-from .monogenicity import monogenic_from_factorization
+from .intarith import DEFAULT_BUDGET, TRIAL_BOUND, Factorization, SquarefreeStatus, check_budget
+from .intarith import finish_factorization, is_prime, squarefree_status, squarefree_status_of
+from .intarith import trial_divide
+from .monogenicity import DIVIDES, REDUCIBLE_INPUT, MonogenicityReport, TrinomialParams
+from .monogenicity import monogenic_from_factorization, monogenic_irreducible
 from .polynomial import IntPoly, descartes_counts
 from .polynomial import discriminant as discriminant_resultant
 
@@ -141,6 +143,21 @@ def _squarefree_verdict(status: SquarefreeStatus) -> str:
     if status.kind == "not_squarefree":
         return f"NotMonogenic({status.witness})"
     return f"Unknown(G squarefree status unknown, cofactor {status.cofactor})"
+
+
+def member_classification(point: FamilyParams) -> Classification:
+    """classify for a family member, irreducibility read from the dichotomy:
+    no criterion decides most members above the oracle's degree ceiling."""
+    if not point.irreducible:
+        return Classification(point.poly.to_text(), NOT_IRREDUCIBLE, None, None, None, None)
+    return classify_irreducible(point.poly)
+
+
+def member_monogenicity(point: FamilyParams, budget: int = DEFAULT_BUDGET) -> MonogenicityReport:
+    """monogenic for a family member, irreducibility read from the dichotomy."""
+    if not point.irreducible:
+        raise InvalidInputError(REDUCIBLE_INPUT)
+    return monogenic_irreducible(point.poly, budget)
 
 
 def descartes_profile(point: FamilyParams) -> tuple[int, int]:
@@ -282,6 +299,7 @@ def strictly_perron_certificate(
     discriminant, "mono-route" flips the squarefree-route verdict.
     """
     point = FamilyParams(n, a, p)
+    check_budget(budget)
     if _fault is not None and _fault not in _FAULTS:
         raise InvalidInputError(f"unknown fault {_fault!r}")
     f = point.poly
@@ -330,10 +348,9 @@ def strictly_perron_certificate(
                     f"monogenicity routes disagree for {f.pretty()}: local tests say "
                     f"{verdict}, squarefree criterion says {family_verdict}"
                 )
-        cls = classify_irreducible(f)
     else:
         verdict = "NotApplicable(reducible)"
-        cls = Classification(f.to_text(), NOT_IRREDUCIBLE, None, None, None, None)
+    cls = member_classification(point)
 
     if cls.dominant is not None:
         lam = Fraction(cls.dominant)

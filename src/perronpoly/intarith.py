@@ -324,10 +324,17 @@ def trial_divide(n: int) -> Factorization:
     return Factorization(tuple(found), rem, rem == 1)
 
 
+def check_budget(budget: int) -> None:
+    """A factoring budget below zero is invalid input, not an instant Unknown."""
+    if budget < 0:
+        raise InvalidInputError(f"need budget >= 0, got {budget}")
+
+
 def finish_factorization(partial: Factorization, budget: int = DEFAULT_BUDGET) -> Factorization:
     """The second factoring step: split the cofactor of a trial_divide result
     by Brent rho within the given iteration budget. Every prime it adds
     exceeds TRIAL_BOUND; a complete input comes back unchanged."""
+    check_budget(budget)
     if partial.complete:
         return partial
     found = dict(partial.factors)
@@ -452,6 +459,7 @@ def squarefree_status(n: int, budget: int = DEFAULT_BUDGET) -> SquarefreeStatus:
     """
     if n < 1:
         raise InvalidInputError(f"squarefree_status requires N >= 1, got {n}")
+    check_budget(budget)
     partial = trial_divide(n)
     # Every prime the finishing step could add exceeds every prime found, so
     # a repeated one found here is already the smallest square prime.

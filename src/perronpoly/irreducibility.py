@@ -31,7 +31,7 @@ from mpmath import mpc, mpf, workprec
 from .errors import InvalidInputError, OracleViolationError
 from .intarith import factorize, is_prime
 from .polynomial import IntPoly, squarefree_part
-from .roots import DEFAULT_PRECISION_BITS, escalate
+from .roots import escalate
 
 ORACLE_MAX_DEGREE = 14
 
@@ -140,9 +140,7 @@ def _subset_coefficients(values, indices, work_bits: int):
         return coeffs  # ascending
 
 
-def factor_oracle(
-    f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> tuple[tuple[IntPoly, int], ...]:
+def factor_oracle(f: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
     """Complete factorization of monic f into monic irreducibles, by brute force.
 
     Supported for 2 <= deg(f) <= 14 (the subset enumeration is exponential in
@@ -167,7 +165,7 @@ def factor_oracle(
         if sf.degree == 1:
             found.add(sf)
         else:
-            found.update(_oracle_split(sf, precision_bits))
+            found.update(_oracle_split(sf))
 
     result: list[tuple[IntPoly, int]] = []
     for g in sorted(found, key=lambda g: (g.degree, g.coeffs)):
@@ -188,7 +186,7 @@ def factor_oracle(
     return tuple(result)
 
 
-def _oracle_split(sf: IntPoly, precision_bits: int) -> list[IntPoly]:
+def _oracle_split(sf: IntPoly) -> list[IntPoly]:
     """Irreducible factors of a squarefree monic polynomial, via root subsets."""
 
     def attempt(rs) -> list[IntPoly] | None:
@@ -205,7 +203,7 @@ def _oracle_split(sf: IntPoly, precision_bits: int) -> list[IntPoly]:
                 return None
             return _enumerate_factors(sf, rs, float(bound), work)
 
-    return escalate(sf, precision_bits, attempt, "factor oracle could not certify rounding")[1]
+    return escalate(sf, attempt, "factor oracle could not certify rounding")[1]
 
 
 def _enumerate_factors(sf: IntPoly, rs, bound: float, work: int) -> list[IntPoly]:
@@ -245,9 +243,7 @@ def _enumerate_factors(sf: IntPoly, rs, bound: float, work: int) -> list[IntPoly
     return factors
 
 
-def irreducibility_witness(
-    f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> IrreducibilityWitness:
+def irreducibility_witness(f: IntPoly) -> IrreducibilityWitness:
     """Decide irreducibility of monic f and say which argument decided it.
 
     Criteria run cheapest-first; the factor oracle is the fallback and the
@@ -273,12 +269,12 @@ def irreducibility_witness(
         raise InvalidInputError(
             f"no criterion applies and degree {f.degree} exceeds the oracle ceiling"
         )
-    factors = factor_oracle(f, precision_bits)
+    factors = factor_oracle(f)
     if len(factors) == 1 and factors[0][1] == 1:
         return IrreducibilityWitness(True, "factor-oracle")
     shape = ", ".join(f"deg {g.degree}^{m}" if m > 1 else f"deg {g.degree}" for g, m in factors)
     return IrreducibilityWitness(False, "factor-oracle", shape)
 
 
-def is_irreducible(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> bool:
-    return irreducibility_witness(f, precision_bits).irreducible
+def is_irreducible(f: IntPoly) -> bool:
+    return irreducibility_witness(f).irreducible

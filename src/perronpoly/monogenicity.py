@@ -5,7 +5,8 @@ integers Z_K of K = Q(t); f is monogenic when the index [Z_K : Z[t]] is 1.
 Only primes q with q^2 | disc(f) can divide the index, so the decision
 aggregates local tests over exactly those primes.
 
-Two independent local tests are implemented and, by default, both run and
+Two independent local tests are implemented; at every prime the trinomial
+test runs wherever it applies, the Dedekind test always runs, and the two
 must agree:
 
 * jks_local_test: the five-condition criterion for trinomials x^n + A x^m + B,
@@ -16,7 +17,7 @@ must agree:
   small. Where the criterion's published hypotheses leave a case unstated
   (q | A, q not | B, q not | n; or the degenerate k = 0 in the coprimality
   case), the test reports NotApplicable rather than guessing — the
-  aggregator then falls back to the second test.
+  aggregator then reports the second test's verdict.
 
 * dedekind_local_test: the classical index criterion. Factor f mod q as
   g*h with g the radical of f mod q, lift, form F = (g*h - f)/q, and check
@@ -32,16 +33,14 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvalidInputError, OracleViolationError
-from .intarith import DEFAULT_BUDGET, Factorization, factorize, is_prime, valuation
+from .intarith import DEFAULT_BUDGET, Factorization, check_budget, factorize, is_prime, valuation
 from .irreducibility import irreducibility_witness
 from .polynomial import IntPoly, ModPoly, discriminant, gcd_mod
 
 NOT_DIVIDES = "NotDividesIndex"
 DIVIDES = "DividesIndex"
 
-METHOD_JKS = "jks"
-METHOD_DEDEKIND = "dedekind"
-METHOD_BOTH = "both"
+REDUCIBLE_INPUT = "monogenicity is defined here only for irreducible polynomials"
 
 
 @dataclass(frozen=True)
@@ -316,45 +315,34 @@ def _square_primes(fact: Factorization) -> list[int]:
     return sorted(out)
 
 
-def monogenic(
-    f: IntPoly | TrinomialParams,
-    method: str = METHOD_BOTH,
-    budget: int = DEFAULT_BUDGET,
-) -> MonogenicityReport:
+def monogenic(f: IntPoly | TrinomialParams, budget: int = DEFAULT_BUDGET) -> MonogenicityReport:
     """Aggregate monogenicity verdict for a monic irreducible polynomial.
 
-    Tests every prime q with q^2 | disc(f) using the requested method. With
-    METHOD_BOTH (the default) the trinomial criterion and the Dedekind
-    criterion run side by side and must agree wherever both apply. The
-    trinomial criterion also serves METHOD_JKS; where its hypotheses have a
-    gap the Dedekind test silently substitutes, tagged "dedekind-fallback".
+    Tests every prime q with q^2 | disc(f). The trinomial criterion (for a
+    trinomial f) and the Dedekind criterion run side by side and must agree
+    wherever both apply; where the trinomial criterion's hypotheses have a
+    gap the Dedekind verdict stands alone, tagged "dedekind-fallback".
 
     The verdict is "Monogenic", "NotMonogenic(q)" with the smallest
     index-dividing prime, or "Unknown(...)" when the discriminant could not
     be fully factored and no tested prime already decided the question.
     """
-    if isinstance(f, TrinomialParams):
-        params: TrinomialParams | None = f
-        poly = f.polynomial()
-    else:
-        poly = f
-        params = TrinomialParams.from_polynomial(f)
-    if method not in (METHOD_JKS, METHOD_DEDEKIND, METHOD_BOTH):
-        raise InvalidInputError(f"unknown method {method!r}")
-    if budget < 0:
-        raise InvalidInputError(f"need budget >= 0, got {budget}")
-    if method == METHOD_JKS and params is None:
-        raise InvalidInputError("the trinomial criterion needs a trinomial x^n + A x^m + B")
+    poly = f.polynomial() if isinstance(f, TrinomialParams) else f
+    check_budget(budget)
     if poly.lead == -1:
         poly = -poly
-        params = TrinomialParams.from_polynomial(poly)
-    witness = irreducibility_witness(poly)
-    if not witness.irreducible:
-        raise InvalidInputError("monogenicity is defined here only for irreducible polynomials")
+    if not irreducibility_witness(poly).irreducible:
+        raise InvalidInputError(REDUCIBLE_INPUT)
+    return monogenic_irreducible(poly, budget)
 
+
+def monogenic_irreducible(poly: IntPoly, budget: int = DEFAULT_BUDGET) -> MonogenicityReport:
+    """The report of monogenic for a monic poly already known to be
+    irreducible: |disc| is factored within budget and every square prime
+    tested (monogenic_from_factorization)."""
     disc = discriminant(poly)
     fact = factorize(abs(disc), budget=budget)
-    return monogenic_from_factorization(poly, params, disc, fact, method)
+    return monogenic_from_factorization(poly, TrinomialParams.from_polynomial(poly), disc, fact)
 
 
 def monogenic_from_factorization(
@@ -362,21 +350,19 @@ def monogenic_from_factorization(
     params: TrinomialParams | None,
     disc: int,
     fact: Factorization,
-    method: str = METHOD_BOTH,
     known: tuple[LocalIndexVerdict, ...] = (),
 ) -> MonogenicityReport:
     """The decision step of monogenic, for a monic irreducible poly whose
     discriminant disc and factorization fact of |disc| are already known.
     params is poly's trinomial shape, or None when poly is not a trinomial.
-    known holds verdicts already reached for poly by the same method; a
-    local verdict depends on the prime alone, so those primes are not
-    tested again.
+    known holds verdicts already reached for poly; a local verdict depends
+    on the prime alone, so those primes are not tested again.
     """
     reuse = {v.q: v for v in known}
     verdicts: list[LocalIndexVerdict] = []
     failing: int | None = None
     for q in _square_primes(fact):
-        chosen = reuse.get(q) or _local_verdict(poly, params, q, disc, method)
+        chosen = reuse.get(q) or _local_verdict(poly, params, q, disc)
         verdicts.append(chosen)
         if chosen.result == DIVIDES and failing is None:
             failing = q
@@ -391,26 +377,17 @@ def monogenic_from_factorization(
 
 
 def _local_verdict(
-    poly: IntPoly,
-    params: TrinomialParams | None,
-    q: int,
-    disc: int,
-    method: str,
+    poly: IntPoly, params: TrinomialParams | None, q: int, disc: int
 ) -> LocalIndexVerdict:
-    jks = None
-    if method in (METHOD_JKS, METHOD_BOTH) and params is not None:
-        jks = jks_local_test(params, q, _disc=disc)
-    dedekind = None
-    if method in (METHOD_DEDEKIND, METHOD_BOTH) or jks is None or not jks.applicable:
-        dedekind = dedekind_local_test(poly, q)
-
-    if jks is not None and jks.applicable:
-        if dedekind is not None and dedekind.result != jks.result:
-            raise OracleViolationError(
-                f"local tests disagree at q={q}: trinomial criterion says {jks.result}, "
-                f"factorization criterion says {dedekind.result}"
-            )
-        return jks
-    if jks is not None:
+    jks = None if params is None else jks_local_test(params, q, _disc=disc)
+    dedekind = dedekind_local_test(poly, q)
+    if jks is None:
+        return dedekind
+    if not jks.applicable:
         return LocalIndexVerdict(q, dedekind.result, "dedekind-fallback")
-    return dedekind
+    if dedekind.result != jks.result:
+        raise OracleViolationError(
+            f"local tests disagree at q={q}: trinomial criterion says {jks.result}, "
+            f"factorization criterion says {dedekind.result}"
+        )
+    return jks

@@ -3,8 +3,8 @@
 The solver runs one Aberth-Ehrlich routine, _aberth, in double precision from
 perturbed-circle starting points. At DEFAULT_PRECISION_BITS those float
 approximations are certified as they stand; only when their disks collide,
-and at every other precision, does _aberth polish them at the requested
-precision (mpmath backend), and should the polished approximations fail to
+and at every higher precision, does _aberth polish them at the precision at
+hand (mpmath backend), and should the polished approximations fail to
 certify, run once more at that precision from the circle points.
 Certification is a posteriori and exact: each approximation is rounded to a
 common dyadic grid X / 2^k, and around it we place the Weierstrass disk of
@@ -18,10 +18,9 @@ disks contains every root of f, and when they are pairwise disjoint (an
 exact integer inequality) each disk holds exactly one root.
 
 Every decision escalates through one loop, escalate, with one cap. It
-solves f at a starting precision (DEFAULT_PRECISION_BITS unless the caller
-asks otherwise); whenever the disks collide or cannot settle the question,
-it solves f again at doubled precision, at most MAX_ESCALATIONS times per
-decision, and then raises PrecisionExhaustedError. Isolation itself
+solves f at DEFAULT_PRECISION_BITS; whenever the disks collide or cannot
+settle the question, it solves f again at doubled precision, at most
+MAX_ESCALATIONS times per decision, and then raises PrecisionExhaustedError. Isolation itself
 (complex_roots), the unit-circle and real-axis profiles, the dominance
 decision and the factor oracle are each one such decision. A float disk is
 only as narrow as double precision allows, so the one root whose digits get
@@ -317,8 +316,6 @@ def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None
     n = len(coeffs) - 1
     if n < 1:
         raise InvalidInputError("complex_roots needs degree >= 1")
-    if bits < 16:
-        raise InvalidInputError("precision_bits must be at least 16")
     starts = _float_aberth(coeffs)
     if starts is not None and bits == DEFAULT_PRECISION_BITS:
         certified = _certify(coeffs, starts, bits)
@@ -342,7 +339,7 @@ def _require_squarefree(f: IntPoly) -> None:
         raise InvalidInputError("complex_roots requires a squarefree polynomial")
 
 
-def complex_roots(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> CertifiedRootSet:
+def complex_roots(f: IntPoly) -> CertifiedRootSet:
     """All complex roots of squarefree f, in certified disjoint disks.
 
     Raises InvalidInputError when f has degree < 1 or a repeated factor, and
@@ -351,20 +348,19 @@ def complex_roots(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> C
     """
     _require_squarefree(f)
     return escalate(
-        f, precision_bits, lambda rs: rs,
-        f"could not isolate the roots of degree-{f.degree} polynomial",
+        f, lambda rs: rs, f"could not isolate the roots of degree-{f.degree} polynomial"
     )[0]
 
 
-def escalate(f: IntPoly, bits: int, attempt, failure: str):
+def escalate(f: IntPoly, attempt, failure: str):
     """(root set, result) for the first non-None attempt(rs), f squarefree.
 
-    f is solved at bits bits, and after each failure again at doubled
-    precision, at most MAX_ESCALATIONS times; past that,
+    f is solved at DEFAULT_PRECISION_BITS, and after each failure again at
+    doubled precision, at most MAX_ESCALATIONS times; past that,
     PrecisionExhaustedError with failure and the last precision tried.
     """
     for escalation in range(MAX_ESCALATIONS + 1):
-        tried = bits << escalation
+        tried = DEFAULT_PRECISION_BITS << escalation
         rs = _solve_cached(f.coeffs, tried)
         result = None if rs is None else attempt(rs)
         if result is not None:
@@ -491,7 +487,7 @@ def try_modulus_tags(f: IntPoly, bounds) -> tuple[str, ...] | None:
     return tuple("on" if t == "?" else t for t in tags)
 
 
-def modulus_profile(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> ModulusProfile:
+def modulus_profile(f: IntPoly) -> ModulusProfile:
     """Certified (inside, on, outside) counts for the roots of squarefree f.
 
     An "on" verdict is only ever assigned through the exact palindromic route;
@@ -501,7 +497,7 @@ def modulus_profile(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) ->
     """
     _require_squarefree(f)
     rs, tags = escalate(
-        f, precision_bits, lambda rs: try_modulus_tags(f, rs.modulus_bounds()),
+        f, lambda rs: try_modulus_tags(f, rs.modulus_bounds()),
         "could not separate all root disks from the unit circle",
     )
     return ModulusProfile(tags.count("in"), tags.count("on"), tags.count("out"), rs)
@@ -553,7 +549,7 @@ def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int, i
         return tuple(flags), pos, neg, nonreal
 
 
-def real_axis_profile(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) -> RealAxisProfile:
+def real_axis_profile(f: IntPoly) -> RealAxisProfile:
     """Decide which roots of squarefree f are real, and count signs, from
     certified disks.
 
@@ -564,6 +560,6 @@ def real_axis_profile(f: IntPoly, precision_bits: int = DEFAULT_PRECISION_BITS) 
         raise InvalidInputError("real_axis_profile needs a nonzero constant term")
     _require_squarefree(f)
     rs, (flags, pos, neg, nonreal) = escalate(
-        f, precision_bits, try_real_census, "could not settle the real-root census"
+        f, try_real_census, "could not settle the real-root census"
     )
     return RealAxisProfile(pos, neg, nonreal, flags, rs)

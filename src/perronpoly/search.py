@@ -19,7 +19,7 @@ from . import __version__
 from .errors import InvalidInputError, OracleViolationError, PerronPolyError
 from .errors import PrecisionExhaustedError
 from .family import _FAULTS, Certificate, strictly_perron_certificate
-from .intarith import DEFAULT_BUDGET, primes_below
+from .intarith import DEFAULT_BUDGET, check_budget, primes_below
 from .irreducibility import ORACLE_MAX_DEGREE, is_irreducible
 
 
@@ -42,8 +42,7 @@ class SearchSpec:
             raise InvalidInputError("the grid needs a >= 1")
         if self.p_max < 2:
             raise InvalidInputError("the grid needs at least one prime")
-        if self.budget < 0:
-            raise InvalidInputError(f"need budget >= 0, got {self.budget}")
+        check_budget(self.budget)
 
     def pairs(self) -> list[tuple[int, int]]:
         out = []

@@ -6,8 +6,10 @@ computations.  It is a test-only dependency; nothing under src/ imports it.
 """
 from __future__ import annotations
 
+import pytest
 import sympy
 
+from perronpoly import roots
 from perronpoly.polynomial import IntPoly
 
 X = sympy.Symbol("x")
@@ -16,6 +18,23 @@ X = sympy.Symbol("x")
 def poly(*coeffs: int) -> IntPoly:
     """IntPoly from ascending coefficients: poly(-1, -1, 1) is x^2 - x - 1."""
     return IntPoly(tuple(coeffs))
+
+
+@pytest.fixture
+def fresh_root_cache():
+    """Clear the solver cache around a test that fakes solver results or
+    moves the starting precision, so no other test reads its root sets."""
+    solve = roots._solve_cached
+    solve.cache_clear()
+    yield
+    solve.cache_clear()
+
+
+@pytest.fixture
+def start_at_16_bits(monkeypatch, fresh_root_cache):
+    """Every root decision starts at 16 bits instead of the default, so a
+    test can watch escalation past coarse disks."""
+    monkeypatch.setattr(roots, "DEFAULT_PRECISION_BITS", 16)
 
 
 def to_sympy(f: IntPoly):

@@ -33,7 +33,6 @@ from perronpoly.matrices import (
 )
 from perronpoly.monogenicity import (
     DIVIDES,
-    METHOD_JKS,
     TrinomialParams,
     dedekind_local_test,
     jks_condition_v_quantity,
@@ -100,7 +99,8 @@ def test_c01_discriminant_identity(capsys):
 
 
 def test_c02_monogenic_iff_squarefree(capsys, coprime_points):
-    """Local-index verdict (trinomial criterion) == squarefree test of
+    """Local-index verdict (trinomial criterion, checked against Dedekind at
+    every prime) == squarefree test of
     G(p) = n^n p + a^n (n-1)^(n-1), across the whole coprime grid, with
     zero undecided points, inside five minutes."""
     t0 = time.perf_counter()
@@ -108,7 +108,7 @@ def test_c02_monogenic_iff_squarefree(capsys, coprime_points):
     unknowns = 0
     for n, a, p, _ in coprime_points:
         point = FamilyParams(n, a, p)
-        verdict = monogenic(point.poly, method=METHOD_JKS).verdict
+        verdict = monogenic(point.poly).verdict
         status = squarefree_status(point.g)
         if verdict.startswith("Unknown") or not status.is_decided:
             unknowns += 1

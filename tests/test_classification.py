@@ -1,6 +1,8 @@
 """Taxonomy verdicts: Pisot / Salem / anti-Pisot / strictly-Perron."""
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -249,23 +251,24 @@ class TestEdges:
 
 
 class TestEscalation:
-    def test_dominance_decided_after_escalation(self):
+    def test_dominance_decided_after_escalation(self, start_at_16_bits):
         # x^2 - x - 2^80: roots near +-2^40 whose moduli differ by exactly 1.
-        # The 16-bit disks (radius about 2) are disjoint but cannot order the
+        # The 16-bit disks (radius about 1) are disjoint but cannot order the
         # moduli, so classify must redo the roots at a higher precision.
         f = poly(-(2**80), -1, 1)
-        assert complex_roots(f, 16).precision_bits == 16
-        c = classify(f, precision_bits=16)
+        assert complex_roots(f).precision_bits == 16
+        c = classify(f)
         assert c.headline == STRICTLY_PERRON
         assert c.precision_bits > 16
 
-    def test_lambda_has_only_certified_digits(self):
+    def test_lambda_has_only_certified_digits(self, monkeypatch, start_at_16_bits):
         # At 16 bits the disk around lambda = 3.15865806723635933... has a
-        # radius near 2e-11, which certifies 11 significant digits; 64-bit
+        # radius near 1e-11, which certifies 11 significant digits; 64-bit
         # disks certify more than the 20 digits printed.
         f = poly(-5, 0, 0, -3, 1)
-        coarse = classify(f, precision_bits=16)
+        coarse = classify(f)
         assert (coarse.precision_bits, coarse.dominant) == (16, "3.1586580672")
+        monkeypatch.setattr(roots, "DEFAULT_PRECISION_BITS", 64)
         assert classify(f).dominant == "3.1586580672363593388"
 
 
@@ -296,11 +299,22 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @example([4, -4, 2, -2])  # two conjugate pairs tied at modulus sqrt 2
     def test_stable_under_extra_precision(self, body):
+        # The default answer (mostly from the float rung) against one whose
+        # roots are all refined by mpmath from the circle points, at 128 bits.
         f = IntPoly(tuple(body) + (1,))
         if f.constant == 0:
             return
         base = classify(f)
-        fine = classify(f, precision_bits=128)
+        roots._solve_cached.cache_clear()
+        try:
+            with (
+                mock.patch.object(roots, "DEFAULT_PRECISION_BITS", 128),
+                mock.patch.object(roots, "_float_aberth", lambda coeffs: None),
+            ):
+                fine = classify(f)
+        finally:
+            roots._solve_cached.cache_clear()
+        assert fine.precision_bits is None or fine.precision_bits >= 128
         assert (base.kind, base.subclass, base.profile) == (
             fine.kind,
             fine.subclass,

@@ -67,6 +67,24 @@ class TestClassify:
         assert record["subclass"] == "StrictlyPerron"
         assert float(record["lambda"]) > 3
 
+    def test_trinomial_above_the_oracle_ceiling(self, capsys):
+        # No irreducibility criterion fires at degree 15 or 16 here; the
+        # family dichotomy decides, as in the certificate.
+        rc, out, _ = run(capsys, "classify", "--trinomial", "15", "2", "3")
+        assert rc == 0
+        assert json.loads(out)["subclass"] == "StrictlyPerron"
+        rc, out, _ = run(capsys, "classify", "--trinomial", "16", "2", "3")  # x + 1 divides
+        assert rc == 0
+        assert json.loads(out)["class"] == "NotIrreducible"
+
+    @pytest.mark.parametrize("point, coeffs", [
+        (("4", "3", "5"), "-5,0,0,-3,1"), (("2", "1", "2"), "-2,-1,1"),
+    ])
+    def test_trinomial_matches_coeffs(self, capsys, point, coeffs):
+        assert run(capsys, "classify", "--trinomial", *point) == run(
+            capsys, "classify", "--coeffs", coeffs
+        )
+
     def test_lehmer_salem(self, capsys):
         rc, out, _ = run(
             capsys, "classify", "--coeffs", "1,1,0,-1,-1,-1,-1,-1,0,1,1"
@@ -108,20 +126,31 @@ class TestMonogenic:
         assert rc == 0
         assert json.loads(out)["verdict"] == "Monogenic"
 
-    def test_method_jks_reports_condition(self, capsys):
-        rc, out, _ = run(
-            capsys, "monogenic", "--coeffs", "-11,-1,1", "--method", "jks"
-        )
+    def test_reports_the_trinomial_condition(self, capsys):
+        # Where the trinomial criterion applies its condition is reported;
+        # the Dedekind test has confirmed the verdict.
+        rc, out, _ = run(capsys, "monogenic", "--coeffs", "-11,-1,1")
         assert rc == 0
         record = json.loads(out)
         assert record["locals"] == [
             {"q": 3, "result": "DividesIndex", "condition": "(v)"}
         ]
 
+    def test_trinomial_above_the_oracle_ceiling(self, capsys):
+        rc, out, _ = run(capsys, "monogenic", "--trinomial", "15", "4", "5")
+        assert rc == 0
+        assert json.loads(out)["verdict"] == "Monogenic"
+
+    def test_trinomial_matches_coeffs(self, capsys):
+        assert run(capsys, "monogenic", "--trinomial", "2", "1", "31") == run(
+            capsys, "monogenic", "--coeffs", "-31,-1,1"
+        )
+
     def test_reducible_rejected(self, capsys):
         rc, _, err = run(capsys, "monogenic", "--coeffs", "-1,0,1")
         assert rc == 2
         assert "error:" in err
+        assert run(capsys, "monogenic", "--trinomial", "16", "2", "3")[0] == 2
 
     def test_budget_exhaustion_exits_5(self, capsys):
         # Discriminant 1 + 4c equal to a product of four ~1e9 primes: with a
@@ -320,14 +349,17 @@ class TestTopLevel:
         [
             ["search", "--n", "2", "--a", "1", "--pmax", "13", "--precision", "64"],
             ["verify", "--nmax", "2", "--amax", "1", "--pmax", "13", "--precision", "64"],
+            ["classify", "--coeffs", "-1,-1,1", "--precision", "64"],
+            ["monogenic", "--coeffs", "-11,-1,1", "--method", "jks"],
         ],
     )
     def test_certificate_commands_have_no_precision_flag(self, capsys, argv):
-        # Certificates always start at the solver's default precision.
+        # Every command starts at the solver's default precision and runs
+        # both local tests; neither is a choice.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert "--precision" in capsys.readouterr().err
+        assert argv[-2] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -120,6 +120,11 @@ class TestFamilyMonogenic:
         with pytest.raises(InvalidInputError):
             family_monogenic(FamilyParams(2, 1, 2))
 
+    @pytest.mark.parametrize("p", [3, 31])
+    def test_negative_budget_rejected(self, p):
+        with pytest.raises(InvalidInputError, match="budget"):
+            family_monogenic(FamilyParams(2, 1, p), budget=-1)
+
     def test_agrees_with_local_tests_everywhere(self):
         # The squarefree-G criterion and the local index tests are fully
         # independent routes; their verdicts (witness prime included) must
@@ -192,6 +197,14 @@ class TestCertificate:
         cert = strictly_perron_certificate(4, 3, 3)
         assert cert.classification.headline == "AntiPisot"
         assert cert.conclusion.startswith("monogenic anti-Pisot") or cert.conclusion == "anti-Pisot, NOT monogenic"
+
+    # At (24, 1, 5) rho must split G's cofactor (with no rho step G_status
+    # reads Unknown(28530190479293004031507945039)); (2, 1, 31) is settled by
+    # trial division, so rho never runs; (2, 1, 2) is reducible.
+    @pytest.mark.parametrize("point", [(24, 1, 5), (2, 1, 31), (2, 1, 2)])
+    def test_negative_budget_rejected(self, point):
+        with pytest.raises(InvalidInputError, match="budget"):
+            strictly_perron_certificate(*point, budget=-1)
 
     def test_reducible_member(self):
         cert = strictly_perron_certificate(2, 1, 2)
@@ -464,9 +477,9 @@ class TestStopRule:
         tested = []
         local_verdict = monogenicity._local_verdict
 
-        def spy(poly, params, q, disc, method):
+        def spy(poly, params, q, disc):
             tested.append(q)
-            return local_verdict(poly, params, q, disc, method)
+            return local_verdict(poly, params, q, disc)
 
         monkeypatch.setattr(monogenicity, "_local_verdict", spy)
         cert = strictly_perron_certificate(16, 2, 37)

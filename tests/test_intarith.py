@@ -135,6 +135,14 @@ class TestTwoSteps:
         with pytest.raises(InvalidInputError):
             trial_divide(0)
 
+    @pytest.mark.parametrize("n", [12 * (10**9 + 7), 8 * 1000003**2])
+    def test_negative_budget_rejected(self, n):
+        # Also for a complete trial-division result, which needs no rho.
+        with pytest.raises(InvalidInputError, match="budget"):
+            finish_factorization(trial_divide(n), budget=-1)
+        with pytest.raises(InvalidInputError, match="budget"):
+            factorize(n, budget=-1)
+
     @given(st.integers(min_value=1, max_value=10**24))
     @settings(max_examples=60, deadline=None)
     def test_steps_compose_to_factorize(self, n):
@@ -312,6 +320,15 @@ class TestSquarefreeStatus:
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInputError):
             squarefree_status(0)
+
+    # Decided by trial division, by the two-large-primes shortcut, and only
+    # after rho: none of them may read a negative budget as an Unknown.
+    @pytest.mark.parametrize(
+        "n", [12, (10**9 + 7) * (10**9 + 9), (10**9 + 7) * (10**9 + 9) * (10**9 + 21)]
+    )
+    def test_negative_budget_rejected(self, n):
+        with pytest.raises(InvalidInputError, match="budget"):
+            squarefree_status(n, budget=-1)
 
     @given(st.integers(min_value=1, max_value=10**8))
     @settings(max_examples=150, deadline=None)

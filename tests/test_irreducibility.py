@@ -85,11 +85,10 @@ class TestFactorOracle:
 
     # Two degree-7 family members with a root near 1000 each: at 16 bits the
     # rounding bound on their product's subset coefficients is too loose, so
-    # the oracle must retry.
+    # an oracle started there must retry.
     WIDE = poly(-1009, 0, 0, 0, 0, 0, -1000, 1) * poly(-1013, 0, 0, 0, 0, 0, -999, 1)
 
-    def test_rounding_retry_at_doubled_precision(self, monkeypatch):
-        expected = factor_oracle(self.WIDE)
+    def test_rounding_retry_at_doubled_precision(self, monkeypatch, start_at_16_bits):
         solve, requested = roots._solve_cached, []
 
         def spy(coeffs, bits):
@@ -97,23 +96,26 @@ class TestFactorOracle:
             return solve(coeffs, bits)
 
         monkeypatch.setattr(roots, "_solve_cached", spy)
-        assert factor_oracle(self.WIDE, precision_bits=16) == expected
+        assert factor_oracle(self.WIDE) == (
+            (poly(-1013, 0, 0, 0, 0, 0, -999, 1), 1),
+            (poly(-1009, 0, 0, 0, 0, 0, -1000, 1), 1),
+        )
         assert requested == [16, 32]
 
-    def test_rounding_retry_obeys_the_escalation_cap(self, monkeypatch):
+    def test_rounding_retry_obeys_the_escalation_cap(self, monkeypatch, start_at_16_bits):
         # The retry is roots.escalate's, so it reads roots.MAX_ESCALATIONS.
         monkeypatch.setattr(roots, "MAX_ESCALATIONS", 0)
         with pytest.raises(
             PrecisionExhaustedError, match="factor oracle could not certify rounding"
         ):
-            factor_oracle(self.WIDE, precision_bits=16)
+            factor_oracle(self.WIDE)
 
-    def test_exhaustion_names_the_last_precision_tried(self, monkeypatch):
+    def test_exhaustion_names_the_last_precision_tried(self, monkeypatch, start_at_16_bits):
         # With no escalation allowed only 16 bits are tried, so the error
         # must not name the 32 bits that were never solved for.
         monkeypatch.setattr(roots, "MAX_ESCALATIONS", 0)
         with pytest.raises(PrecisionExhaustedError, match="rounding at 16 bits$"):
-            factor_oracle(self.WIDE, precision_bits=16)
+            factor_oracle(self.WIDE)
 
     def test_degree_guard(self):
         with pytest.raises(InvalidInputError):

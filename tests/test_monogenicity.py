@@ -19,9 +19,6 @@ from perronpoly.intarith import factorize, is_prime
 from perronpoly.irreducibility import is_irreducible
 from perronpoly.monogenicity import (
     DIVIDES,
-    METHOD_BOTH,
-    METHOD_DEDEKIND,
-    METHOD_JKS,
     NOT_DIVIDES,
     TrinomialParams,
     dedekind_local_test,
@@ -250,14 +247,6 @@ class TestMonogenicAggregate:
         assert [v.q for v in report.locals] == [3]
         assert report.locals[0].result == DIVIDES
 
-    def test_methods_agree_on_anchors(self):
-        for f in [poly(-11, -1, 1), poly(-3, -1, 1), poly(-5, 0, -1, 1), poly(9, 3, 0, 1)]:
-            verdicts = {
-                monogenic(f, method=m).verdict
-                for m in (METHOD_JKS, METHOD_DEDEKIND, METHOD_BOTH)
-            }
-            assert len(verdicts) == 1, f
-
     def test_accepts_params_directly(self):
         report = monogenic(TrinomialParams(2, 1, -1, -11))
         assert report.verdict == "NotMonogenic(3)"
@@ -269,11 +258,6 @@ class TestMonogenicAggregate:
     def test_rejects_reducible(self):
         with pytest.raises(InvalidInputError):
             monogenic(poly(-1, 0, 1))
-
-    def test_jks_method_needs_trinomial(self):
-        quad = poly(1, 1, 1, 1)  # not a trinomial in the x^n + Ax^m + B sense
-        with pytest.raises(InvalidInputError):
-            monogenic(quad, method=METHOD_JKS)
 
     def test_non_trinomial_runs_dedekind(self):
         # x^3 - 6x^2 - 6x - 6: Eisenstein at 2, disc -7884 = -(2^2 3^3 73);
@@ -311,8 +295,8 @@ class TestMonogenicAggregate:
         assert d["locals"] == [{"q": 3, "result": DIVIDES, "condition": "(v)"}]
 
     def test_both_methods_cross_check_on_sweep(self):
-        # METHOD_BOTH internally raises OracleViolationError on any
-        # disagreement; a clean pass over a mixed corpus is the assertion.
+        # monogenic raises OracleViolationError on any disagreement between
+        # the two local tests; a clean pass over a mixed corpus is the assertion.
         corpus = [
             poly(-11, -1, 1),
             poly(9, 3, 0, 1),
@@ -324,7 +308,7 @@ class TestMonogenicAggregate:
         ]
         for f in corpus:
             if is_irreducible(f):
-                monogenic(f, method=METHOD_BOTH)
+                monogenic(f)
 
 
 class TestAgainstMaximalOrder:

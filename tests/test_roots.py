@@ -159,27 +159,28 @@ class TestExpectedOnCircle:
 
 @pytest.fixture
 def coarse_x2_minus_4x_plus_2(monkeypatch):
-    """Make the solver answer x^2 - 4x + 2 (roots 2 -+ sqrt 2) at 16 bits with
-    a valid but coarse root set: disjoint disks of radius 0.6, the one
-    around 0.586 straddling both the unit circle and zero, so no decision
-    can be read from it. Other requests reach the real solver."""
+    """Make the solver answer x^2 - 4x + 2 (roots 2 -+ sqrt 2) at the starting
+    precision with a valid but coarse root set: disjoint disks of radius 0.6,
+    the one around 0.586 straddling both the unit circle and zero, so no
+    decision can be read from it. Other requests reach the real solver."""
     with mpmath.workprec(64):
         roots = tuple(
             CertifiedRoot(mpmath.mpc(2 + s * mpmath.sqrt(2)), mpmath.mpf("0.6")) for s in (-1, 1)
         )
-    coarse, solve = CertifiedRootSet(roots, 16), roots_module._solve_cached
+    coarse, solve = CertifiedRootSet(roots, DEFAULT_PRECISION_BITS), roots_module._solve_cached
+    start = ((2, -4, 1), DEFAULT_PRECISION_BITS)
     monkeypatch.setattr(
         roots_module, "_solve_cached",
-        lambda coeffs, bits: coarse if (coeffs, bits) == ((2, -4, 1), 16) else solve(coeffs, bits),
+        lambda coeffs, bits: coarse if (coeffs, bits) == start else solve(coeffs, bits),
     )
     return poly(2, -4, 1)
 
 
 class TestModulusProfile:
     def test_escalates_past_straddling_disks(self, coarse_x2_minus_4x_plus_2):
-        prof = modulus_profile(coarse_x2_minus_4x_plus_2, precision_bits=16)
+        prof = modulus_profile(coarse_x2_minus_4x_plus_2)
         assert prof.counts == (1, 0, 1)
-        assert prof.rootset.precision_bits > 16
+        assert prof.rootset.precision_bits > DEFAULT_PRECISION_BITS
 
     def test_golden_ratio_profile(self):
         prof = modulus_profile(poly(-1, -1, 1))
@@ -213,9 +214,9 @@ class TestModulusProfile:
 
 class TestRealAxisProfile:
     def test_escalates_past_disk_straddling_zero(self, coarse_x2_minus_4x_plus_2):
-        census = real_axis_profile(coarse_x2_minus_4x_plus_2, precision_bits=16)
+        census = real_axis_profile(coarse_x2_minus_4x_plus_2)
         assert (census.positive, census.negative, census.nonreal) == (2, 0, 0)
-        assert census.rootset.precision_bits > 16
+        assert census.rootset.precision_bits > DEFAULT_PRECISION_BITS
 
     def test_golden_ratio(self):
         prof = real_axis_profile(poly(-1, -1, 1))
@@ -255,14 +256,6 @@ class TestRealAxisProfile:
         prof = real_axis_profile(f)
         assert (prof.positive, prof.negative) == count_real_roots(f)
         assert prof.positive + prof.negative + prof.nonreal == f.degree
-
-
-@pytest.fixture
-def fresh_root_cache():
-    """Clear the solver cache around a test that fakes solver failures."""
-    roots_module._solve_cached.cache_clear()
-    yield
-    roots_module._solve_cached.cache_clear()
 
 
 class TestSingleEscalationLoop:
@@ -320,7 +313,9 @@ class TestAberthStarts:
     def test_warm_start_skipped_for_huge_coefficients(self, fresh_root_cache):
         f = poly(-(10**300), -1, 1)
         assert roots_module._float_aberth(f.coeffs) is None
-        c = classify(f, precision_bits=512)
+        # The roots sit near +-10^150 with moduli 1 apart: ordering them needs
+        # about 500 bits, reached by three doublings of the starting 64.
+        c = classify(f)
         assert (c.headline, c.dominant, c.precision_bits) == (STRICTLY_PERRON, "1.0e+150", 512)
 
     def test_collision_is_nudged_apart(self):
