@@ -24,12 +24,14 @@ positive root and another root, outside those structural shortcuts,
 satisfies neither rule: the routine escalates precision and, at the cap,
 raises PrecisionExhaustedError instead of guessing. The census behind a
 decision must then obey Descartes' rule of signs, or OracleViolationError.
+Each rule, like the Salem check, compares integers; mpmath only prints lambda.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
-from mpmath import log10, nstr, workprec
+import mpmath
 
 from .errors import InvalidInputError, OracleViolationError
 from .irreducibility import irreducibility_witness
@@ -39,6 +41,7 @@ from .roots import (
     CertifiedRootSet,
     escalate,
     polish_real_root,
+    sqrt_exceeds,
     try_modulus_tags,
     try_real_census,
 )
@@ -85,13 +88,15 @@ class Classification:
         }
 
 
-def _decimal(root: CertifiedRoot, bits: int) -> str:
-    """The real part of root to the significant digits its disk certifies
-    (about log10(|value| / radius)), at most 20."""
-    with workprec(bits):
-        value = root.value.real
-        digits = int(log10(abs(value) / root.radius))
-        return nstr(value, max(1, min(20, digits)))
+def _decimal(root: CertifiedRoot, scale: int, bits: int) -> str:
+    """The centre x / 2^scale of a real positive root's disk to the digits
+    the disk certifies (about log10(x / r)), at most 20; r < x, so an mpf of
+    x's bit length holds both exactly."""
+    with mpmath.workprec(root.x.bit_length()):
+        value, radius = mpmath.mpf((root.x, -scale)), mpmath.mpf((root.r, -scale))
+    with mpmath.workprec(bits):
+        digits = int(mpmath.log10(abs(value) / radius))
+    return mpmath.nstr(value, max(1, min(20, digits)))
 
 
 def _structural_tie(f: IntPoly) -> bool:
@@ -154,8 +159,7 @@ def classify_irreducible(f: IntPoly) -> Classification:
     tie = _structural_tie(f)
 
     def attempt(rs: CertifiedRootSet) -> Classification | None:
-        bounds = rs.modulus_bounds()
-        tags = try_modulus_tags(f, bounds)
+        tags = try_modulus_tags(f, rs)
         if tags is None:
             return None
         profile = (tags.count("in"), tags.count("on"), tags.count("out"))
@@ -164,7 +168,7 @@ def classify_irreducible(f: IntPoly) -> Classification:
         census = try_real_census(rs)
         if census is None:
             return None
-        cls = _decide(f, rs, bounds, tags, profile, census[0])
+        cls = _decide(f, rs, tags, profile, census[0])
         counts, variations = census[1:3], descartes_counts(f)
         # The exact route: by Descartes' rule each certified count is at most
         # its sign variations and of the same parity. Checked only once a rule
@@ -183,17 +187,17 @@ def classify_irreducible(f: IntPoly) -> Classification:
 def _decide(
     f: IntPoly,
     rs: CertifiedRootSet,
-    bounds: tuple,
     tags: tuple[str, ...],
     profile: tuple[int, int, int],
     real_flags: tuple[bool, ...],
 ) -> Classification | None:
     """One dominance decision attempt from a fully tagged root set.
 
-    Two certified rules, read off the modulus bounds of rs:
+    Two certified rules, on lower[i] = |z_i| - r_i and upper[i] = |z_i| + r_i
+    compared in integers (roots.sqrt_exceeds):
 
       Perron        the disk of a real positive root lies strictly above
-                    every other disk in modulus;
+                    every other disk in modulus, lower[i] > upper[j];
       NoPerronRoot  every certified real positive root i has another root j
                     with lower[j] >= upper[i], so |z_j| >= |z_i| and no real
                     root strictly dominates (vacuous with no real positive
@@ -205,19 +209,25 @@ def _decide(
     An exact tie between the top real positive root and another root, when
     _structural_tie does not catch it, never satisfies either rule.
     """
-    n = len(rs.roots)
-    lower = [b[0] for b in bounds]
-    upper = [b[1] for b in bounds]
-    i_star = max(range(n), key=lambda i: lower[i])
-    if all(lower[i_star] > upper[j] for j in range(n) if j != i_star):
+    n, norms, radii = len(rs.roots), [d.norm for d in rs.roots], [d.r for d in rs.roots]
+
+    def above(i: int, j: int, strict: bool) -> bool:
+        """lower[i] > upper[j], or >= when not strict."""
+        return sqrt_exceeds(norms[i], norms[j], radii[i] + radii[j], strict)
+
+    # A disk strictly above all others replaces any candidate and is never replaced.
+    i_star = 0
+    for j in range(1, n):
+        i_star = i_star if above(i_star, j, True) else j
+    if all(above(i_star, j, True) for j in range(n) if j != i_star):
         if not real_flags[i_star]:
             # The conjugate of a certified-nonreal root is a distinct root of
             # the same modulus, flatly contradicting strict dominance.
             raise OracleViolationError("nonreal root certified as strictly dominant")
-        if rs.roots[i_star].value.real > 0:
+        if rs.roots[i_star].x > 0:
             return _perron_subclass(f, rs, tags, profile, real_flags, i_star)
-    positive = [i for i in range(n) if real_flags[i] and rs.roots[i].value.real > 0]
-    if all(any(lower[j] >= upper[i] for j in range(n) if j != i) for i in positive):
+    positive = [i for i in range(n) if real_flags[i] and rs.roots[i].x > 0]
+    if all(any(above(j, i, False) for j in range(n) if j != i) for i in positive):
         return _no_perron_root(f, profile, rs.precision_bits)
     return None
 
@@ -235,7 +245,7 @@ def _perron_subclass(
         return None
     n = f.degree
     inside, _, outside = profile
-    lam = _decimal(star, rs.precision_bits)
+    lam = _decimal(*star, rs.precision_bits)
 
     if inside == n - 1 and outside == 1:
         sub = PISOT
@@ -265,21 +275,19 @@ def _check_salem_reciprocal(
     For a self-reciprocal polynomial with profile (1, n-2, 1) this identity
     is forced, so a numeric violation beyond the certified allowance can only
     be a defect in the solver or the tagging — hence OracleViolationError,
-    not a classification outcome.
+    not a classification outcome. The allowance, in integers on the grid of
+    products 4^-s, is 2 (|star| r_m + |mate| r_s + r_s r_m) + 2^-bits with
+    both moduli rounded up.
     """
     inside_idx = tags.index("in")
-    mate = rs.roots[inside_idx]
-    if not real_flags[inside_idx] or mate.value.real < 0:
+    mate, star = rs.roots[inside_idx], rs.roots[i_star]
+    if not real_flags[inside_idx] or mate.x < 0:
         raise OracleViolationError("reciprocal mate of a Salem candidate must be real positive")
-    star = rs.roots[i_star]
-    with workprec(2 * rs.precision_bits + 32):
-        residual = abs(star.value * mate.value - 1)
-        allowance = (
-            abs(star.value) * mate.radius
-            + abs(mate.value) * star.radius
-            + star.radius * mate.radius
-        ) * 2 + 2 ** (-rs.precision_bits)
-        if residual > allowance:
-            raise OracleViolationError(
-                "lambda * lambda' deviates from 1 beyond certified bounds"
-            )
+    one, bits = 1 << 2 * rs.scale, rs.precision_bits
+    re = star.x * mate.x - star.y * mate.y - one
+    im = star.x * mate.y + star.y * mate.x
+    m_star, m_mate = isqrt(star.norm) + 1, isqrt(mate.norm) + 1
+    allowance = 2 * (m_star * mate.r + m_mate * star.r + star.r * mate.r)
+    # |residual| > allowance + one / 2^bits, both sides times 2^bits, squared.
+    if (re * re + im * im) << (2 * bits) > ((allowance << bits) + one) ** 2:
+        raise OracleViolationError("lambda * lambda' deviates from 1 beyond certified bounds")

@@ -190,24 +190,23 @@ def _oracle_split(sf: IntPoly) -> list[IntPoly]:
     """Irreducible factors of a squarefree monic polynomial, via root subsets."""
 
     def attempt(rs) -> list[IntPoly] | None:
-        work = max(2 * rs.precision_bits, 128)
+        work, s = max(2 * rs.precision_bits, 128), rs.scale
         with workprec(work):
-            hi = mpf(1)
-            lo = mpf(1)
-            for r in rs.roots:
-                m = abs(r.value)
-                hi *= 1 + m + r.radius
+            values = [mpc(mpf((d.x, -s)), mpf((d.y, -s))) for d in rs.roots]
+            hi = lo = mpf(1)
+            for z, d in zip(values, rs.roots):
+                m = abs(z)
+                hi *= 1 + m + mpf((d.r, -s))
                 lo *= 1 + m
             bound = (hi - lo) * (1 + mpf(2) ** (-24)) + mpf(2) ** (-work // 2) * hi
             if bound >= 0.25:
                 return None
-            return _enumerate_factors(sf, rs, float(bound), work)
+            return _enumerate_factors(sf, values, float(bound), work)
 
     return escalate(sf, attempt, "factor oracle could not certify rounding")[1]
 
 
-def _enumerate_factors(sf: IntPoly, rs, bound: float, work: int) -> list[IntPoly]:
-    values = [r.value for r in rs.roots]
+def _enumerate_factors(sf: IntPoly, values: list, bound: float, work: int) -> list[IntPoly]:
     pool = list(range(len(values)))
     remaining = sf
     factors: list[IntPoly] = []

@@ -41,10 +41,6 @@ class IntPoly:
         except ValueError as exc:
             raise InvalidInputError(f"bad polynomial text: {text!r}") from exc
 
-    @staticmethod
-    def x_power(k: int, scale: int = 1) -> "IntPoly":
-        return IntPoly((0,) * k + (scale,))
-
     # -- basic structure ---------------------------------------------------
 
     @property
@@ -383,16 +379,6 @@ def sturm_count(f: IntPoly, lo: Fraction | int, hi: Fraction | int) -> int:
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     return variations(lo) - variations(hi)
-
-
-def count_real_roots(f: IntPoly) -> tuple[int, int]:
-    """(positive, negative) real-root counts of squarefree f with nonzero
-    constant term, by Sturm chains over (0, M) and (-M, 0)."""
-    if f.constant == 0:
-        raise InvalidInputError("count_real_roots needs a nonzero constant term")
-    # Cauchy bound: every root has |z| < 1 + max|c_i| / |lc|, and |lc| >= 1.
-    bound = 1 + max(abs(c) for c in f.coeffs)
-    return sturm_count(f, 0, bound), sturm_count(f, -bound, 0)
 
 
 def descartes_counts(f: IntPoly) -> tuple[int, int]:

@@ -17,6 +17,11 @@ squared distances, an integer square root rounded up). The union of these
 disks contains every root of f, and when they are pairwise disjoint (an
 exact integer inequality) each disk holds exactly one root.
 
+A disk is kept as it was proven: integers x, y, r over a power of two 2^s
+shared by its root set, for centre (x + iy) / 2^s and radius r / 2^s. Every
+decision read off the disks is an integer inequality on squared quantities,
+so nothing decided here is rounded; mpmath only refines (_refine_mp).
+
 Every decision escalates through one loop, escalate, with one cap. It
 solves f at DEFAULT_PRECISION_BITS; whenever the disks collide or cannot
 settle the question, it solves f again at doubled precision, at most
@@ -42,10 +47,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import ldexp, mpc, mpf, workprec
+import mpmath
 
 from .errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
 from .polynomial import IntPoly, is_self_reciprocal, poly_gcd, sturm_count, trace_transform
@@ -59,70 +63,37 @@ _GUARD = 16  # bits of each radius bound below the centres' grid spacing
 
 @dataclass(frozen=True)
 class CertifiedRoot:
-    value: "mpc"
-    radius: "mpf"
+    """The disk of centre (x + iy) / 2^s and radius r / 2^s, where s is the
+    scale of the root set (or of the polished root) it comes with."""
+
+    x: int
+    y: int
+    r: int
 
     @property
-    def modulus(self) -> "mpf":
-        return abs(self.value)
+    def norm(self) -> int:
+        """x^2 + y^2: the centre's squared modulus times 4^s."""
+        return self.x * self.x + self.y * self.y
 
 
 @dataclass(frozen=True)
 class CertifiedRootSet:
-    """All roots of a squarefree polynomial, one per pairwise-disjoint disk."""
+    """All roots of a squarefree polynomial, one per pairwise-disjoint disk,
+    every disk on the grid 2^-scale."""
 
     roots: tuple[CertifiedRoot, ...]
     precision_bits: int
+    scale: int
 
-    def __len__(self) -> int:
-        return len(self.roots)
 
-    def work(self):
-        """Context manager setting a precision safely above the disk scale.
-
-        All arithmetic on root values must happen inside (mpmath rounds every
-        operation to the ambient precision, and the global default would
-        swamp radii of order 2^-precision_bits with rounding dust).
-        """
-        return workprec(2 * self.precision_bits + 48)
-
-    def modulus_bounds(self) -> tuple[tuple["mpf", "mpf"], ...]:
-        """Certified (lower, upper) enclosures of each root's modulus."""
-        with self.work():
-            return tuple(
-                (abs(r.value) - r.radius, abs(r.value) + r.radius) for r in self.roots
-            )
-
-    def dominant(self) -> CertifiedRoot:
-        with self.work():
-            return max(self.roots, key=lambda r: abs(r.value))
-
-    def vieta_residuals(self, f: IntPoly) -> dict[str, "mpf"]:
-        """Residuals of the two symmetric-function identities, with their
-        certified error allowances; useful as an external sanity check."""
-        n = f.degree
-        with workprec(max(self.precision_bits * 2, 128)):
-            total = mpf(0)
-            for r in self.roots:
-                total += r.value
-            sum_res = abs(total + mpf(f.coeff(n - 1)) / f.lead)
-            sum_bound = sum((r.radius for r in self.roots), mpf(0))
-            prod = mpc(1)
-            prod_hi = mpf(1)
-            prod_lo = mpf(1)
-            for r in self.roots:
-                prod *= r.value
-                prod_hi *= abs(r.value) + r.radius
-                prod_lo *= abs(r.value)
-            target = mpf((-1) ** n) * f.constant / f.lead
-            prod_res = abs(prod - target)
-            prod_bound = prod_hi - prod_lo
-        return {
-            "sum_residual": sum_res,
-            "sum_allowance": sum_bound + mpf(2) ** (-self.precision_bits // 2),
-            "product_residual": prod_res,
-            "product_allowance": prod_bound + mpf(2) ** (-self.precision_bits // 2),
-        }
+def sqrt_exceeds(a: int, b: int, c: int, strict: bool) -> bool:
+    """Whether sqrt(a) >= sqrt(b) + c (> when strict) for integers a, b, c >= 0,
+    that is d = a - b - c^2 >= 2c sqrt(b): d >= 0 and d^2 >= 4c^2 b. On one
+    grid, |z_i| - r_i >= |z_j| + r_j is sqrt_exceeds(norm_i, norm_j, r_i + r_j)."""
+    d = a - b - c * c
+    if strict:
+        return d > 0 and d * d > 4 * c * c * b
+    return d >= 0 and d * d >= 4 * c * c * b
 
 
 def _horner(coeffs, z):
@@ -169,7 +140,8 @@ def _initial_points(coeffs: tuple[int, ...]) -> list[complex]:
 
 def _aberth(zs: list, coeffs, tol, max_iters: int, nudge, limit: float | None = None) -> bool:
     """Aberth-Ehrlich sweeps updating zs in place, in the number type of zs
-    and coeffs (complex and float, or mpc and int inside workprec).
+    and coeffs (complex and float, or mpmath complex and int at a set
+    precision).
 
     Stops once no approximation moves by tol relative to 1 + |z|, or after
     max_iters sweeps. An approximation whose derivative vanishes or that
@@ -223,9 +195,9 @@ def _float_aberth(coeffs: tuple[int, ...]) -> list[complex] | None:
 
 def _refine_mp(coeffs: tuple[int, ...], starts, prec: int, max_iters: int) -> list:
     """Aberth refinement at the given precision; returns mpc approximations."""
-    with workprec(prec + 32):
-        zs = [mpc(z) for z in starts]
-        _aberth(zs, coeffs, mpf(2) ** (-(prec + 8)), max_iters, mpf(2) ** (-prec // 2))
+    with mpmath.workprec(prec + 32):
+        zs, two = [mpmath.mpc(z) for z in starts], mpmath.mpf(2)
+        _aberth(zs, coeffs, two ** (-(prec + 8)), max_iters, two ** (-prec // 2))
         return zs
 
 
@@ -236,11 +208,6 @@ def _man_exp(x) -> tuple[int, int]:
         return num, 1 - den.bit_length()
     sign, man, exp, _ = x._mpf_
     return -man if sign else man, exp
-
-
-def _fraction(x) -> Fraction:
-    m, e = _man_exp(x)
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
 def _on_grid(m: int, e: int, k: int) -> int:
@@ -258,19 +225,19 @@ def _scaled_value(shifted: list[int], x: int, y: int) -> tuple[int, int]:
     return re, im
 
 
-def _certify(coeffs: tuple[int, ...], zs, prec: int) -> tuple[CertifiedRoot, ...] | None:
-    """Exact Weierstrass disks around zs (floats, complex or mpc); None when
-    two disks meet.
+def _certify(coeffs: tuple[int, ...], zs, prec: int) -> CertifiedRootSet | None:
+    """The root set of exact Weierstrass disks around zs (floats, complex or
+    mpmath complex), labelled with precision prec; None when two disks meet.
 
     The centres are rounded to the nearest point of the grid X / 2^k, with k
     prec + 24 bits below the largest centre, so that the disks carry about
     that precision whatever the accuracy of zs. Each radius is bounded from
     above by Q / 2^(k + _GUARD) with Q an integer, and the disks are disjoint
-    when |X_i - X_j|^2 * 2^(2 _GUARD) > (Q_i + Q_j)^2. The stored centres and
-    radii are built at a precision that holds them exactly.
+    when |X_i - X_j|^2 * 2^(2 _GUARD) > (Q_i + Q_j)^2. The set keeps these
+    integers as they are, on the scale k + _GUARD: centre X * 2^_GUARD,
+    radius Q. Its disks are sorted by centre, real part first.
     """
     n = len(coeffs) - 1
-    zs = [z if isinstance(z, mpc) else complex(z) for z in zs]
     parts = [_man_exp(v) for z in zs for v in (z.real, z.imag)]
     k = max(0, prec + 24 - max((m.bit_length() + e for m, e in parts if m), default=0))
     grid = [_on_grid(m, e, k) for m, e in parts]
@@ -296,14 +263,10 @@ def _certify(coeffs: tuple[int, ...], zs, prec: int) -> tuple[CertifiedRoot, ...
         for j in range(i + 1, n):
             if dist2[i][j] << (2 * _GUARD) <= (bounds[i] + bounds[j]) ** 2:
                 return None
-    width = max(abs(v).bit_length() for v in [*bounds, *grid])
-    with workprec(width + 1):
-        roots = [
-            CertifiedRoot(mpc(mpf((x, -k)), mpf((y, -k))), mpf((q, -(k + _GUARD))))
-            for (x, y), q in zip(pts, bounds)
-        ]
-        roots.sort(key=lambda r: (r.value.real, r.value.imag))
-    return tuple(roots)
+    roots = tuple(
+        CertifiedRoot(x << _GUARD, y << _GUARD, q) for (x, y), q in sorted(zip(pts, bounds))
+    )
+    return CertifiedRootSet(roots, prec, k + _GUARD)
 
 
 @lru_cache(maxsize=2048)
@@ -320,7 +283,7 @@ def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None
     if starts is not None and bits == DEFAULT_PRECISION_BITS:
         certified = _certify(coeffs, starts, bits)
         if certified is not None:
-            return CertifiedRootSet(certified, bits)
+            return certified
     starts = starts or _initial_points(coeffs)
     certified = _certify(coeffs, _refine_mp(coeffs, starts, bits, 36 + 6 * n), bits)
     if certified is None:
@@ -330,7 +293,7 @@ def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None
         # angular and radial asymmetry.
         zs = _refine_mp(coeffs, _initial_points(coeffs), bits, 72 + 10 * n)
         certified = _certify(coeffs, zs, bits)
-    return None if certified is None else CertifiedRootSet(certified, bits)
+    return certified
 
 
 def _require_squarefree(f: IntPoly) -> None:
@@ -368,9 +331,10 @@ def escalate(f: IntPoly, attempt, failure: str):
     raise PrecisionExhaustedError(f"{failure} at {tried} bits")
 
 
-def polish_real_root(f: IntPoly, rs: CertifiedRootSet, i: int) -> CertifiedRoot | None:
+def polish_real_root(f: IntPoly, rs: CertifiedRootSet, i: int) -> tuple[CertifiedRoot, int] | None:
     """Root i of rs, a real positive root, in a disk of radius at most about
-    2^-(bits + 24) times its value, bits being rs.precision_bits.
+    2^-(bits + 24) times its value, bits being rs.precision_bits; returned
+    with the scale of that disk.
 
     A disk narrower than 2^-(bits + 16) times its centre comes back as it
     is: every mpmath rung's disk is (its centres sit on a grid 2^-(bits + 24)
@@ -382,19 +346,17 @@ def polish_real_root(f: IntPoly, rs: CertifiedRootSet, i: int) -> CertifiedRoot 
     interval that meets no disk of rs at all contradicts the certificate
     that the disks hold every root: OracleViolationError.
     """
-    bits, root = rs.precision_bits, rs.roots[i]
-    with rs.work():
-        if root.radius <= ldexp(root.value.real, -(bits + 16)):
-            return root
+    bits, s, root = rs.precision_bits, rs.scale, rs.roots[i]
+    if root.r << (bits + 16) <= root.x:
+        return root, s
     # Newton in integers on the grid X / 2^k, bits + 72 bits below the centre:
     # with P = 2^(kn) f(X / 2^k) and D = 2^(k(n-1)) f'(X / 2^k), the Newton
     # step is P / D grid units.
-    n, (man, exp) = f.degree, _man_exp(root.value.real)
-    top = man.bit_length() + exp  # 2^(top - 1) <= centre < 2^top
+    n, top = f.degree, root.x.bit_length() - s  # 2^(top - 1) <= centre < 2^top
     k = max(0, bits + 72 - top)
     shifted = [c << (k * (n - j)) for j, c in enumerate(f.coeffs)]
     derived = [j * c << (k * (n - j)) for j, c in enumerate(f.coeffs)][1:]
-    mid = _on_grid(man, exp, k)
+    mid = _on_grid(root.x, -s, k)
     for _ in range(12):
         slope = _scaled_value(derived, mid, 0)[0]
         if slope == 0:
@@ -406,20 +368,21 @@ def polish_real_root(f: IntPoly, rs: CertifiedRootSet, i: int) -> CertifiedRoot 
     half = 1 << (top + k - 1 - bits - 24)  # 2^-(bits + 24) of the centre, at most
     if _scaled_value(shifted, mid - half, 0)[0] * _scaled_value(shifted, mid + half, 0)[0] >= 0:
         return None
-    lo, hi = Fraction(mid - half, 1 << k), Fraction(mid + half, 1 << k)
+    # The interval and the disks on the finer grid 2^-m of the two.
+    m = max(k, s)
+    lo, hi, u = (mid - half) << (m - k), (mid + half) << (m - k), m - s
 
-    def reach(disk: CertifiedRoot, t: Fraction) -> Fraction:
-        """|t - centre|^2 - radius^2, at most 0 when t lies in the disk."""
-        cx, cy, r = map(_fraction, (disk.value.real, disk.value.imag, disk.radius))
-        return (t - cx) ** 2 + cy**2 - r**2
+    def reach(disk: CertifiedRoot, t: int) -> int:
+        """|t - centre|^2 - radius^2 on the grid 2^-m: at most 0 for t in the disk."""
+        return (t - (disk.x << u)) ** 2 + (disk.y << u) ** 2 - (disk.r << u) ** 2
 
     if reach(root, lo) <= 0 and reach(root, hi) <= 0:
-        with workprec(mid.bit_length()):
-            return CertifiedRoot(mpc(mpf((mid, -k))), mpf((half, -k)))
+        return CertifiedRoot(mid, 0, half), k
     # The point of [lo, hi] nearest a centre is the centre's real part, clamped.
-    if all(reach(disk, min(max(_fraction(disk.value.real), lo), hi)) > 0 for disk in rs.roots):
+    if all(reach(disk, min(max(disk.x << u, lo), hi)) > 0 for disk in rs.roots):
         raise OracleViolationError(
-            f"a sign change of {f.to_text()} near {float(lo):.17g} lies in no certified root disk"
+            f"a sign change of {f.to_text()} near {lo / (1 << m):.17g} "
+            "lies in no certified root disk"
         )
     return None
 
@@ -458,9 +421,9 @@ def expected_on_circle(f: IntPoly) -> int:
     return 2 * sturm_count(trace_transform(f), -2, 2)
 
 
-def try_modulus_tags(f: IntPoly, bounds) -> tuple[str, ...] | None:
-    """One classification attempt of each root against the unit circle,
-    from the modulus bounds of a root set (CertifiedRootSet.modulus_bounds).
+def try_modulus_tags(f: IntPoly, rs: CertifiedRootSet) -> tuple[str, ...] | None:
+    """One classification attempt of each root of rs against the unit circle:
+    "out" when |z| - r > 1, "in" when |z| + r < 1, both by sqrt_exceeds.
 
     Returns per-root tags "in" / "on" / "out" when the disks at this
     precision settle every root, or None when they do not and the caller
@@ -468,16 +431,13 @@ def try_modulus_tags(f: IntPoly, bounds) -> tuple[str, ...] | None:
     "on" when their number matches the exact palindromic count.
     """
     expected_on = expected_on_circle(f)
-    tags: list[str] = []
-    ambiguous = 0
-    for lo, hi in bounds:
-        if lo > 1:
-            tags.append("out")
-        elif hi < 1:
-            tags.append("in")
-        else:
-            tags.append("?")
-            ambiguous += 1
+    one = 1 << 2 * rs.scale  # the unit circle's norm on the grid
+    tags = [
+        "out" if sqrt_exceeds(d.norm, one, d.r, True)
+        else "in" if sqrt_exceeds(one, d.norm, d.r, True) else "?"
+        for d in rs.roots
+    ]
+    ambiguous = tags.count("?")
     if ambiguous > expected_on:
         return None
     if ambiguous < expected_on:
@@ -497,7 +457,7 @@ def modulus_profile(f: IntPoly) -> ModulusProfile:
     """
     _require_squarefree(f)
     rs, tags = escalate(
-        f, lambda rs: try_modulus_tags(f, rs.modulus_bounds()),
+        f, lambda rs: try_modulus_tags(f, rs),
         "could not separate all root disks from the unit circle",
     )
     return ModulusProfile(tags.count("in"), tags.count("on"), tags.count("out"), rs)
@@ -521,32 +481,31 @@ def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int, i
     mirror image of its disk meets no other disk (conjugation permutes the
     true roots, so the conjugate root can then only be the root itself). It
     is certified nonreal when its disk avoids the axis. None asks the caller
-    to escalate precision.
+    to escalate precision. In integers on the set's grid: |y| > r, the
+    mirror meets a disk when |conj(c) - c'|^2 <= (r + r')^2, sign: x > r or x < -r.
     """
-    with rs.work():
-        flags: list[bool] = []
-        pos = neg = nonreal = 0
-        for i, r in enumerate(rs.roots):
-            z, rad = r.value, r.radius
-            if abs(z.imag) > rad:
-                flags.append(False)
-                nonreal += 1
-                continue
-            zc = mpc(z.real, -z.imag)
-            if any(
-                abs(zc - other.value) <= rad + other.radius
-                for j, other in enumerate(rs.roots)
-                if j != i
-            ):
-                return None
-            flags.append(True)
-            if z.real > rad:
-                pos += 1
-            elif z.real < -rad:
-                neg += 1
-            else:
-                return None  # disk straddles zero; escalation fixes this when f(0) != 0
-        return tuple(flags), pos, neg, nonreal
+    flags: list[bool] = []
+    pos = neg = nonreal = 0
+    for i, disk in enumerate(rs.roots):
+        x, y, r = disk.x, disk.y, disk.r
+        if abs(y) > r:
+            flags.append(False)
+            nonreal += 1
+            continue
+        if any(
+            (x - other.x) ** 2 + (y + other.y) ** 2 <= (r + other.r) ** 2
+            for j, other in enumerate(rs.roots)
+            if j != i
+        ):
+            return None
+        flags.append(True)
+        if x > r:
+            pos += 1
+        elif x < -r:
+            neg += 1
+        else:
+            return None  # disk straddles zero; escalation fixes this when f(0) != 0
+    return tuple(flags), pos, neg, nonreal
 
 
 def real_axis_profile(f: IntPoly) -> RealAxisProfile:

@@ -18,7 +18,7 @@ from math import gcd
 
 import pytest
 
-from conftest import poly
+from conftest import disks, dominant, poly, work
 from perronpoly.classification import PERRON, STRICTLY_PERRON, classify
 from perronpoly.family import FamilyParams
 from perronpoly.intarith import factorize, primes_below, squarefree_status
@@ -259,9 +259,7 @@ def test_c07_companion_matrix_checks(capsys):
             bad.append((n, a, p, "connectivity"))
             continue
         lam = dominant_eigenvalue(m)
-        rs = complex_roots(f)
-        with rs.work():
-            dominant_modulus = float(abs(rs.dominant().value))
+        dominant_modulus = float(abs(dominant(complex_roots(f))[0]))
         if abs(lam - dominant_modulus) > 1e-8:
             bad.append((n, a, p, "eigenvalue", lam, dominant_modulus))
             continue
@@ -301,15 +299,18 @@ def test_c08_real_root_counts_and_certified_moduli(capsys):
             bad.append((n, a, p, "parity", rap.positive, rap.negative))
             continue
         if n % 2 == 0 and p > a + 1:
-            bounds = rap.rootset.modulus_bounds()
-            for i, r in enumerate(rap.rootset.roots):
-                if rap.real_flags[i] and r.value.real < 0:
-                    if not bounds[i][0] > 1:
-                        bad.append((n, a, p, "negative-root-modulus"))
-                    else:
-                        negative_certified += 1
+            with work(rap.rootset):
+                for real, (centre, radius) in zip(rap.real_flags, disks(rap.rootset)):
+                    if real and centre.real < 0:
+                        if not abs(centre) - radius > 1:
+                            bad.append((n, a, p, "negative-root-modulus"))
+                        else:
+                            negative_certified += 1
         if n % 2 == 1 and p == a + 1:
-            if all(lo > 1 for lo, _ in complex_roots(f).modulus_bounds()):
+            rs = complex_roots(f)
+            with work(rs):
+                all_out = all(abs(centre) - radius > 1 for centre, radius in disks(rs))
+            if all_out:
                 all_out_points += 1
             else:
                 bad.append((n, a, p, "all-roots-outside"))

@@ -1,6 +1,7 @@
 """Taxonomy verdicts: Pisot / Salem / anti-Pisot / strictly-Perron."""
 from __future__ import annotations
 
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -152,7 +153,7 @@ class TestOracleFaults:
         monkeypatch.setattr(
             classification,
             "try_real_census",
-            lambda rs: ((False,) * len(rs), 0, 0, len(rs)),
+            lambda rs: ((False,) * len(rs.roots), 0, 0, len(rs.roots)),
         )
         with pytest.raises(OracleViolationError, match="nonreal root certified as strictly dominant"):
             classify_irreducible(poly(-1, -1, 1))
@@ -162,8 +163,8 @@ class TestOracleFaults:
 
         def inside_roots_nonreal(rs):
             flags, *counts = census(rs)
-            with rs.work():
-                flags = tuple(real and abs(r.value) > 1 for real, r in zip(flags, rs.roots))
+            one = 1 << 2 * rs.scale
+            flags = tuple(real and d.norm > one for real, d in zip(flags, rs.roots))
             return (flags, *counts)
 
         monkeypatch.setattr(classification, "try_real_census", inside_roots_nonreal)
@@ -174,13 +175,14 @@ class TestOracleFaults:
         solve = roots._solve_cached
 
         def inside_roots_nudged(coeffs, bits):
+            # Centres of modulus below 0.9 move by 2^-30 of themselves.
             rs = solve(coeffs, bits)
-            with rs.work():
-                moved = tuple(
-                    CertifiedRoot(r.value * (1 + 2.0**-30), r.radius) if abs(r.value) < 0.9 else r
-                    for r in rs.roots
-                )
-            return CertifiedRootSet(moved, bits)
+            moved = tuple(
+                CertifiedRoot(d.x + (d.x >> 30), d.y + (d.y >> 30), d.r)
+                if 100 * d.norm < 81 << 2 * rs.scale else d
+                for d in rs.roots
+            )
+            return CertifiedRootSet(moved, bits, rs.scale)
 
         monkeypatch.setattr(roots, "_solve_cached", inside_roots_nudged)
         with pytest.raises(OracleViolationError, match="deviates from 1 beyond certified bounds"):
@@ -196,13 +198,14 @@ class TestOracleFaults:
         def lambda_disk_corrupted(coeffs, bits):
             rs = solve(coeffs, bits)
             assert bits == roots.DEFAULT_PRECISION_BITS
-            with rs.work():
-                moved = tuple(
-                    CertifiedRoot(r.value * (1 + shift), r.radius * shrink)
-                    if r.value.real > 3 else r
-                    for r in rs.roots
+            moved = tuple(
+                CertifiedRoot(
+                    d.x + int(d.x * Fraction(shift)), d.y, int(d.r * Fraction(shrink))
                 )
-            return CertifiedRootSet(moved, bits)
+                if d.x > 3 << rs.scale else d
+                for d in rs.roots
+            )
+            return CertifiedRootSet(moved, bits, rs.scale)
 
         monkeypatch.setattr(roots, "_solve_cached", lambda_disk_corrupted)
         with pytest.raises(OracleViolationError, match="lies in no certified root disk"):

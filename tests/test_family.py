@@ -41,7 +41,7 @@ from perronpoly.monogenicity import (
     monogenic,
 )
 from perronpoly.polynomial import discriminant, poly_gcd, sturm_count
-from perronpoly.roots import CertifiedRootSet, escalate, try_real_census
+from perronpoly.roots import escalate, try_modulus_tags, try_real_census
 from perronpoly.search import SearchSpec, SearchTally, ledger_record, run_search, run_verify
 
 
@@ -335,7 +335,7 @@ def test_certificate_computes_each_fact_once(monkeypatch, point):
     # trial-divided once and finished at most once; nothing else (p, the
     # discriminant) is factored. The roots of an irreducible member
     # are certified in one attempt: one escalation, one real-axis census,
-    # one pass over the modulus bounds, and no squarefree gcd (disc != 0
+    # one unit-circle tagging, and no squarefree gcd (disc != 0
     # already proves f squarefree). A reducible member solves nothing.
     assert family.trial_divide is trial_divide
     assert family.finish_factorization is finish_factorization
@@ -354,10 +354,7 @@ def test_certificate_computes_each_fact_once(monkeypatch, point):
     gcds = _count_calls(monkeypatch, poly_gcd)
     escalations = _count_calls(monkeypatch, escalate)
     censuses = _count_calls(monkeypatch, try_real_census)
-    bounds, modulus_bounds = [], CertifiedRootSet.modulus_bounds
-    monkeypatch.setattr(
-        CertifiedRootSet, "modulus_bounds", lambda rs: bounds.append(rs) or modulus_bounds(rs)
-    )
+    taggings = _count_calls(monkeypatch, try_modulus_tags)
     roots._solve_cached.cache_clear()
     strictly_perron_certificate(*point)
     assert primality == [(point[2],)]
@@ -370,7 +367,7 @@ def test_certificate_computes_each_fact_once(monkeypatch, point):
     assert sturm_chains == []
     assert gcds == []
     attempts = 1 if expected.irreducible else 0
-    assert len(escalations) == len(censuses) == len(bounds) == attempts
+    assert len(escalations) == len(censuses) == len(taggings) == attempts
 
 
 def _count_family_primality(monkeypatch) -> list:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly
+from conftest import dominant, poly
 from perronpoly.errors import InvalidInputError, NonConvergenceError
 from perronpoly.family import FamilyParams
 from perronpoly.matrices import (
@@ -166,9 +166,7 @@ class TestDominantEigenvalue:
         for coeffs in [(-3, -1, 1), (-5, 0, -1, 1), (-7, 0, 0, -4, 1)]:
             f = IntPoly(coeffs)
             lam = dominant_eigenvalue(companion_matrix(f))
-            rs = complex_roots(f)
-            with rs.work():
-                dom = float(rs.dominant().value.real)
+            dom = float(dominant(complex_roots(f))[0].real)
             assert lam == pytest.approx(dom, abs=1e-8)
 
 

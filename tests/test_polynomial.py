@@ -8,12 +8,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_sympy, poly, sylvester_resultant, to_sympy
+from conftest import count_real_roots, from_sympy, poly, sylvester_resultant, to_sympy
 from perronpoly.errors import InvalidInputError
 from perronpoly.polynomial import (
     IntPoly,
     ModPoly,
-    count_real_roots,
     discriminant,
     gcd_mod,
     is_self_reciprocal,
@@ -69,9 +68,6 @@ class TestIntPolyBasics:
         f = poly(-1, -1, 1)
         assert f(2) == 1
         assert f(Fraction(1, 2)) == Fraction(-5, 4)
-
-    def test_x_power(self):
-        assert IntPoly.x_power(3, -2) == poly(0, 0, 0, -2)
 
 
 class TestRingOps:

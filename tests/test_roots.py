@@ -5,15 +5,18 @@ certified disk must contain exactly one reference root.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import mpmath
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import poly, to_sympy
+from conftest import count_real_roots, disks, dominant, poly, to_sympy, work
 from perronpoly import roots as roots_module
-from perronpoly.classification import STRICTLY_PERRON, classify
+from perronpoly.classification import NO_PERRON_ROOT, STRICTLY_PERRON, _decide, classify
 from perronpoly.errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
 from perronpoly.family import FamilyParams
 from perronpoly.polynomial import IntPoly, squarefree_part
@@ -25,6 +28,9 @@ from perronpoly.roots import (
     expected_on_circle,
     modulus_profile,
     real_axis_profile,
+    sqrt_exceeds,
+    try_modulus_tags,
+    try_real_census,
 )
 
 LEHMER = poly(1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
@@ -39,45 +45,73 @@ def assert_disks_cover_reference(f: IntPoly):
     # roots (converted through complex) carry the larger error; inflate the
     # disks by a double-precision allowance scaled to the root size.
     rs = complex_roots(f)
-    assert len(rs) == f.degree
-    refs = reference_roots(f)
-    with rs.work():
+    assert len(rs.roots) == f.degree
+    refs, found = reference_roots(f), disks(rs)
+    with work(rs):
         for ref in refs:
             slack = 1e-10 * (1 + abs(ref))
             inside = [
-                r
-                for r in rs.roots
-                if abs(r.value - mpmath.mpc(ref.real, ref.imag)) <= r.radius + slack
+                centre
+                for centre, radius in found
+                if abs(centre - mpmath.mpc(ref.real, ref.imag)) <= radius + slack
             ]
             assert len(inside) == 1, f"reference root {ref} not near exactly one disk"
 
 
+def vieta_residuals(rs: CertifiedRootSet, f: IntPoly) -> dict[str, mpmath.mpf]:
+    """Residuals of the two symmetric-function identities, with their
+    certified error allowances: a referee independent of the solver."""
+    n, found = f.degree, disks(rs)
+    with mpmath.workprec(max(rs.precision_bits * 2, 128)):
+        total = mpmath.mpf(0)
+        for centre, _ in found:
+            total += centre
+        sum_res = abs(total + mpmath.mpf(f.coeff(n - 1)) / f.lead)
+        sum_bound = sum((radius for _, radius in found), mpmath.mpf(0))
+        prod = mpmath.mpc(1)
+        prod_hi = mpmath.mpf(1)
+        prod_lo = mpmath.mpf(1)
+        for centre, radius in found:
+            prod *= centre
+            prod_hi *= abs(centre) + radius
+            prod_lo *= abs(centre)
+        target = mpmath.mpf((-1) ** n) * f.constant / f.lead
+        prod_res = abs(prod - target)
+        prod_bound = prod_hi - prod_lo
+        slack = mpmath.mpf(2) ** (-rs.precision_bits // 2)
+    return {
+        "sum_residual": sum_res,
+        "sum_allowance": sum_bound + slack,
+        "product_residual": prod_res,
+        "product_allowance": prod_bound + slack,
+    }
+
+
 class TestComplexRoots:
     def test_golden_ratio(self):
-        rs = complex_roots(poly(-1, -1, 1))
-        with rs.work():
-            vals = sorted(float(r.value.real) for r in rs.roots)
+        vals = sorted(float(centre.real) for centre, _ in disks(complex_roots(poly(-1, -1, 1))))
         assert vals[0] == pytest.approx((1 - 5**0.5) / 2, abs=1e-12)
         assert vals[1] == pytest.approx((1 + 5**0.5) / 2, abs=1e-12)
 
     def test_disks_are_disjoint(self):
         rs = complex_roots(LEHMER)
-        with rs.work():
-            for i, a in enumerate(rs.roots):
-                for b in rs.roots[i + 1 :]:
-                    assert abs(a.value - b.value) > a.radius + b.radius
+        found = disks(rs)
+        with work(rs):
+            for i, (a, ra) in enumerate(found):
+                for b, rb in found[i + 1 :]:
+                    assert abs(a - b) > ra + rb
 
     def test_dominant_is_max_modulus(self):
         rs = complex_roots(poly(-5, -1, 0, 1))
-        dom = rs.dominant()
-        with rs.work():
-            assert all(dom.modulus >= r.modulus - r.radius for r in rs.roots)
-            assert dom.value.real > 1
+        dom, found = dominant(rs)[0], disks(rs)
+        with work(rs):
+            assert all(abs(dom) >= abs(centre) - radius for centre, radius in found)
+            assert dom.real > 1
 
     def test_vieta_residuals_within_allowance(self):
         rs = complex_roots(LEHMER)
-        res = rs.vieta_residuals(LEHMER)
-        with rs.work():
+        res = vieta_residuals(rs, LEHMER)
+        with work(rs):
             assert res["sum_residual"] < res["sum_allowance"]
             assert res["product_residual"] < res["product_allowance"]
 
@@ -91,10 +125,8 @@ class TestComplexRoots:
         # magnitude out; float seeding alone cannot separate them.
         big = 10**9
         f = poly(big * big - 1, -2 * big, 1)
-        rs = complex_roots(f)
-        with rs.work():
-            vals = sorted(float(r.value.real) for r in rs.roots)
-            assert vals == [big - 1, big + 1]
+        vals = sorted(float(centre.real) for centre, _ in disks(complex_roots(f)))
+        assert vals == [big - 1, big + 1]
 
     def test_rejects_constant_and_nonsquarefree_inputs(self):
         with pytest.raises(InvalidInputError):
@@ -103,10 +135,14 @@ class TestComplexRoots:
             complex_roots(poly(1, 2, 1))  # (x+1)^2
 
     def test_modulus_bounds_bracket(self):
-        rs = complex_roots(poly(-3, -1, 1))
-        with rs.work():
-            for (lo, hi), r in zip(rs.modulus_bounds(), rs.roots):
-                assert lo <= r.modulus <= hi
+        # |centre| -+ radius brackets the modulus of the root in each disk.
+        f = poly(-3, -1, 1)
+        rs = complex_roots(f)
+        refs, found = sorted(reference_roots(f), key=lambda z: z.real), disks(rs)
+        with work(rs):
+            for ref, (centre, radius) in zip(refs, found):
+                slack = 1e-12 * abs(ref)
+                assert abs(centre) - radius - slack <= abs(ref) <= abs(centre) + radius + slack
 
     @given(st.lists(st.integers(-20, 20), min_size=2, max_size=6))
     @settings(max_examples=60, deadline=None)
@@ -123,14 +159,11 @@ class TestComplexRoots:
         if f.degree < 2 or f.constant == 0:
             return
         rs = complex_roots(f)
-        with rs.work():
-            values = [r.value for r in rs.roots]
-            for v in values:
+        found = disks(rs)
+        with work(rs):
+            for v, _ in found:
                 conj = mpmath.mpc(v.real, -v.imag)
-                assert any(
-                    abs(conj - w) <= r.radius * 2 + 1e-30
-                    for w, r in zip(values, rs.roots)
-                )
+                assert any(abs(conj - w) <= radius * 2 + 1e-30 for w, radius in found)
 
 
 class TestExpectedOnCircle:
@@ -163,11 +196,11 @@ def coarse_x2_minus_4x_plus_2(monkeypatch):
     precision with a valid but coarse root set: disjoint disks of radius 0.6,
     the one around 0.586 straddling both the unit circle and zero, so no
     decision can be read from it. Other requests reach the real solver."""
-    with mpmath.workprec(64):
-        roots = tuple(
-            CertifiedRoot(mpmath.mpc(2 + s * mpmath.sqrt(2)), mpmath.mpf("0.6")) for s in (-1, 1)
-        )
-    coarse, solve = CertifiedRootSet(roots, DEFAULT_PRECISION_BITS), roots_module._solve_cached
+    scale = 64
+    root2, radius = math.isqrt(2 << 2 * scale), 6 * (1 << scale) // 10
+    roots = tuple(CertifiedRoot((2 << scale) + s * root2, 0, radius) for s in (-1, 1))
+    coarse = CertifiedRootSet(roots, DEFAULT_PRECISION_BITS, scale)
+    solve = roots_module._solve_cached
     start = ((2, -4, 1), DEFAULT_PRECISION_BITS)
     monkeypatch.setattr(
         roots_module, "_solve_cached",
@@ -248,8 +281,6 @@ class TestRealAxisProfile:
     @given(st.lists(st.integers(-15, 15), min_size=2, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_census_matches_sturm(self, body):
-        from perronpoly.polynomial import count_real_roots
-
         f = squarefree_part(IntPoly(tuple(body) + (1,)))
         if f.degree < 1 or f.constant == 0:
             return
@@ -342,25 +373,168 @@ class TestFloatRung:
         for a, p in [(1, 5), (2, 13), (3, 101)]:
             f = FamilyParams(n, a, p).poly
             rs = complex_roots(f)
-            assert rs.precision_bits == DEFAULT_PRECISION_BITS and len(rs) == n
-            desc = list(reversed(f.coeffs))
+            assert rs.precision_bits == DEFAULT_PRECISION_BITS and len(rs.roots) == n
+            desc, found = list(reversed(f.coeffs)), disks(rs)
             with mpmath.workprec(200):
-                for r in rs.roots:
+                for centre, radius in found:
                     ref = mpmath.findroot(
-                        lambda z: mpmath.polyval(desc, z), r.value, solver="newton",
+                        lambda z: mpmath.polyval(desc, z), centre, solver="newton",
                         df=lambda z: mpmath.polyval(desc, z, derivative=True)[1],
                     )
-                    assert abs(ref - r.value) <= r.radius, (n, a, p, r)
+                    assert abs(ref - centre) <= radius, (n, a, p, centre)
 
     def test_equal_centres_do_not_certify(self):
         assert roots_module._certify((2, -3, 1), [1.5, 1.5], DEFAULT_PRECISION_BITS) is None
         assert roots_module._certify((2, -3, 1), [1.0, 2.0], DEFAULT_PRECISION_BITS) is not None
 
     def test_centres_and_radii_are_stored_exactly(self):
-        # A centre needing more than 53 bits must not be rounded to the
-        # ambient precision when it is stored, or its radius would be proven
-        # for a different point.
+        # A centre needing more than 53 bits is kept as the integers it was
+        # proven for: 3 + 2^-150 on the grid, with a radius of at least
+        # |f(3 + 2^-150)| = 2^-150.
         with mpmath.workprec(200):
             z = mpmath.mpc(3 + mpmath.mpf(2) ** -150)
-        (root,) = roots_module._certify((-3, 1), [z], 200)
-        assert root.value == z and root.radius >= mpmath.mpf(2) ** -150
+        rs = roots_module._certify((-3, 1), [z], 200)
+        (root,) = rs.roots
+        assert Fraction(root.x, 1 << rs.scale) == 3 + Fraction(1, 1 << 150) and root.y == 0
+        assert Fraction(root.r, 1 << rs.scale) >= Fraction(1, 1 << 150)
+
+
+def gap_sign(a: int, b: int, c: int) -> int | None:
+    """The sign of sqrt(a) - sqrt(b) - c, from square roots bracketed to
+    2^-64 (exact for squares); None when the bracket straddles 0."""
+    t = 64
+    ra, rb = math.isqrt(a << 2 * t), math.isqrt(b << 2 * t)
+    if ra * ra == a << 2 * t and rb * rb == b << 2 * t:
+        gap = Fraction(ra - rb, 1 << t) - c
+        return (gap > 0) - (gap < 0)
+    if Fraction(ra - rb - 1, 1 << t) > c:
+        return 1
+    if Fraction(ra + 1 - rb, 1 << t) < c:
+        return -1
+    return None
+
+
+def tag(s: int, x: int, y: int, r: int) -> str | None:
+    """The unit-circle tag of the disk (x + iy, r) / 2^s; None when it meets
+    the circle (x^2 - 4x + 2 has no root on it, so no disk may)."""
+    rs = CertifiedRootSet((CertifiedRoot(x, y, r),), DEFAULT_PRECISION_BITS, s)
+    tags = try_modulus_tags(poly(2, -4, 1), rs)
+    return None if tags is None else tags[0]
+
+
+def census_referee(s: int, found) -> tuple | None:
+    """try_real_census in exact rationals: the disks (x + iy, r) / 2^s."""
+    one = 1 << s
+    found = [(Fraction(x, one), Fraction(y, one), Fraction(r, one)) for x, y, r in found]
+    flags, pos, neg, nonreal = [], 0, 0, 0
+    for i, (x, y, r) in enumerate(found):
+        if abs(y) > r:
+            flags.append(False)
+            nonreal += 1
+            continue
+        mirror_meets = [(x - u) ** 2 + (y + v) ** 2 <= (r + w) ** 2 for u, v, w in found]
+        if any(meets for j, meets in enumerate(mirror_meets) if j != i):
+            return None
+        flags.append(True)
+        if x > r:
+            pos += 1
+        elif x < -r:
+            neg += 1
+        else:
+            return None
+    return tuple(flags), pos, neg, nonreal
+
+
+scales = st.integers(0, 80)
+
+
+def disk_on(s: int):
+    return st.tuples(
+        st.integers(-(4 << s), 4 << s), st.integers(-(2 << s), 2 << s), st.integers(0, 2 << s)
+    )
+
+
+class TestIntegerDecisions:
+    """The root decisions are integer inequalities on one grid; each agrees
+    with exact rational arithmetic and keeps its strict or non-strict form
+    at the boundary."""
+
+    @given(st.integers(0, 2**60), st.integers(0, 2**60), st.integers(-1, 1),
+           st.integers(-3, 3), st.integers(-3, 3))
+    @example(10, 8, 0, 0, 0)  # sqrt(100) = sqrt(64) + 2: intervals that touch
+    @settings(max_examples=200, deadline=None)
+    def test_sqrt_exceeds_matches_referee(self, p, q, e, da, db):
+        # Near the boundary: sqrt(p^2 + da) against sqrt(q^2 + db) + c with
+        # c = p - q - e, or exactly on it when e = da = db = 0.
+        c = p - q - e
+        a, b = p * p + da, q * q + db
+        assume(min(a, b, c) >= 0)
+        sign = gap_sign(a, b, c)
+        assume(sign is not None)
+        assert sqrt_exceeds(a, b, c, True) == (sign > 0)
+        assert sqrt_exceeds(a, b, c, False) == (sign >= 0)
+
+    @given(scales.flatmap(lambda s: st.tuples(st.just(s), disk_on(s))))
+    @example((3, (24, 32, 32)))  # |z| = 5, r = 4: tangent from outside
+    @example((3, (24, 32, 31)))
+    @example((3, (3, 4, 3)))  # |z| = 5/8, r = 3/8: tangent from inside
+    @example((3, (3, 4, 2)))
+    @settings(max_examples=200, deadline=None)
+    def test_unit_circle_tags_match_referee(self, case):
+        s, (x, y, r) = case
+        modulus2, rad = Fraction(x * x + y * y, 1 << 2 * s), Fraction(r, 1 << s)
+        want = None
+        if modulus2 > (1 + rad) ** 2:
+            want = "out"
+        elif rad < 1 and modulus2 < (1 - rad) ** 2:
+            want = "in"
+        assert tag(s, x, y, r) == want
+
+    @given(scales.flatmap(lambda s: st.tuples(st.just(s), st.lists(disk_on(s), max_size=3))))
+    @example((0, [(5, 1, 1), (5, -4, 2)]))  # the mirror of the first disk touches the second
+    @example((0, [(5, 1, 1), (5, -5, 2)]))
+    @example((2, [(4, 0, 4), (-12, 2, 1)]))  # a real disk with its edge at 0
+    @settings(max_examples=200, deadline=None)
+    def test_census_matches_referee(self, case):
+        s, found = case
+        rs = CertifiedRootSet(tuple(CertifiedRoot(*d) for d in found), DEFAULT_PRECISION_BITS, s)
+        assert try_real_census(rs) == census_referee(s, found)
+
+    @pytest.mark.parametrize("s", [0, 7, 64])
+    def test_boundaries_decide_as_the_inequalities_say(self, s):
+        one = 1 << s
+        assert tag(s, 3 * one, 4 * one, 4 * one) is None  # |z| - r = 1 is not "out"
+        assert tag(s, 3 * one, 4 * one, 4 * one - 1) == "out"
+        assert tag(s + 3, 3 * one, 4 * one, 3 * one) is None  # |z| + r = 1 is not "in"
+        assert tag(s + 3, 3 * one, 4 * one, 3 * one - 1) == "in"
+
+        def census(*found):
+            rs = CertifiedRootSet(tuple(CertifiedRoot(*d) for d in found), 64, s)
+            return try_real_census(rs)
+
+        # A mirrored disk that touches another disk meets it.
+        assert census((5 * one, one, one), (5 * one, -4 * one, 2 * one)) is None
+        assert census((5 * one, one, one), (5 * one, -4 * one - 1, 2 * one)) == (
+            (True, False), 1, 0, 1
+        )
+        # A real disk reaching 0 has no sign; one short of it has.
+        assert census((one, 0, one)) is None and census((-one, 0, one)) is None
+        assert census((one, 0, one - 1)) == ((True,), 1, 0, 0)
+        assert census((-one, 0, one - 1)) == ((True,), 0, 1, 0)
+
+    @pytest.mark.parametrize("s", [0, 7, 64])
+    def test_dominance_rules_at_touching_intervals(self, s):
+        # lambda's disk 10 -+ 1 against a nonreal disk of modulus 8 -+ 1: the
+        # intervals touch, so lambda is not strictly dominant (Perron's rule
+        # is strict), yet no other disk reaches 11 either: undecided. Against
+        # modulus 12 -+ 1 they touch at 11, which NoPerronRoot's >= accepts.
+        one, f = 1 << s, poly(-3, -1, 1)
+        lam = CertifiedRoot(10 * one, 0, one)
+
+        def decide(other: CertifiedRoot):
+            rs = CertifiedRootSet((lam, other), 64, s)
+            return _decide(f, rs, ("out", "out"), (0, 0, 2), (True, False))
+
+        assert decide(CertifiedRoot(0, 8 * one, one)) is None
+        assert decide(CertifiedRoot(0, 12 * one, one)).kind == NO_PERRON_ROOT
+        assert decide(CertifiedRoot(0, 12 * one - 1, one)) is None
