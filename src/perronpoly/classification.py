@@ -88,14 +88,13 @@ class Classification:
         }
 
 
-def _decimal(root: CertifiedRoot, scale: int, bits: int) -> str:
+def _decimal(root: CertifiedRoot, scale: int) -> str:
     """The centre x / 2^scale of a real positive root's disk to the digits
-    the disk certifies (about log10(x / r)), at most 20; r < x, so an mpf of
-    x's bit length holds both exactly."""
+    the disk certifies, floor(log10(x / r)) (r >= 1), at most 20; an mpf of
+    x's bit length holds the centre exactly."""
     with mpmath.workprec(root.x.bit_length()):
-        value, radius = mpmath.mpf((root.x, -scale)), mpmath.mpf((root.r, -scale))
-    with mpmath.workprec(bits):
-        digits = int(mpmath.log10(abs(value) / radius))
+        value = mpmath.mpf((root.x, -scale))
+    digits = len(str(root.x // root.r)) - 1
     return mpmath.nstr(value, max(1, min(20, digits)))
 
 
@@ -245,7 +244,7 @@ def _perron_subclass(
         return None
     n = f.degree
     inside, _, outside = profile
-    lam = _decimal(*star, rs.precision_bits)
+    lam = _decimal(*star)
 
     if inside == n - 1 and outside == 1:
         sub = PISOT

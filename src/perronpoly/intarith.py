@@ -435,16 +435,6 @@ class SquarefreeStatus:
             return f"NotSquarefree({self.witness})"
         return f"Unknown({self.cofactor})"
 
-    @staticmethod
-    def parse(text: str) -> "SquarefreeStatus":
-        if text == "Squarefree":
-            return SquarefreeStatus.squarefree()
-        for tag, ctor in (("NotSquarefree(", SquarefreeStatus.not_squarefree),
-                          ("Unknown(", SquarefreeStatus.unknown)):
-            if text.startswith(tag) and text.endswith(")"):
-                return ctor(int(text[len(tag) : -1]))
-        raise InvalidInputError(f"unparseable squarefree status: {text!r}")
-
 
 def squarefree_status(n: int, budget: int = DEFAULT_BUDGET) -> SquarefreeStatus:
     """Decide whether n >= 1 is squarefree, using certificates cheaper than a

@@ -10,28 +10,32 @@ every monic integer factor of f is a subproduct of the true roots, so if no
 subset of approximations rounds to an integer polynomial dividing f, no
 factor exists.
 
-The oracle's rounding step is certified. With root approximations z_i in
-disks of radius r_i, each coefficient of a subproduct of true roots differs
-from the corresponding approximate coefficient by at most
+The oracle's rounding step is certified, and decided in integers on the
+root disks of roots.escalate: centre (x_i + i y_i) / 2^s, radius r_i / 2^s.
+With true roots in those disks, each coefficient of a subproduct of true
+roots differs from the corresponding coefficient for the centres by at most
 
     E = prod_i (1 + |z_i| + r_i) - prod_i (1 + |z_i|)
 
-(the bound for the full root set dominates every subset). When E < 1/4 the
-integer candidate is unique, and trial division settles it exactly; otherwise
-the root set is recomputed at doubled precision.
+(the bound for the full root set dominates every subset). Since
+isqrt(x_i^2 + y_i^2) <= 2^s |z_i| < isqrt(x_i^2 + y_i^2) + 1, the integers
+hi = prod (2^s + isqrt + 1 + r_i) and lo = prod (2^s + isqrt) give
+E * 2^(sn) <= hi - lo, rounded outward with no further allowance. When
+4 (hi - lo) < 2^(sn), so E < 1/4, each subset product of the centres,
+expanded exactly in Gaussian integers, has at most one integer candidate,
+and trial division settles it exactly; otherwise the root set is recomputed
+at doubled precision.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
-
-from mpmath import mpc, mpf, workprec
+from math import gcd, isqrt
 
 from .errors import InvalidInputError, OracleViolationError
 from .intarith import factorize, is_prime
 from .polynomial import IntPoly, squarefree_part
-from .roots import escalate
+from .roots import CertifiedRootSet, escalate
 
 ORACLE_MAX_DEGREE = 14
 
@@ -127,19 +131,6 @@ def prime_constant_criterion(f: IntPoly) -> bool:
     return is_prime(c0)
 
 
-def _subset_coefficients(values, indices, work_bits: int):
-    """Expand prod_{i in indices} (x - z_i) at the given working precision."""
-    with workprec(work_bits):
-        coeffs = [mpc(1)]
-        for i in indices:
-            z = values[i]
-            coeffs.append(mpc(0))
-            for k in range(len(coeffs) - 1, 0, -1):
-                coeffs[k] = coeffs[k - 1] - coeffs[k] * z
-            coeffs[0] = -coeffs[0] * z
-        return coeffs  # ascending
-
-
 def factor_oracle(f: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
     """Complete factorization of monic f into monic irreducibles, by brute force.
 
@@ -189,46 +180,68 @@ def factor_oracle(f: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
 def _oracle_split(sf: IntPoly) -> list[IntPoly]:
     """Irreducible factors of a squarefree monic polynomial, via root subsets."""
 
-    def attempt(rs) -> list[IntPoly] | None:
-        work, s = max(2 * rs.precision_bits, 128), rs.scale
-        with workprec(work):
-            values = [mpc(mpf((d.x, -s)), mpf((d.y, -s))) for d in rs.roots]
-            hi = lo = mpf(1)
-            for z, d in zip(values, rs.roots):
-                m = abs(z)
-                hi *= 1 + m + mpf((d.r, -s))
-                lo *= 1 + m
-            bound = (hi - lo) * (1 + mpf(2) ** (-24)) + mpf(2) ** (-work // 2) * hi
-            if bound >= 0.25:
-                return None
-            return _enumerate_factors(sf, values, float(bound), work)
+    def attempt(rs: CertifiedRootSet) -> list[IntPoly] | None:
+        # slack = hi - lo >= E * 2^(sn), as the module docstring shows.
+        one, hi, lo = 1 << rs.scale, 1, 1
+        for d in rs.roots:
+            m = isqrt(d.norm)
+            hi *= one + m + 1 + d.r
+            lo *= one + m
+        slack = hi - lo
+        if 4 * slack >= 1 << (rs.scale * len(rs.roots)):
+            return None
+        return _enumerate_factors(sf, rs, slack)
 
     return escalate(sf, attempt, "factor oracle could not certify rounding")[1]
 
 
-def _enumerate_factors(sf: IntPoly, values: list, bound: float, work: int) -> list[IntPoly]:
-    pool = list(range(len(values)))
+def _round_subset(
+    rs: CertifiedRootSet, combo: tuple[int, ...], slack: int
+) -> tuple[int, ...] | None:
+    """The integer coefficients (ascending, monic term dropped) that the root
+    subset combo of rs rounds to, or None when one of them lies farther
+    than slack / 2^(sn) from every integer.
+
+    prod (2^s x - (x_i + i y_i)) over the k roots of combo is expanded in
+    Gaussian integers; its coefficients are 2^(sk) times those of the subset
+    product of the centres, so each rounds to the nearest integer by a shift
+    of sk bits and is held to |Im| and |Re - nearest| at most slack /
+    2^(s(n - k)) on that scale.
+    """
+    s, k = rs.scale, len(combo)
+    re, im = [1], [0]
+    for i in combo:
+        x, y = rs.roots[i].x, rs.roots[i].y
+        up_re, up_im = [0] + [v << s for v in re], [0] + [v << s for v in im]
+        re.append(0)
+        im.append(0)
+        re, im = (
+            [u - x * a + y * b for u, a, b in zip(up_re, re, im)],
+            [u - x * b - y * a for u, a, b in zip(up_im, re, im)],
+        )
+    sk, spare = s * k, s * (len(rs.roots) - k)
+    half = 1 << (sk - 1)
+    candidate = []
+    for a, b in zip(re[:-1], im[:-1]):
+        nearest = (a + half) >> sk
+        if abs(b) << spare > slack or abs(a - (nearest << sk)) << spare > slack:
+            return None
+        candidate.append(nearest)
+    return tuple(candidate)
+
+
+def _enumerate_factors(sf: IntPoly, rs: CertifiedRootSet, slack: int) -> list[IntPoly]:
+    pool = list(range(len(rs.roots)))
     remaining = sf
     factors: list[IntPoly] = []
     size = 1
     while pool and size <= len(pool) // 2:
         hit = False
         for combo in combinations(pool, size):
-            approx = _subset_coefficients(values, combo, work)
-            candidate = []
-            ok = True
-            for c in approx[:-1]:
-                if abs(float(c.imag)) > bound:
-                    ok = False
-                    break
-                nearest = int(round(float(c.real)))
-                if abs(float(c.real) - nearest) > bound:
-                    ok = False
-                    break
-                candidate.append(nearest)
-            if not ok:
+            candidate = _round_subset(rs, combo, slack)
+            if candidate is None:
                 continue
-            g = IntPoly(tuple(candidate) + (1,))
+            g = IntPoly(candidate + (1,))
             if g.divides(remaining):
                 factors.append(g)
                 remaining = remaining.exact_div(g)

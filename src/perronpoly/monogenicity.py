@@ -35,7 +35,16 @@ from math import gcd
 from .errors import InvalidInputError, OracleViolationError
 from .intarith import DEFAULT_BUDGET, Factorization, check_budget, factorize, is_prime, valuation
 from .irreducibility import irreducibility_witness
-from .polynomial import IntPoly, ModPoly, discriminant, gcd_mod
+from .polynomial import (
+    IntPoly,
+    discriminant,
+    divmod_mod,
+    gcd_mod,
+    monic_mod,
+    mul_mod,
+    pow_mod,
+    reduce_mod,
+)
 
 NOT_DIVIDES = "NotDividesIndex"
 DIVIDES = "DividesIndex"
@@ -170,8 +179,7 @@ def jks_local_test(t: TrinomialParams, q: int, _disc: int | None = None) -> Loca
         s = m // q**k
         first = _trinomial_mod(n=s_prime, m=s, A=A, B=B, q=q)
         second = _condition_iv_quotient(s=s, k=k, A=A, B=B, q=q)
-        g = gcd_mod(first, second)
-        ok = g.degree <= 0
+        ok = len(gcd_mod(first, second, q)) <= 1
         return LocalIndexVerdict(q, NOT_DIVIDES if ok else DIVIDES, "(iv)")
 
     quantity = jks_condition_v_quantity(t)
@@ -190,68 +198,74 @@ def jks_condition_v_quantity(t: TrinomialParams) -> int:
     )
 
 
-def _trinomial_mod(n: int, m: int, A: int, B: int, q: int) -> ModPoly:
+def _trinomial_mod(n: int, m: int, A: int, B: int, q: int) -> list[int]:
     coeffs = [0] * (n + 1)
     coeffs[0] = B
     coeffs[m] += A
     coeffs[n] += 1
-    return ModPoly(q, tuple(coeffs))
+    return reduce_mod(coeffs, q)
 
 
-def _condition_iv_quotient(s: int, k: int, A: int, B: int, q: int) -> ModPoly:
+def _over_q(coeffs: list[int], q: int, failure: str) -> list[int]:
+    """coeffs / q reduced mod q, for integers coeffs that are given modulo
+    q^2 and must all be divisible by q; OracleViolationError otherwise."""
+    qq, out = q * q, []
+    for c in coeffs:
+        c %= qq
+        if c % q != 0:
+            raise OracleViolationError(failure)
+        out.append(c // q)
+    return reduce_mod(out, q)
+
+
+def _condition_iv_quotient(s: int, k: int, A: int, B: int, q: int) -> list[int]:
     """(A x^(s q^k) + B + (-A x^s - B)^(q^k)) / q, reduced mod q.
 
     The numerator's coefficients are all divisible by q (freshman's-dream
     congruence), so it is enough to expand the power with coefficients mod
-    q^2, divide by q, and reduce. ModPoly drops zero top coefficients, so
-    A x^(s q^k) is added as a polynomial rather than at an index of the power.
+    q^2, divide by q, and reduce.
     """
-    qq = q * q
-    power = ModPoly(qq, (-B,) + (0,) * (s - 1) + (-A,)) ** (q**k)
-    numerator = power + ModPoly(qq, (B,) + (0,) * (s * q**k - 1) + (A,))
-    out = []
-    for c in numerator.coeffs:
-        if c % q != 0:
-            raise OracleViolationError("coprimality-case numerator not divisible by q")
-        out.append(c // q)
-    return ModPoly(q, tuple(out))
+    qq, top = q * q, s * q**k
+    power = pow_mod(reduce_mod([-B] + [0] * (s - 1) + [-A], qq), q**k, qq)
+    numerator = power + [0] * (top + 1 - len(power))
+    numerator[0] += B
+    numerator[top] += A
+    return _over_q(numerator, q, "coprimality-case numerator not divisible by q")
 
 
-def _qth_root_mod(f: ModPoly) -> ModPoly:
+def _qth_root_mod(f: list[int], q: int) -> list[int]:
     """Inverse of Frobenius on F_q[x]: the q-th root of a polynomial whose
     nonzero terms all sit at exponents divisible by q. On the prime field the
     coefficients are their own q-th roots."""
-    q = f.modulus
-    out = [0] * (f.degree // q + 1)
-    for e, c in enumerate(f.coeffs):
+    out = [0] * ((len(f) - 1) // q + 1)
+    for e, c in enumerate(f):
         if c == 0:
             continue
         if e % q != 0:
             raise OracleViolationError("q-th root requested of a non-q-power polynomial")
         out[e // q] = c
-    return ModPoly(q, tuple(out))
+    return out
 
 
-def _radical_mod(f: ModPoly) -> ModPoly:
+def _radical_mod(f: list[int], q: int) -> list[int]:
     """Product of the distinct monic irreducible factors of f over F_q."""
-    q = f.modulus
-    f = f.monic()
-    if f.is_constant:
-        return ModPoly(q, (1,))
-    d = f.derivative()
-    if d.is_zero:
-        return _radical_mod(_qth_root_mod(f))
-    g = gcd_mod(f, d)
-    s = f.exact_div(g)  # carries each factor whose multiplicity q does not divide
+    f = monic_mod(f, q)
+    if len(f) <= 1:
+        return [1]
+    d = reduce_mod([e * c for e, c in enumerate(f)][1:], q)
+    if not d:
+        return _radical_mod(_qth_root_mod(f, q), q)
+    g = gcd_mod(f, d, q)
+    s = divmod_mod(f, g, q)[0]  # carries each factor whose multiplicity q does not divide
     t = g
     while True:
-        u = gcd_mod(t, s)
-        if u.is_constant:
+        u = gcd_mod(t, s, q)
+        if len(u) <= 1:
             break
-        t = t.exact_div(u)
-    if t.is_constant:
-        return s.monic()
-    return (s * _radical_mod(t)).monic()
+        t = divmod_mod(t, u, q)[0]
+    if len(t) <= 1:
+        return s
+    return mul_mod(s, _radical_mod(t, q), q)
 
 
 def dedekind_local_test(f: IntPoly, q: int) -> LocalIndexVerdict:
@@ -259,24 +273,23 @@ def dedekind_local_test(f: IntPoly, q: int) -> LocalIndexVerdict:
 
     With g = radical(f mod q), h = (f mod q)/g, and canonical lifts, the
     integer polynomial F = (lift(g)*lift(h) - f)/q is well defined, and q
-    divides the index exactly when gcd(F, g, h) mod q is nonconstant.
+    divides the index exactly when gcd(F, g, h) mod q is nonconstant. F mod q
+    needs g*h - f only modulo q^2.
     """
     if not is_prime(q):
         raise InvalidInputError("local tests need a prime q")
     if not f.is_monic or f.degree < 1:
         raise InvalidInputError("dedekind_local_test needs a monic polynomial")
-    fbar = ModPoly.reduce(f, q)
-    gbar = _radical_mod(fbar)
-    hbar = fbar.exact_div(gbar)
-    product = gbar.lift() * hbar.lift() - f
-    coeffs = []
-    for c in product.coeffs:
-        if c % q != 0:
-            raise OracleViolationError("Dedekind congruence failed: g*h != f mod q")
-        coeffs.append((c // q) % q)
-    Fbar = ModPoly(q, tuple(coeffs))
-    common = gcd_mod(gcd_mod(gbar, hbar), Fbar)
-    divides = common.degree >= 1
+    fbar = reduce_mod(f.coeffs, q)
+    gbar = _radical_mod(fbar, q)
+    hbar = divmod_mod(fbar, gbar, q)[0]
+    product = mul_mod(gbar, hbar, q * q)  # monic of f's degree
+    Fbar = _over_q(
+        [c - fc for c, fc in zip(product, f.coeffs, strict=True)], q,
+        "Dedekind congruence failed: g*h != f mod q",
+    )
+    common = gcd_mod(gcd_mod(gbar, hbar, q), Fbar, q)
+    divides = len(common) >= 2
     return LocalIndexVerdict(q, DIVIDES if divides else NOT_DIVIDES, "dedekind")
 
 

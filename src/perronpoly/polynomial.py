@@ -3,8 +3,10 @@
 IntPoly stores ascending integer coefficients with no trailing zeros; the
 empty tuple is the zero polynomial. The resultant runs over a subresultant
 pseudo-remainder sequence, entirely in integers, and the discriminant is
-derived from it. ModPoly is the same shape reduced modulo a prime and carries
-its modulus with it.
+derived from it. Over Z/q the same ascending coefficients travel as plain
+lists reduced into [0, q) (reduce_mod), and each function takes the modulus as
+an argument: mul_mod and pow_mod for any modulus, divmod_mod, monic_mod and
+gcd_mod for a prime one.
 
 The text wire format used by the CLI is comma-separated ascending
 coefficients: "-3,-1,1" is x**2 - x - 3.
@@ -399,134 +401,65 @@ def descartes_counts(f: IntPoly) -> tuple[int, int]:
     return counts[0], counts[1]
 
 
-@dataclass(frozen=True)
-class ModPoly:
-    """Polynomial over the prime field F_q, ascending coefficients in [0, q).
-    The ring operations (+, -, *, **) also serve any modulus >= 2."""
-
-    modulus: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        q = self.modulus
-        if q < 2:
-            raise InvalidInputError(f"modulus must be at least 2, got {q}")
-        c = tuple(int(x) % q for x in self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    @staticmethod
-    def reduce(f: IntPoly, q: int) -> "ModPoly":
-        return ModPoly(q, f.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    @property
-    def lead(self) -> int:
-        if self.is_zero:
-            raise InvalidInputError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def _check(self, other: "ModPoly") -> None:
-        if self.modulus != other.modulus:
-            raise InvalidInputError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ModPoly(self.modulus, tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
-
-    def __sub__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ModPoly(self.modulus, tuple(self.coeff(i) - other.coeff(i) for i in range(n)))
-
-    def __mul__(self, other: "ModPoly") -> "ModPoly":
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return ModPoly(self.modulus, ())
-        q = self.modulus
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % q
-        return ModPoly(q, tuple(out))
-
-    def __pow__(self, e: int) -> "ModPoly":
-        result = ModPoly(self.modulus, (1,))
-        for bit in bin(e)[2:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        return result
-
-    def scale(self, k: int) -> "ModPoly":
-        return ModPoly(self.modulus, tuple(c * k for c in self.coeffs))
-
-    def monic(self) -> "ModPoly":
-        if self.is_zero:
-            return self
-        inv = pow(self.lead, -1, self.modulus)
-        return self.scale(inv)
-
-    def divmod(self, other: "ModPoly") -> tuple["ModPoly", "ModPoly"]:
-        self._check(other)
-        if other.is_zero:
-            raise InvalidInputError("polynomial division by zero")
-        q_mod = self.modulus
-        inv = pow(other.lead, -1, q_mod)
-        rem = list(self.coeffs)
-        dq = self.degree - other.degree
-        if dq < 0:
-            return ModPoly(q_mod, ()), self
-        quo = [0] * (dq + 1)
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] % q_mod
-            if c:
-                c = c * inv % q_mod
-                quo[k] = c
-                for i, b in enumerate(other.coeffs):
-                    rem[k + i] = (rem[k + i] - c * b) % q_mod
-        return ModPoly(q_mod, tuple(quo)), ModPoly(q_mod, tuple(rem))
-
-    def exact_div(self, other: "ModPoly") -> "ModPoly":
-        quo, rem = self.divmod(other)
-        if not rem.is_zero:
-            raise InvalidInputError("mod-q polynomial division left a remainder")
-        return quo
-
-    def derivative(self) -> "ModPoly":
-        return ModPoly(self.modulus, tuple(i * c for i, c in enumerate(self.coeffs))[1:])
-
-    def lift(self) -> IntPoly:
-        """Canonical integer lift with coefficients in [0, q)."""
-        return IntPoly(self.coeffs)
-
-    def __str__(self) -> str:
-        return f"{self.lift().pretty()} (mod {self.modulus})"
+def reduce_mod(coeffs: tuple[int, ...] | list[int], q: int) -> list[int]:
+    """The ascending coefficients reduced into [0, q), trailing zeros dropped:
+    the form every function below takes and returns (the empty list is 0)."""
+    out = [c % q for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
-def gcd_mod(f: ModPoly, g: ModPoly) -> ModPoly:
-    """Monic gcd in F_q[x]; errors on modulus mismatch."""
-    if f.modulus != g.modulus:
-        raise InvalidInputError(f"modulus mismatch: {f.modulus} vs {g.modulus}")
-    a, b = f, g
-    while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()
+def mul_mod(a: list[int], b: list[int], q: int) -> list[int]:
+    """a * b modulo q, for any modulus q >= 2."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return reduce_mod(out, q)
+
+
+def pow_mod(a: list[int], e: int, q: int) -> list[int]:
+    """a^e modulo q, for any modulus q >= 2, by square-and-multiply."""
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = mul_mod(result, result, q)
+        if bit == "1":
+            result = mul_mod(result, a, q)
+    return result
+
+
+def divmod_mod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by nonzero b in F_q[x], q prime."""
+    db = len(b) - 1
+    dq = len(a) - 1 - db
+    if dq < 0:
+        return [], a
+    inv = pow(b[-1], -1, q)
+    rem = list(a)
+    quo = [0] * (dq + 1)
+    for k in range(dq, -1, -1):
+        c = rem[k + db] * inv % q
+        if c:
+            quo[k] = c
+            for i, y in enumerate(b):
+                rem[k + i] = (rem[k + i] - c * y) % q
+    return quo, reduce_mod(rem[:db], q)
+
+
+def monic_mod(a: list[int], q: int) -> list[int]:
+    """a scaled to leading coefficient 1 in F_q[x], q prime; 0 stays 0."""
+    if not a:
+        return a
+    inv = pow(a[-1], -1, q)
+    return [c * inv % q for c in a]
+
+
+def gcd_mod(a: list[int], b: list[int], q: int) -> list[int]:
+    """The monic gcd of a and b in F_q[x], q prime."""
+    while b:
+        a, b = b, divmod_mod(a, b, q)[1]
+    return monic_mod(a, q)

@@ -19,6 +19,11 @@ from perronpoly.errors import NonConvergenceError
 from perronpoly.family import strictly_perron_certificate
 
 
+# (x^2 - 18014398509482143)(x^2 - 18014398509482147): both constant terms
+# exceed 2^54, where a double no longer holds every integer.
+BIG_QUARTIC = "324518553658432527419476073801021,0,-36028797018964290,0,1"
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -112,6 +117,11 @@ class TestClassify:
         assert rc == 0
         assert '"class": "NoPerronRoot"' in out
 
+    def test_factor_with_a_constant_above_2_53(self, capsys):
+        rc, out, _ = run(capsys, "classify", "--coeffs", BIG_QUARTIC)
+        assert rc == 0
+        assert '"class": "NotIrreducible"' in out
+
 
 class TestMonogenic:
     def test_not_monogenic_witness(self, capsys):
@@ -151,6 +161,11 @@ class TestMonogenic:
         assert rc == 2
         assert "error:" in err
         assert run(capsys, "monogenic", "--trinomial", "16", "2", "3")[0] == 2
+
+    def test_factor_with_a_constant_above_2_53_rejected(self, capsys):
+        rc, _, err = run(capsys, "monogenic", "--coeffs", BIG_QUARTIC)
+        assert rc == 2
+        assert "irreducible" in err
 
     def test_budget_exhaustion_exits_5(self, capsys):
         # Discriminant 1 + 4c equal to a product of four ~1e9 primes: with a

@@ -268,14 +268,6 @@ class TestSquarefreeStatus:
         for n in list(range(1, 2000)) + [(2**61 - 1) ** 2 * 3, (10**6 + 3) * (10**6 + 33)]:
             assert squarefree_status(n) == squarefree_status_of(factorize(n)), n
 
-    def test_parse_roundtrip(self):
-        for s in [
-            SquarefreeStatus.squarefree(),
-            SquarefreeStatus.not_squarefree(7),
-            SquarefreeStatus.unknown(10**20 + 1),
-        ]:
-            assert SquarefreeStatus.parse(str(s)) == s
-
     def test_str_forms(self):
         assert str(SquarefreeStatus.squarefree()) == "Squarefree"
         assert str(SquarefreeStatus.not_squarefree(3)) == "NotSquarefree(3)"

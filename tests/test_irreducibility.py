@@ -79,6 +79,17 @@ class TestFactorOracle:
         facs = factor_oracle(poly(4, 0, 0, 0, 1))
         assert facs == ((poly(2, -2, 1), 1), (poly(2, 2, 1), 1))
 
+    def test_factors_with_constants_above_2_53(self):
+        # Each constant term needs more bits than a double holds, so a split
+        # read from rounded coefficients would be missed.
+        f = poly(324518553658432527419476073801021, 0, -36028797018964290, 0, 1)
+        assert factor_oracle(f) == (
+            (poly(-18014398509482147, 0, 1), 1),
+            (poly(-18014398509482143, 0, 1), 1),
+        )
+        w = irreducibility_witness(f)
+        assert not w.irreducible and w.detail == "deg 2, deg 2"
+
     def test_irreducible_comes_back_whole(self):
         f = poly(1, 1, 1, 1, 1)
         assert factor_oracle(f) == ((f, 1),)
@@ -131,6 +142,25 @@ class TestFactorOracle:
         f = IntPoly(tuple(a) + (1,)) * IntPoly(tuple(b) + (1,))
         if f.degree < 2:
             return
+        ours = {(g.coeffs, m) for g, m in factor_oracle(f)}
+        _, sym_factors = to_sympy(f).factor_list()
+        theirs = {(from_sympy(g).coeffs, m) for g, m in sym_factors}
+        assert ours == theirs
+
+    @given(st.lists(
+        st.tuples(
+            st.integers(2**53, 2**62).map(lambda c: (c | 1) * (-1) ** (c % 3)),
+            st.lists(st.integers(-10, 10), max_size=2),
+        ),
+        min_size=2, max_size=3,
+    ))
+    @settings(max_examples=30, deadline=None)
+    def test_products_with_big_constants_match_sympy(self, factors):
+        # Odd constant terms above 2^53, which no double holds exactly; the
+        # other strategies stay far below.
+        f = IntPoly((1,))
+        for constant, middle in factors:
+            f = f * IntPoly((constant, *middle, 1))
         ours = {(g.coeffs, m) for g, m in factor_oracle(f)}
         _, sym_factors = to_sympy(f).factor_list()
         theirs = {(from_sympy(g).coeffs, m) for g, m in sym_factors}
