@@ -26,6 +26,7 @@ from .monogenicity import DIVIDES, REDUCIBLE_INPUT, MonogenicityReport, Trinomia
 from .monogenicity import monogenic_from_factorization, monogenic_irreducible
 from .polynomial import IntPoly, descartes_counts
 from .polynomial import discriminant as discriminant_resultant
+from .roots import _scaled_value
 
 SUBCLASS_TEXT = {
     "Pisot": "Pisot",
@@ -353,9 +354,17 @@ def strictly_perron_certificate(
     cls = member_classification(point)
 
     if cls.dominant is not None:
+        # lambda -+ eps with eps = 1e-12 * max(1, lambda), as integers over
+        # the common denominator den = 10**12 * den(lambda); the signs of
+        # den**n * f(t / den) are those of f.
         lam = Fraction(cls.dominant)
-        eps = Fraction(1, 10**12) * max(1, lam)
-        if not f(lam - eps) < 0 < f(lam + eps):
+        scale = 10**12
+        mid, step = lam.numerator * scale, max(lam.numerator, lam.denominator)
+        den = lam.denominator * scale
+        shifted = [c * den ** (f.degree - j) for j, c in enumerate(f.coeffs)]
+        below, above = (_scaled_value(shifted, t, 0)[0] for t in (mid - step, mid + step))
+        if not below < 0 < above:
+            eps = Fraction(1, scale) * max(1, lam)
             raise OracleViolationError(
                 f"certified root {cls.dominant} is not bracketed by a sign change of "
                 f"{f.pretty()} within {float(eps):.3g}"

@@ -13,10 +13,14 @@ batched trial division), and only then are they tried one by one. It returns
 the partial Factorization a prime-by-prime pass gives, whose cofactor is 1 or
 free of primes up to TRIAL_BOUND; finish_factorization then splits that
 cofactor by perfect-power extraction and Brent-cycle rho with a deterministic
-parameter schedule. factorize is the two steps in a row. A caller that only
+parameter schedule. A composite that rho has not split after PM1_CHECKPOINT
+iterations gets one Pollard p-1 stage-1 attempt (bound PM1_BOUND), which
+splits it at once when one of its primes q has q - 1 smooth; rho then resumes
+where it stopped. factorize is the two steps in a row. A caller that only
 needs what the small primes settle (the smallest square prime, say) can stop
 after the first step, since the second only adds primes above TRIAL_BOUND.
-The budget counts rho iterations; when it runs out the unfinished part is
+The budget counts rho iterations plus one unit per bit of the p-1 exponent,
+and no run spends more than it; when it runs out the unfinished part is
 reported as an explicit composite cofactor rather than guessed at.
 """
 from __future__ import annotations
@@ -29,7 +33,15 @@ from math import gcd, isqrt, prod
 
 from .errors import InvalidInputError
 
+# Factoring budget, in rho iterations plus one unit per bit of the p-1
+# exponent (14,447 when the attempt runs).
 DEFAULT_BUDGET = 10**6
+
+# Pollard p-1 stage-1 bound B1, and the rho iterations spent on one composite
+# before its single p-1 attempt. Rho splits most family cofactors well before
+# the checkpoint, so p-1 runs only on those that would otherwise eat the budget.
+PM1_BOUND = 10**4
+PM1_CHECKPOINT = 2**17
 
 TRIAL_BOUND = 10**6
 
@@ -213,12 +225,41 @@ def _perfect_power(n: int) -> tuple[int, int]:
     return n, 1
 
 
+@lru_cache(maxsize=None)
+def _pm1_exponent() -> int:
+    """Pollard p-1 stage-1 exponent: the product, over the primes q <= PM1_BOUND,
+    of the largest power of q that stays <= PM1_BOUND (lcm(1..PM1_BOUND),
+    14,447 bits); built once per process from the sieved table."""
+    table = _trial_primes()
+    exponent = 1
+    for q in table[: bisect_left(table, PM1_BOUND + 1)]:
+        power = q
+        while power * q <= PM1_BOUND:
+            power *= q
+        exponent *= power
+    return exponent
+
+
+def _pollard_pm1(n: int) -> int | None:
+    """Pollard p-1 stage 1 on odd composite n: gcd(2**E - 1, n) with
+    E = _pm1_exponent(), which catches every prime q | n whose q - 1 divides E.
+    Returns the factor when it is proper, None when it is 1 or n."""
+    g = gcd(pow(2, _pm1_exponent(), n) - 1, n)
+    return g if 1 < g < n else None
+
+
 def _brent_rho(n: int, budget: list[int]) -> int | None:
     """One nontrivial factor of odd composite n, or None if the budget dies.
 
     Deterministic: cycles use x**2 + c with c = 1, 2, 3, ... and start y = 2.
-    budget is a single-element mutable cell counting remaining iterations.
+    budget is a single-element mutable cell counting remaining units; every
+    loop is clamped to it, so a call never spends more than it holds. At the
+    first gcd after PM1_CHECKPOINT iterations on n, one Pollard p-1 stage-1
+    attempt is charged the exponent's bit length (when that much is left);
+    if it finds no proper factor, rho resumes where it stopped.
     """
+    start = budget[0]
+    pm1_pending = True
     c = 0
     while budget[0] > 0:
         c += 1
@@ -230,28 +271,39 @@ def _brent_rho(n: int, budget: list[int]) -> int | None:
         batch = 128
         while g == 1 and budget[0] > 0:
             x = y
-            for _ in range(r):
+            advance = min(r, budget[0])
+            for _ in range(advance):
                 y = (y * y + c) % n
-            budget[0] -= r
+            budget[0] -= advance
             k = 0
             while k < r and g == 1 and budget[0] > 0:
                 ys = y
-                steps = min(batch, r - k)
+                steps = min(batch, r - k, budget[0])
                 for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 budget[0] -= steps
                 g = gcd(q, n)
                 k += batch
+                if g == 1 and pm1_pending and start - budget[0] >= PM1_CHECKPOINT:
+                    pm1_pending = False
+                    cost = _pm1_exponent().bit_length()
+                    if budget[0] >= cost:
+                        budget[0] -= cost
+                        d = _pollard_pm1(n)
+                        if d is not None:
+                            return d
             r *= 2
         if g == 1:
             return None
         if g == n:
             g = 1
-            while g == 1:
+            while g == 1 and budget[0] > 0:
                 ys = (ys * ys + c) % n
                 budget[0] -= 1
                 g = gcd(abs(x - ys), n)
+            if g == 1:
+                return None
             if g == n:
                 continue  # degenerate cycle for this c, move on
         return g
@@ -332,8 +384,11 @@ def check_budget(budget: int) -> None:
 
 def finish_factorization(partial: Factorization, budget: int = DEFAULT_BUDGET) -> Factorization:
     """The second factoring step: split the cofactor of a trial_divide result
-    by Brent rho within the given iteration budget. Every prime it adds
-    exceeds TRIAL_BOUND; a complete input comes back unchanged."""
+    by Brent rho, with one Pollard p-1 attempt on each composite that rho has
+    not split after PM1_CHECKPOINT iterations, within the given budget (rho
+    iterations plus the p-1 exponent's bit length; budget 0 runs neither).
+    Every prime it adds exceeds TRIAL_BOUND; a complete input comes back
+    unchanged."""
     check_budget(budget)
     if partial.complete:
         return partial
@@ -343,8 +398,8 @@ def finish_factorization(partial: Factorization, budget: int = DEFAULT_BUDGET) -
 
 
 def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:
-    """Factor n >= 1 within the given rho-iteration budget: trial_divide,
-    then finish_factorization.
+    """Factor n >= 1 within the given budget: trial_divide, then
+    finish_factorization.
 
     >>> factorize(604800).factors
     ((2, 7), (3, 3), (5, 2), (7, 1))

@@ -8,6 +8,7 @@ from datetime import datetime
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from conftest import poly
 import perronpoly
@@ -205,6 +206,19 @@ class TestCertificate:
     def test_negative_budget_rejected(self, point):
         with pytest.raises(InvalidInputError, match="budget"):
             strictly_perron_certificate(*point, budget=-1)
+
+    def test_pm1_decides_what_rho_left_unknown(self):
+        # Rho alone spends the default budget on G's cofactor
+        # 75502169955780014256901309 = 37649793551 * 2005380716191859; the
+        # smaller prime is 1 + a 10**4-smooth number, so Pollard p-1 splits it.
+        cert = strictly_perron_certificate(24, 1, 3)
+        assert cert.params.g == 4022087798550700285381599451441895
+        assert sympy.factorint(cert.params.g) == {
+            5: 1, 7: 1, 19: 1, 80107: 1, 37649793551: 1, 2005380716191859: 1,
+        }
+        assert cert.g_status == "Squarefree"
+        assert cert.monogenic_verdict == "Monogenic"
+        assert cert.conclusion == "monogenic strictly-Perron"
 
     def test_reducible_member(self):
         cert = strictly_perron_certificate(2, 1, 2)

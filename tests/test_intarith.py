@@ -11,13 +11,18 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perronpoly import intarith
 from perronpoly.errors import InvalidInputError
-from perronpoly.family import FamilyParams
+from perronpoly.family import FamilyParams, strictly_perron_certificate
 from perronpoly.intarith import (
     _TRIAL_BLOCK,
+    PM1_BOUND,
+    PM1_CHECKPOINT,
     TRIAL_BOUND,
     Factorization,
     SquarefreeStatus,
+    _factor_hard,
+    _pm1_exponent,
     _trial_primes,
     factorize,
     finish_factorization,
@@ -235,6 +240,128 @@ class TestBlockTrialDivision:
         for i, e in powers:
             n *= _TABLE[i] ** e
         self.assert_agrees(n)
+
+
+# The cofactor trial division leaves of G(3) at (24, 1, 3). Rho alone spends
+# a 10**6 budget on it without a split, but Q - 1 = 2 * 5^2 * 109 * 1249 * 5531
+# divides the p-1 exponent, so one stage-1 attempt splits it.
+_PM1_Q, _PM1_R = 37649793551, 2005380716191859
+
+
+@pytest.fixture
+def pm1_calls(monkeypatch):
+    """Spy on every Pollard p-1 attempt: a list of (n, factor or None)."""
+    calls = []
+    real = intarith._pollard_pm1
+
+    def spy(n):
+        calls.append((n, real(n)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(intarith, "_pollard_pm1", spy)
+    return calls
+
+
+class TestRhoBudget:
+    # The cofactor of G(19) at (24, 1, 19), on which every budget below runs
+    # out; rho used to overshoot them (to 196,606, 393,214, 786,430 and
+    # 1,000,062) because neither its advance loop nor its batches were
+    # clamped to what was left.
+    COFACTOR = 25361860228155246276566903016942311
+
+    @pytest.mark.parametrize("budget", [140_000, 300_000, 600_000, 10**6])
+    def test_never_spends_more_than_the_budget(self, budget):
+        assert trial_divide(FamilyParams(24, 1, 19).g).cofactor == self.COFACTOR
+        cell, found = [budget], {}
+        assert _factor_hard(self.COFACTOR, found, cell) == self.COFACTOR
+        assert found == {}
+        assert cell == [0]  # all of the budget, and no more
+
+
+class TestPollardPm1:
+    def test_exponent_is_lcm_up_to_the_bound(self):
+        exponent = _pm1_exponent()
+        assert exponent == math.lcm(*range(1, PM1_BOUND + 1))
+        assert exponent.bit_length() == 14447
+
+    def test_splits_what_rho_cannot_at_the_default_budget(self, pm1_calls):
+        n = _PM1_Q * _PM1_R
+        fact = finish_factorization(trial_divide(n))
+        assert fact.complete and fact.factors == ((_PM1_Q, 1), (_PM1_R, 1))
+        assert dict(fact.factors) == sympy.factorint(n)
+        assert pm1_calls == [(n, _PM1_Q)]
+
+    # On this input the first gcd past the checkpoint comes after 196,734 rho
+    # iterations (the 2**16-step advance starts at 131,070, then one batch of
+    # 128), so p-1 runs only with 14,447 units left after them.
+    @pytest.mark.parametrize(
+        "budget", [PM1_CHECKPOINT, PM1_CHECKPOINT + 14_446, 196_734 + 14_446]
+    )
+    def test_a_budget_short_of_the_attempt_keeps_the_cofactor(self, budget, pm1_calls):
+        n = _PM1_Q * _PM1_R
+        assert factorize(n, budget) == Factorization((), n, False)
+        assert pm1_calls == []
+
+    def test_the_attempt_is_charged_its_exponent_bits(self):
+        n = _PM1_Q * _PM1_R
+        cell, found = [10**6], {}
+        assert _factor_hard(n, found, cell) == 1 and found == {_PM1_Q: 1, _PM1_R: 1}
+        assert 10**6 - cell[0] == 196_734 + 14_447
+
+    def test_budget_zero_runs_neither_rho_nor_pm1(self, monkeypatch, pm1_calls):
+        spent = []
+        real = intarith._brent_rho
+
+        def rho_spy(n, cell):
+            before = cell[0]
+            d = real(n, cell)
+            spent.append(before - cell[0])
+            return d
+
+        monkeypatch.setattr(intarith, "_brent_rho", rho_spy)
+        n = _PM1_Q * _PM1_R
+        assert factorize(n, budget=0) == Factorization((), n, False)
+        assert spent == [0] and pm1_calls == []
+
+    def test_a_gcd_of_n_falls_back_to_rho(self, pm1_calls):
+        # q - 1 = 2 * 191 * 557 * 677 * 727 and r - 1 = 2 * 347 * 397 * 503 * 887
+        # both divide the exponent, so p-1 finds n itself; rho, resumed, splits
+        # n after about 4.7 * 10**5 iterations.
+        q, r = 104722894547, 122925386399
+        fact = factorize(q * r)
+        assert fact.complete and fact.factors == ((q, 1), (r, 1))
+        assert pm1_calls == [(q * r, None)]
+
+    def test_never_runs_where_rho_splits_before_the_checkpoint(self, pm1_calls):
+        # The sweep-low grid (n 2..12, a 1..3, p <= 29), and a point where rho
+        # needs 113,790 iterations on G.
+        for n in range(2, 13):
+            for a in (1, 2, 3):
+                for p in sympy.primerange(2, 30):
+                    strictly_perron_certificate(n, a, p)
+        cert = strictly_perron_certificate(8, 1, sympy.nextprime(2**61))
+        assert cert.g_status == "Squarefree"
+        assert pm1_calls == []
+
+    @given(
+        st.lists(
+            st.integers(6, 12).flatmap(
+                lambda e: st.integers(10**e, min(10 ** (e + 1), 10**13 - 100))
+            ).map(sympy.nextprime),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_products_of_large_primes_against_sympy(self, primes):
+        # A budget that reaches the p-1 checkpoint but keeps each example short.
+        n = math.prod(primes)
+        fact = factorize(n, budget=300_000)
+        assert fact.value() == n
+        if fact.complete:
+            assert dict(fact.factors) == sympy.factorint(n)
+        else:
+            assert fact.cofactor > 1 and not sympy.isprime(fact.cofactor)
 
 
 class TestValuation:
