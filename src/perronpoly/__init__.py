@@ -33,7 +33,7 @@ from .monogenicity import (
     monogenic,
 )
 from .polynomial import IntPoly, discriminant, resultant
-from .roots import CertifiedRootSet, complex_roots, modulus_profile
+from .roots import CertifiedRootSet, complex_roots
 
 __all__ = [
     "__version__",
@@ -61,7 +61,6 @@ __all__ = [
     "is_irreducible",
     "is_prime",
     "jks_local_test",
-    "modulus_profile",
     "monogenic",
     "resultant",
     "squarefree_status",

@@ -236,7 +236,7 @@ def _times_prime_power(fact: Factorization, p: int, k: int) -> Factorization:
     """fact with the prime power p**k multiplied in."""
     exponents = {**dict(fact.factors), p: fact.exponent(p) + k}
     factors = tuple(sorted((q, e) for q, e in exponents.items() if e))
-    return Factorization(factors, fact.cofactor, fact.complete)
+    return Factorization(factors, fact.cofactor)
 
 
 def _settled_by_trial_division(
@@ -283,15 +283,14 @@ def strictly_perron_certificate(
 
     Each fact is computed once. The point is validated once, and f, G, the
     closed-form disc and the dichotomy are read from it. G is trial-divided
-    once. When that already fixes both reported verdicts — G_status is
-    NotSquarefree(q), and the member is reducible or the local tests on the
-    partial factorization give NotMonogenic(q') with q' <= TRIAL_BOUND — the
-    rho step is skipped, since every prime it could add exceeds
-    TRIAL_BOUND. Otherwise the factorization is finished once, within the
-    budget. The resulting G factorization gives G_status, the squarefree
-    verdict and, times p^(n-2), the factored |disc| for the local tests; a
-    prime already tested on the partial factorization keeps its verdict, so
-    each local test runs once.
+    once, and for an irreducible member the local tests run on that partial
+    factorization times p^(n-2). When this already fixes both reported
+    verdicts — G_status is NotSquarefree(q), and the member is reducible or
+    the local tests give NotMonogenic(q') with q' <= TRIAL_BOUND — the rho
+    step is skipped, since every prime it could add exceeds TRIAL_BOUND.
+    Otherwise the factorization is finished once, within the budget, and
+    only the primes rho added are tested, so each local test runs once. The
+    resulting G factorization gives G_status and the squarefree verdict.
     Irreducibility is the family dichotomy (run_verify checks it). The
     roots are certified once, without a squarefree gcd: disc != 0 shows it.
 
@@ -320,18 +319,12 @@ def strictly_perron_certificate(
         return monogenic_from_factorization(f, trinomial, disc_oracle, disc_fact, known=known)
 
     g_fact = trial_divide(point.g)
+    report = local_tests(g_fact) if point.irreducible else None
+    if not _settled_by_trial_division(squarefree_status_of(g_fact), report):
+        g_fact = finish_factorization(g_fact, budget)
+        if report is not None:  # tests only the primes rho added
+            report = local_tests(g_fact, report.locals)
     g_status = squarefree_status_of(g_fact)
-    report = (
-        local_tests(g_fact) if point.irreducible and g_status.kind == "not_squarefree" else None
-    )
-    if not _settled_by_trial_division(g_status, report):
-        finished = finish_factorization(g_fact, budget)
-        if finished != g_fact:  # rho split the cofactor: test only the primes it added
-            g_fact, g_status = finished, squarefree_status_of(finished)
-            if report is not None:
-                report = local_tests(g_fact, report.locals)
-    if point.irreducible and report is None:
-        report = local_tests(g_fact)
 
     if point.irreducible:
         verdict = report.verdict

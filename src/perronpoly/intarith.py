@@ -13,10 +13,13 @@ batched trial division), and only then are they tried one by one. It returns
 the partial Factorization a prime-by-prime pass gives, whose cofactor is 1 or
 free of primes up to TRIAL_BOUND; finish_factorization then splits that
 cofactor by perfect-power extraction and Brent-cycle rho with a deterministic
-parameter schedule. A composite that rho has not split after PM1_CHECKPOINT
-iterations gets one Pollard p-1 stage-1 attempt (bound PM1_BOUND), which
-splits it at once when one of its primes q has q - 1 smooth; rho then resumes
-where it stopped. factorize is the two steps in a row. A caller that only
+parameter schedule. A composite that rho has not split by its first gcd past
+PM1_CHECKPOINT iterations gets one Pollard p-1 stage-1 attempt (bound
+PM1_BOUND), which splits it at once when one of its primes q has q - 1
+smooth; rho then resumes where it stopped. Brent's advance stretches take no
+gcd, and the one for cycle length 2**16 runs from iteration 131,070 to
+196,606, so on a fresh composite that gcd, and the attempt, come at
+iteration 196,734. factorize is the two steps in a row. A caller that only
 needs what the small primes settle (the smallest square prime, say) can stop
 after the first step, since the second only adds primes above TRIAL_BOUND.
 The budget counts rho iterations plus one unit per bit of the p-1 exponent,
@@ -37,9 +40,11 @@ from .errors import InvalidInputError
 # exponent (14,447 when the attempt runs).
 DEFAULT_BUDGET = 10**6
 
-# Pollard p-1 stage-1 bound B1, and the rho iterations spent on one composite
-# before its single p-1 attempt. Rho splits most family cofactors well before
-# the checkpoint, so p-1 runs only on those that would otherwise eat the budget.
+# Pollard p-1 stage-1 bound B1, and the rho iterations on one composite after
+# which its single p-1 attempt runs, at rho's next gcd: iteration 196,734 on a
+# fresh composite, since the advance stretch from 131,070 to 196,606 takes no
+# gcd. Rho splits most family cofactors well before the checkpoint, so p-1
+# runs only on those that would otherwise eat the budget.
 PM1_BOUND = 10**4
 PM1_CHECKPOINT = 2**17
 
@@ -315,12 +320,16 @@ class Factorization:
     """Partial or complete factorization of a positive integer.
 
     factors are (prime, exponent) pairs with primes ascending; cofactor is the
-    unfactored remainder (1 when complete). prod(p**e) * cofactor == N always.
+    unfactored remainder, and the factorization is complete exactly when it
+    is 1. prod(p**e) * cofactor == N always.
     """
 
     factors: tuple[tuple[int, int], ...]
     cofactor: int
-    complete: bool
+
+    @property
+    def complete(self) -> bool:
+        return self.cofactor == 1
 
     def value(self) -> int:
         v = self.cofactor
@@ -346,7 +355,7 @@ def trial_divide(n: int) -> Factorization:
     TRIAL_BOUND.
 
     >>> trial_divide(2**3 * 1000003**2)
-    Factorization(factors=((2, 3),), cofactor=1000006000009, complete=False)
+    Factorization(factors=((2, 3),), cofactor=1000006000009)
     """
     if n < 1:
         raise InvalidInputError(f"factoring requires N >= 1, got {n}")
@@ -373,7 +382,7 @@ def trial_divide(n: int) -> Factorization:
         # Trial division left no factor up to sqrt(rem), so rem is prime.
         found.append((rem, 1))
         rem = 1
-    return Factorization(tuple(found), rem, rem == 1)
+    return Factorization(tuple(found), rem)
 
 
 def check_budget(budget: int) -> None:
@@ -385,16 +394,16 @@ def check_budget(budget: int) -> None:
 def finish_factorization(partial: Factorization, budget: int = DEFAULT_BUDGET) -> Factorization:
     """The second factoring step: split the cofactor of a trial_divide result
     by Brent rho, with one Pollard p-1 attempt on each composite that rho has
-    not split after PM1_CHECKPOINT iterations, within the given budget (rho
-    iterations plus the p-1 exponent's bit length; budget 0 runs neither).
-    Every prime it adds exceeds TRIAL_BOUND; a complete input comes back
-    unchanged."""
+    not split by its first gcd past PM1_CHECKPOINT iterations, within the
+    given budget (rho iterations plus the p-1 exponent's bit length; budget 0
+    runs neither). Every prime it adds exceeds TRIAL_BOUND; a complete input
+    comes back unchanged."""
     check_budget(budget)
     if partial.complete:
         return partial
     found = dict(partial.factors)
     leftover = _factor_hard(partial.cofactor, found, [budget])
-    return Factorization(tuple(sorted(found.items())), leftover, leftover == 1)
+    return Factorization(tuple(sorted(found.items())), leftover)
 
 
 def factorize(n: int, budget: int = DEFAULT_BUDGET) -> Factorization:

@@ -4,9 +4,9 @@ Matrices are plain tuples of tuples of Python ints; nothing here needs a
 linear-algebra package. The characteristic polynomial is computed by the
 Faddeev-LeVerrier recurrence, whose divisions are exact over the integers
 (each is asserted, so a platform bug cannot silently corrupt a result).
-Strong connectivity of the nonzero-pattern digraph uses an iterative Tarjan
-scan, and the dominant eigenvalue comes from straight power iteration with a
-sup-norm ratio estimate.
+Strong connectivity of the nonzero-pattern digraph is two reachability
+sweeps from one vertex, and the dominant eigenvalue comes from straight power
+iteration with a sup-norm ratio estimate.
 """
 from __future__ import annotations
 
@@ -80,65 +80,10 @@ def char_poly(m: Matrix) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
-def adjacency(m: Matrix) -> tuple[tuple[int, ...], ...]:
-    """Out-neighbour lists of the nonzero-pattern digraph (edge i -> j when
-    m[i][j] != 0)."""
-    n = _validate_square(m)
-    return tuple(tuple(j for j in range(n) if m[i][j] != 0) for i in range(n))
-
-
-def strongly_connected_components(adj: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative so deep graphs cannot overflow the
-    Python stack. Components come out in reverse topological order."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for start in range(n):
-        if index[start] != -1:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, ei = work.pop()
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(adj[v]):
-                w = adj[v][ei]
-                ei += 1
-                if index[w] == -1:
-                    work.append((v, ei))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    return comps
-
-
 def strongly_connected(m: Matrix) -> bool:
-    """Whether the nonzero-pattern digraph of m is strongly connected.
+    """Whether the nonzero-pattern digraph of m (edge i -> j when
+    m[i][j] != 0) is strongly connected: vertex 0 reaches every vertex both
+    along the edges and along the reversed edges.
 
     A 1x1 matrix counts only when its entry is nonzero: the single vertex
     must reach itself along an actual edge, i.e. carry a self-loop.
@@ -146,7 +91,26 @@ def strongly_connected(m: Matrix) -> bool:
     n = _validate_square(m)
     if n == 1:
         return m[0][0] != 0
-    return len(strongly_connected_components(adjacency(m))) == 1
+    out = [[j for j, entry in enumerate(row) if entry != 0] for row in m]
+    into: list[list[int]] = [[] for _ in range(n)]
+    for i, targets in enumerate(out):
+        for j in targets:
+            into[j].append(i)
+    return _reaches_all(out) and _reaches_all(into)
+
+
+def _reaches_all(adj: list[list[int]]) -> bool:
+    """Whether vertex 0 reaches every vertex along the out-neighbour lists
+    adj; iterative, so deep graphs cannot overflow the Python stack."""
+    seen = [False] * len(adj)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return all(seen)
 
 
 def is_nonnegative(m: Matrix) -> bool:

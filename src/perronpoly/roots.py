@@ -25,15 +25,16 @@ so nothing decided here is rounded; mpmath only refines (_refine_mp).
 Every decision escalates through one loop, escalate, with one cap. It
 solves f at DEFAULT_PRECISION_BITS; whenever the disks collide or cannot
 settle the question, it solves f again at doubled precision, at most
-MAX_ESCALATIONS times per decision, and then raises PrecisionExhaustedError. Isolation itself
-(complex_roots), the unit-circle and real-axis profiles, the dominance
-decision and the factor oracle are each one such decision. A float disk is
-only as narrow as double precision allows, so the one root whose digits get
-printed is refined alone (polish_real_root) instead of the whole set.
+MAX_ESCALATIONS times per decision, and then raises PrecisionExhaustedError.
+Isolation itself (complex_roots), the real-axis profile, the dominance
+decision (which tags every root against the unit circle) and the factor
+oracle are each one such decision. A float disk is only as narrow as double
+precision allows, so the one root whose digits get printed is refined alone
+(polish_real_root) instead of the whole set.
 
-The solver assumes a squarefree f: complex_roots, modulus_profile and
-real_axis_profile check it with one gcd; the package's own callers pass
-input known to be squarefree and call escalate directly.
+The solver assumes a squarefree f: complex_roots and real_axis_profile check
+it with one gcd; the package's own callers pass input known to be squarefree
+and call escalate directly.
 
 Roots exactly on the unit circle can never be separated from it numerically;
 they are handled exactly instead: for a palindromic polynomial the on-circle
@@ -387,20 +388,6 @@ def polish_real_root(f: IntPoly, rs: CertifiedRootSet, i: int) -> tuple[Certifie
     return None
 
 
-@dataclass(frozen=True)
-class ModulusProfile:
-    """How the root moduli sit against the unit circle."""
-
-    inside: int
-    on_circle: int
-    outside: int
-    rootset: CertifiedRootSet
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return (self.inside, self.on_circle, self.outside)
-
-
 def expected_on_circle(f: IntPoly) -> int:
     """Exact number of unit-modulus roots of an irreducible polynomial.
 
@@ -445,22 +432,6 @@ def try_modulus_tags(f: IntPoly, rs: CertifiedRootSet) -> tuple[str, ...] | None
         # would mean the palindromic bookkeeping is wrong.
         raise OracleViolationError("unit-circle accounting is inconsistent")
     return tuple("on" if t == "?" else t for t in tags)
-
-
-def modulus_profile(f: IntPoly) -> ModulusProfile:
-    """Certified (inside, on, outside) counts for the roots of squarefree f.
-
-    An "on" verdict is only ever assigned through the exact palindromic route;
-    otherwise precision escalates until every disk clears the circle. The
-    caller is expected to pass irreducible f (or at least f with no root at
-    +-1), as the exact route needs f(1) != 0 and f(-1) != 0.
-    """
-    _require_squarefree(f)
-    rs, tags = escalate(
-        f, lambda rs: try_modulus_tags(f, rs),
-        "could not separate all root disks from the unit circle",
-    )
-    return ModulusProfile(tags.count("in"), tags.count("on"), tags.count("out"), rs)
 
 
 @dataclass(frozen=True)

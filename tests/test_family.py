@@ -469,7 +469,7 @@ class TestStopRule:
         g_status = SquarefreeStatus.not_squarefree(2)
 
         def report(*verdicts):
-            return MonogenicityReport("", 0, Factorization((), 1, True), verdicts, "")
+            return MonogenicityReport("", 0, Factorization((), 1), verdicts, "")
 
         passes = LocalIndexVerdict(2, NOT_DIVIDES, "(iii)")
         beyond = report(passes, LocalIndexVerdict(big, DIVIDES, "(i)"))

@@ -175,7 +175,7 @@ def _reference_trial_divide(n: int) -> Factorization:
     if rem > 1 and math.isqrt(rem) <= TRIAL_BOUND:
         found.append((rem, 1))
         rem = 1
-    return Factorization(tuple(found), rem, rem == 1)
+    return Factorization(tuple(found), rem)
 
 
 _TABLE = _trial_primes()
@@ -299,7 +299,7 @@ class TestPollardPm1:
     )
     def test_a_budget_short_of_the_attempt_keeps_the_cofactor(self, budget, pm1_calls):
         n = _PM1_Q * _PM1_R
-        assert factorize(n, budget) == Factorization((), n, False)
+        assert factorize(n, budget) == Factorization((), n)
         assert pm1_calls == []
 
     def test_the_attempt_is_charged_its_exponent_bits(self):
@@ -320,7 +320,7 @@ class TestPollardPm1:
 
         monkeypatch.setattr(intarith, "_brent_rho", rho_spy)
         n = _PM1_Q * _PM1_R
-        assert factorize(n, budget=0) == Factorization((), n, False)
+        assert factorize(n, budget=0) == Factorization((), n)
         assert spent == [0] and pm1_calls == []
 
     def test_a_gcd_of_n_falls_back_to_rho(self, pm1_calls):
@@ -459,5 +459,5 @@ class TestSquarefreeStatus:
 
 
 def test_factorization_dataclass_value():
-    fact = Factorization(((2, 3), (5, 1)), 77, False)
+    fact = Factorization(((2, 3), (5, 1)), 77)
     assert fact.value() == 8 * 5 * 77

@@ -9,7 +9,6 @@ from conftest import dominant, poly
 from perronpoly.errors import InvalidInputError, NonConvergenceError
 from perronpoly.family import FamilyParams
 from perronpoly.matrices import (
-    adjacency,
     char_poly,
     companion_matrix,
     dominant_eigenvalue,
@@ -17,7 +16,6 @@ from perronpoly.matrices import (
     matrix_irreducible,
     permuted_conjugate,
     strongly_connected,
-    strongly_connected_components,
 )
 from perronpoly.polynomial import IntPoly
 from perronpoly.roots import complex_roots
@@ -127,11 +125,11 @@ class TestConnectivity:
         )
     )
     @settings(max_examples=100, deadline=None)
-    def test_components_match_naive(self, rows):
-        m = tuple(tuple(r) for r in rows)
-        adj = adjacency(m)
-        ours = {frozenset(c) for c in strongly_connected_components(adj)}
-        assert ours == naive_components(adj)
+    def test_matches_naive_components(self, rows):
+        if len(rows) >= 2:  # one vertex needs a self-loop; see the test above
+            adj = [[j for j, entry in enumerate(row) if entry != 0] for row in rows]
+            m = tuple(tuple(r) for r in rows)
+            assert strongly_connected(m) == (len(naive_components(adj)) == 1)
 
 
 class TestDominantEigenvalue:

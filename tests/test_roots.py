@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import count_real_roots, disks, dominant, poly, to_sympy, work
 from perronpoly import roots as roots_module
 from perronpoly.classification import NO_PERRON_ROOT, STRICTLY_PERRON, _decide, classify
+from perronpoly.classification import classify_irreducible
 from perronpoly.errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
 from perronpoly.family import FamilyParams
 from perronpoly.polynomial import IntPoly, squarefree_part
@@ -26,7 +27,6 @@ from perronpoly.roots import (
     CertifiedRootSet,
     complex_roots,
     expected_on_circle,
-    modulus_profile,
     real_axis_profile,
     sqrt_exceeds,
     try_modulus_tags,
@@ -210,27 +210,26 @@ def coarse_x2_minus_4x_plus_2(monkeypatch):
 
 
 class TestModulusProfile:
+    # The (inside, on, outside) counts are the classifier's, from the same
+    # unit-circle tags (roots.try_modulus_tags) its dominance decision reads.
     def test_escalates_past_straddling_disks(self, coarse_x2_minus_4x_plus_2):
-        prof = modulus_profile(coarse_x2_minus_4x_plus_2)
-        assert prof.counts == (1, 0, 1)
-        assert prof.rootset.precision_bits > DEFAULT_PRECISION_BITS
+        cls = classify_irreducible(coarse_x2_minus_4x_plus_2)
+        assert cls.profile == (1, 0, 1)
+        assert cls.precision_bits > DEFAULT_PRECISION_BITS
 
     def test_golden_ratio_profile(self):
-        prof = modulus_profile(poly(-1, -1, 1))
-        assert prof.counts == (1, 0, 1)
+        assert classify(poly(-1, -1, 1)).profile == (1, 0, 1)
 
     def test_lehmer_profile(self):
-        prof = modulus_profile(LEHMER)
-        assert prof.counts == (1, 8, 1)
+        assert classify(LEHMER).profile == (1, 8, 1)
 
     def test_all_outside(self):
-        prof = modulus_profile(poly(-5, -1, 0, 1))
-        assert prof.counts[2] >= 1
-        assert sum(prof.counts) == 3
+        # x^3 - x - 5: the real root is about 1.90, and the complex pair has
+        # squared modulus 5 / 1.90 > 1.
+        assert classify(poly(-5, -1, 0, 1)).profile == (0, 0, 3)
 
     def test_cyclotomic_all_on(self):
-        prof = modulus_profile(poly(1, 1, 1, 1, 1))
-        assert prof.counts == (0, 4, 0)
+        assert classify(poly(1, 1, 1, 1, 1)).profile == (0, 4, 0)
 
     def test_inconsistent_circle_accounting_is_a_violation(self, monkeypatch):
         # Both golden-ratio disks clear the circle; an exact count of 2
@@ -238,11 +237,7 @@ class TestModulusProfile:
         # precision shortfall.
         monkeypatch.setattr(roots_module, "expected_on_circle", lambda f: 2)
         with pytest.raises(OracleViolationError, match="accounting"):
-            modulus_profile(poly(-1, -1, 1))
-
-    def test_rejects_nonsquarefree(self):
-        with pytest.raises(InvalidInputError, match="squarefree"):
-            modulus_profile(poly(4, -4, 1))  # (x - 2)^2
+            classify_irreducible(poly(-1, -1, 1))
 
 
 class TestRealAxisProfile:
