@@ -33,8 +33,8 @@ from math import isqrt
 
 import mpmath
 
-from .errors import InvalidInputError, OracleViolationError
-from .irreducibility import irreducibility_witness
+from .errors import OracleViolationError
+from .irreducibility import irreducibility_witness, require_monic
 from .polynomial import IntPoly, descartes_counts, is_self_reciprocal
 from .roots import (
     CertifiedRoot,
@@ -137,13 +137,7 @@ def classify(f: IntPoly) -> Classification:
     needs; PrecisionExhaustedError propagates from the certified stages and
     is never converted into a verdict.
     """
-    if f.degree < 1:
-        raise InvalidInputError("classify needs degree >= 1")
-    if f.lead == -1:
-        f = -f
-    if not f.is_monic:
-        raise InvalidInputError("classify expects a monic polynomial")
-
+    f = require_monic(f, "classify")
     if not irreducibility_witness(f).irreducible:
         return Classification(f.to_text(), NOT_IRREDUCIBLE, None, None, None, None)
     return classify_irreducible(f)

@@ -74,10 +74,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_monogenic(args: argparse.Namespace) -> int:
     given = _parse_poly(args)
-    if isinstance(given, FamilyParams):
-        report = member_monogenicity(given, args.budget)
-    else:
-        report = monogenic(given, budget=args.budget)
+    decide = member_monogenicity if isinstance(given, FamilyParams) else monogenic
+    report = decide(given, args.budget)
     print(json.dumps(report.to_json_dict()))
     return 5 if report.verdict.startswith("Unknown") else 0
 
@@ -103,13 +101,16 @@ def cmd_search(args: argparse.Namespace) -> int:
         budget=args.budget,
     )
     ledger_path = args.ledger or os.environ.get(LEDGER_ENV)
+    try:
+        ledger = open(ledger_path, "a", encoding="utf-8") if ledger_path else None
+    except OSError as exc:
+        raise InvalidInputError(f"cannot open ledger {ledger_path}: {exc.strerror}") from exc
     tally = SearchTally()
     writer = None
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
 
-    ledger = open(ledger_path, "a", encoding="utf-8") if ledger_path else None
     try:
         for cert in run_search(spec, tally):
             record = cert.to_json_dict()

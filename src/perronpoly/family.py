@@ -2,13 +2,15 @@
 
 A family point is a FamilyParams: (n, a, p) checked once, when the point is
 made, with the closed forms the paper proves things about as its attributes
-(the member f, G(p), the closed-form discriminant and the constant-time
-irreducibility dichotomy). Everything else here takes a point and reads
-them: the monogenic-iff-G-squarefree criterion, real-root parity, a
-member's class and monogenicity report with irreducibility taken from the
-dichotomy, and the certificate pipeline that runs every check side by side
-with its independent oracle and refuses to produce a verdict when any pair
-disagrees.
+(the member f and its trinomial shape, G(p), the closed-form discriminant
+and the constant-time irreducibility dichotomy). Everything else here takes
+a point and reads them: the monogenic-iff-G-squarefree criterion, real-root
+parity, a member's class and monogenicity report with irreducibility taken
+from the dichotomy, and the certificate pipeline that runs every check side
+by side with its independent oracle and refuses to produce a verdict when
+any pair disagrees. The monogenicity report and the certificate share one
+local-test step: it factors G(p) only, multiplies p^(n-2) back in from the
+closed form, and never factors the discriminant.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .intarith import DEFAULT_BUDGET, TRIAL_BOUND, Factorization, SquarefreeStat
 from .intarith import finish_factorization, is_prime, squarefree_status, squarefree_status_of
 from .intarith import trial_divide
 from .monogenicity import DIVIDES, REDUCIBLE_INPUT, MonogenicityReport, TrinomialParams
-from .monogenicity import monogenic_from_factorization, monogenic_irreducible
+from .monogenicity import monogenic_from_factorization
 from .polynomial import IntPoly, descartes_counts
 from .polynomial import discriminant as discriminant_resultant
 from .roots import _scaled_value
@@ -70,6 +72,11 @@ class FamilyParams:
         return self.coprime and self.p > self.a + 1
 
     @cached_property
+    def trinomial(self) -> TrinomialParams:
+        """The member's shape x^n + A x^m + B, for the trinomial index test."""
+        return TrinomialParams(self.n, self.n - 1, -self.a, -self.p)
+
+    @cached_property
     def poly(self) -> IntPoly:
         """The family member x^n - a*x^(n-1) - p.
 
@@ -78,11 +85,7 @@ class FamilyParams:
         >>> FamilyParams(4, 3, 5).poly.pretty()
         'x^4 - 3*x^3 - 5'
         """
-        coeffs = [0] * (self.n + 1)
-        coeffs[0] = -self.p
-        coeffs[self.n - 1] = -self.a
-        coeffs[self.n] = 1
-        return IntPoly(tuple(coeffs))
+        return self.trinomial.polynomial()
 
     @cached_property
     def g(self) -> int:
@@ -155,10 +158,11 @@ def member_classification(point: FamilyParams) -> Classification:
 
 
 def member_monogenicity(point: FamilyParams, budget: int = DEFAULT_BUDGET) -> MonogenicityReport:
-    """monogenic for a family member, irreducibility read from the dichotomy."""
+    """monogenic for a family member, irreducibility read from the dichotomy
+    and |disc| factored as the certificate factors it: G(p), times p^(n-2)."""
     if not point.irreducible:
         raise InvalidInputError(REDUCIBLE_INPUT)
-    return monogenic_irreducible(point.poly, budget)
+    return _local_tests(point, finish_factorization(trial_divide(point.g), budget))
 
 
 def descartes_profile(point: FamilyParams) -> tuple[int, int]:
@@ -232,11 +236,13 @@ def _conclusion(cls: Classification, monogenic_verdict: str) -> str:
     return f"{text}, monogenicity unknown"
 
 
-def _times_prime_power(fact: Factorization, p: int, k: int) -> Factorization:
-    """fact with the prime power p**k multiplied in."""
-    exponents = {**dict(fact.factors), p: fact.exponent(p) + k}
+def _local_tests(point: FamilyParams, g_fact: Factorization, known=()) -> MonogenicityReport:
+    """monogenic_from_factorization for an irreducible member, on the
+    factorization g_fact of G(p) with p^(n-2) multiplied in."""
+    exponents = {**dict(g_fact.factors), point.p: g_fact.exponent(point.p) + point.n - 2}
     factors = tuple(sorted((q, e) for q, e in exponents.items() if e))
-    return Factorization(factors, fact.cofactor)
+    disc_fact = Factorization(factors, g_fact.cofactor)
+    return monogenic_from_factorization(point.poly, point.trinomial, point.disc, disc_fact, known)
 
 
 def _settled_by_trial_division(
@@ -312,18 +318,12 @@ def strictly_perron_certificate(
             f"resultant {disc_oracle}"
         )
 
-    trinomial = TrinomialParams(n, n - 1, -a, -p)
-
-    def local_tests(g_fact: Factorization, known=()) -> MonogenicityReport:
-        disc_fact = _times_prime_power(g_fact, p, n - 2)
-        return monogenic_from_factorization(f, trinomial, disc_oracle, disc_fact, known=known)
-
     g_fact = trial_divide(point.g)
-    report = local_tests(g_fact) if point.irreducible else None
+    report = _local_tests(point, g_fact) if point.irreducible else None
     if not _settled_by_trial_division(squarefree_status_of(g_fact), report):
         g_fact = finish_factorization(g_fact, budget)
         if report is not None:  # tests only the primes rho added
-            report = local_tests(g_fact, report.locals)
+            report = _local_tests(point, g_fact, report.locals)
     g_status = squarefree_status_of(g_fact)
 
     if point.irreducible:

@@ -49,7 +49,8 @@ class IrreducibilityWitness:
     detail: str = ""
 
 
-def _require_monic(f: IntPoly, what: str) -> IntPoly:
+def require_monic(f: IntPoly, what: str) -> IntPoly:
+    """f with a leading -1 normalized away; non-monic input is invalid."""
     if f.degree < 1:
         raise InvalidInputError(f"{what} needs degree >= 1")
     if f.lead == -1:
@@ -66,7 +67,7 @@ def eisenstein_prime(f: IntPoly) -> int | None:
     content are considered, so None means "no witness found", which for
     enormous coefficients is weaker than "no witness exists".
     """
-    f = _require_monic(f, "eisenstein_prime")
+    f = require_monic(f, "eisenstein_prime")
     if f.degree < 2 or f.constant == 0:
         return None
     g = gcd(*f.coeffs[:-1])
@@ -85,7 +86,7 @@ def perron_criterion(f: IntPoly) -> bool:
     the closed unit disk and the rest strictly inside, so no factorization
     into two nonconstant integer polynomials can balance the constant terms.
     """
-    f = _require_monic(f, "perron_criterion")
+    f = require_monic(f, "perron_criterion")
     n = f.degree
     if n < 2 or f.constant == 0:
         return False
@@ -101,7 +102,7 @@ def perron_equality_criterion(f: IntPoly) -> bool | None:
     -1; if f avoids both, the strict argument goes through. Returns True for
     irreducible, None when the guard fails and the test says nothing.
     """
-    f = _require_monic(f, "perron_equality_criterion")
+    f = require_monic(f, "perron_equality_criterion")
     n = f.degree
     if n < 2 or f.constant == 0:
         return None
@@ -121,7 +122,7 @@ def prime_constant_criterion(f: IntPoly) -> bool:
     would need one factor with constant term of modulus 1, i.e. a product of
     such roots with modulus 1.
     """
-    f = _require_monic(f, "prime_constant_criterion")
+    f = require_monic(f, "prime_constant_criterion")
     n = f.degree
     if n < 2:
         return False
@@ -140,7 +141,7 @@ def factor_oracle(f: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
     against f; a mismatch raises OracleViolationError, since it can only mean
     a defect in this module.
     """
-    f = _require_monic(f, "factor_oracle")
+    f = require_monic(f, "factor_oracle")
     original = f
     n = f.degree
     if not 2 <= n <= ORACLE_MAX_DEGREE:
@@ -263,7 +264,7 @@ def irreducibility_witness(f: IntPoly) -> IrreducibilityWitness:
     term). Degrees above the oracle ceiling are only decidable when some
     criterion fires.
     """
-    f = _require_monic(f, "irreducibility_witness")
+    f = require_monic(f, "irreducibility_witness")
     if f.degree == 1:
         return IrreducibilityWitness(True, "degree-one")
     if f.constant == 0:

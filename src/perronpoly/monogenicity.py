@@ -26,6 +26,10 @@ must agree:
 
 Any disagreement between the two on a prime where both apply raises
 OracleViolationError: it cannot be a property of the input.
+
+monogenic factors |disc(f)|; the family module, which knows |disc| as
+p^(n-2) * G(p), factors G only and calls the decision step
+monogenic_from_factorization itself.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from math import gcd
 
 from .errors import InvalidInputError, OracleViolationError
 from .intarith import DEFAULT_BUDGET, Factorization, check_budget, factorize, is_prime, valuation
-from .irreducibility import irreducibility_witness
+from .irreducibility import irreducibility_witness, require_monic
 from .polynomial import (
     IntPoly,
     discriminant,
@@ -177,7 +181,7 @@ def jks_local_test(t: TrinomialParams, q: int, _disc: int | None = None) -> Loca
             return _not_applicable(q, "(iv)", "requires q | n alongside q | m")
         s_prime = n // q**k
         s = m // q**k
-        first = _trinomial_mod(n=s_prime, m=s, A=A, B=B, q=q)
+        first = reduce_mod(TrinomialParams(s_prime, s, A, B).polynomial().coeffs, q)
         second = _condition_iv_quotient(s=s, k=k, A=A, B=B, q=q)
         ok = len(gcd_mod(first, second, q)) <= 1
         return LocalIndexVerdict(q, NOT_DIVIDES if ok else DIVIDES, "(iv)")
@@ -196,14 +200,6 @@ def jks_condition_v_quantity(t: TrinomialParams) -> int:
     return t.B ** (n1 - m1) * n1**n1 - (-1) ** m1 * t.A**n1 * m1**m1 * (m1 - n1) ** (
         n1 - m1
     )
-
-
-def _trinomial_mod(n: int, m: int, A: int, B: int, q: int) -> list[int]:
-    coeffs = [0] * (n + 1)
-    coeffs[0] = B
-    coeffs[m] += A
-    coeffs[n] += 1
-    return reduce_mod(coeffs, q)
 
 
 def _over_q(coeffs: list[int], q: int, failure: str) -> list[int]:
@@ -342,17 +338,9 @@ def monogenic(f: IntPoly | TrinomialParams, budget: int = DEFAULT_BUDGET) -> Mon
     """
     poly = f.polynomial() if isinstance(f, TrinomialParams) else f
     check_budget(budget)
-    if poly.lead == -1:
-        poly = -poly
+    poly = require_monic(poly, "monogenic")
     if not irreducibility_witness(poly).irreducible:
         raise InvalidInputError(REDUCIBLE_INPUT)
-    return monogenic_irreducible(poly, budget)
-
-
-def monogenic_irreducible(poly: IntPoly, budget: int = DEFAULT_BUDGET) -> MonogenicityReport:
-    """The report of monogenic for a monic poly already known to be
-    irreducible: |disc| is factored within budget and every square prime
-    tested (monogenic_from_factorization)."""
     disc = discriminant(poly)
     fact = factorize(abs(disc), budget=budget)
     return monogenic_from_factorization(poly, TrinomialParams.from_polynomial(poly), disc, fact)

@@ -25,7 +25,12 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        c = tuple(int(x) for x in self.coeffs)
+        try:
+            c = tuple(map(int, self.coeffs))
+        except (TypeError, ValueError, OverflowError):
+            c = None
+        if c != tuple(self.coeffs):  # int() would truncate 2.5 and parse "7"
+            raise InvalidInputError(f"polynomial coefficients must be integers: {self.coeffs!r}")
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)

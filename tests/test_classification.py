@@ -239,6 +239,12 @@ class TestEdges:
         with pytest.raises(InvalidInputError):
             classify(poly(7))
 
+    def test_rejection_messages_name_classify(self):
+        with pytest.raises(InvalidInputError, match="^classify expects a monic polynomial$"):
+            classify(poly(1, 1, 2))
+        with pytest.raises(InvalidInputError, match="^classify needs degree >= 1$"):
+            classify(IntPoly(()))
+
     def test_headline(self):
         assert classify(poly(-1, -1, 1)).headline == "Pisot"
         assert classify(poly(-1, 0, 1)).headline == "NotIrreducible"

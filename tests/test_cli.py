@@ -16,7 +16,7 @@ import sympy
 from perronpoly import __version__, search
 from perronpoly.cli import CSV_COLUMNS, LEDGER_ENV, main
 from perronpoly.errors import NonConvergenceError
-from perronpoly.family import strictly_perron_certificate
+from perronpoly.family import FamilyParams, strictly_perron_certificate
 
 
 # (x^2 - 18014398509482143)(x^2 - 18014398509482147): both constant terms
@@ -151,10 +151,32 @@ class TestMonogenic:
         assert rc == 0
         assert json.loads(out)["verdict"] == "Monogenic"
 
-    def test_trinomial_matches_coeffs(self, capsys):
-        assert run(capsys, "monogenic", "--trinomial", "2", "1", "31") == run(
-            capsys, "monogenic", "--coeffs", "-31,-1,1"
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (2, 1, 31),  # G = 125: NotMonogenic(5)
+            (2, 1, 3),
+            (4, 3, 5),
+            (6, 5, 7),
+            (3, 2, 3),  # p = a + 1 at odd n
+        ],
+        ids=lambda point: "-".join(map(str, point)),
+    )
+    def test_trinomial_matches_coeffs(self, capsys, point):
+        coeffs = FamilyParams(*point).poly.to_text()
+        assert run(capsys, "monogenic", "--trinomial", *map(str, point)) == run(
+            capsys, "monogenic", "--coeffs", coeffs
         )
+
+    def test_trinomial_factors_g_not_the_discriminant(self, capsys):
+        # |disc| = p^6 * G with p = 2305843009213693967: the report reads p^6
+        # from the closed form and factors only G, as the certificate does,
+        # instead of asking rho to find p inside |disc|.
+        rc, out, _ = run(capsys, "monogenic", "--trinomial", "8", "1", "2305843009213693967")
+        assert rc == 0
+        record = json.loads(out)
+        assert record["verdict"] == "Monogenic"
+        assert record["disc_factors"]["complete"] is True
 
     def test_reducible_rejected(self, capsys):
         rc, _, err = run(capsys, "monogenic", "--coeffs", "-1,0,1")
@@ -261,6 +283,24 @@ class TestSearch:
         rc, _, _ = run(capsys, "search", "--n", "2", "--a", "1", "--pmax", "3")
         assert rc == 0
         assert len(ledger.read_text().strip().splitlines()) == 2
+
+    def test_unopenable_ledger_flag_is_invalid_input(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "x.jsonl"
+        rc, out, err = run(
+            capsys, "search", "--n", "2", "--a", "1", "--pmax", "3", "--ledger", str(missing),
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: cannot open ledger")
+
+    def test_unopenable_ledger_env_var_is_invalid_input(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(LEDGER_ENV, str(tmp_path / "missing" / "x.jsonl"))
+        rc, out, err = run(
+            capsys, "search", "--n", "2", "--a", "1", "--pmax", "3", "--format", "csv",
+        )
+        assert rc == 2
+        assert out == ""  # not even the CSV header
+        assert err.startswith("error: cannot open ledger")
 
     def test_ledger_flag_beats_env_var(self, capsys, tmp_path, monkeypatch):
         ignored = tmp_path / "ignored.jsonl"

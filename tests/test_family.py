@@ -20,6 +20,7 @@ from perronpoly.family import (
     FamilyParams,
     descartes_profile,
     family_monogenic,
+    member_monogenicity,
     strictly_perron_certificate,
 )
 from perronpoly.intarith import (
@@ -139,6 +140,49 @@ class TestFamilyMonogenic:
                     if not point.irreducible:
                         continue
                     assert family_monogenic(point) == monogenic(point.poly).verdict, (n, a, p)
+
+
+# n 2..12 x a 1..3 x p <= 29, the reducible members left out.
+SMALL_MEMBERS = [
+    point
+    for point in (
+        FamilyParams(n, a, p) for n in range(2, 13) for a in (1, 2, 3) for p in primes_below(30)
+    )
+    if point.irreducible
+]
+
+
+def _point_id(point: FamilyParams) -> str:
+    return f"{point.n}-{point.a}-{point.p}"
+
+
+class TestMemberMonogenicity:
+    @pytest.mark.parametrize(
+        "point", SMALL_MEMBERS + [FamilyParams(8, 1, 2305843009213693967)], ids=_point_id
+    )
+    def test_verdict_is_the_certificates(self, point):
+        # One pipeline: the report for a member is the certificate's own
+        # local-test step, so its verdict is the certificate's monogenic
+        # field, at large p too.
+        certificate = strictly_perron_certificate(point.n, point.a, point.p)
+        assert member_monogenicity(point).verdict == certificate.monogenic_verdict
+
+    @pytest.mark.parametrize("point", SMALL_MEMBERS, ids=_point_id)
+    def test_report_matches_monogenic(self, point):
+        # Below the trial bound, factoring G and multiplying p^(n-2) back in
+        # gives the factorization of |disc| that monogenic finds on its own.
+        assert member_monogenicity(point).to_json_dict() == monogenic(point.poly).to_json_dict()
+
+    def test_factors_g_once_and_never_the_discriminant(self, monkeypatch):
+        point = FamilyParams(8, 1, 2305843009213693967)
+        trials = _count_calls(monkeypatch, trial_divide)
+        finishes = _count_calls(monkeypatch, finish_factorization)
+        factorizations = _count_calls(monkeypatch, factorize)
+        discriminants = _count_calls(monkeypatch, discriminant)
+        member_monogenicity(point)
+        assert trials == [(point.g,)]
+        assert len(finishes) == 1
+        assert factorizations == [] and discriminants == []
 
 
 class TestDescartes:

@@ -259,6 +259,12 @@ class TestMonogenicAggregate:
         with pytest.raises(InvalidInputError):
             monogenic(poly(-1, 0, 1))
 
+    def test_rejects_non_monic_in_its_own_name(self):
+        with pytest.raises(InvalidInputError, match="^monogenic expects a monic polynomial$"):
+            monogenic(poly(1, 1, 2))
+        with pytest.raises(InvalidInputError, match="^monogenic needs degree >= 1$"):
+            monogenic(poly(7))
+
     def test_non_trinomial_runs_dedekind(self):
         # x^3 - 6x^2 - 6x - 6: Eisenstein at 2, disc -7884 = -(2^2 3^3 73);
         # a four-term input, so the report must carry plain "dedekind" tags.

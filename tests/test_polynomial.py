@@ -63,6 +63,18 @@ class TestIntPolyBasics:
             with pytest.raises(InvalidInputError):
                 IntPoly.from_text(bad)
 
+    @pytest.mark.parametrize("bad", [(-3.9, -1, 1), ("7", 1), (2.5,), (None, 1), (float("inf"),)])
+    def test_non_integer_coefficients_rejected(self, bad):
+        # int() would truncate -3.9 to -3 and parse "7"; neither is an integer.
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            IntPoly(bad)
+
+    @pytest.mark.parametrize("good", [(-3, -1, 1), (sympy.Integer(-3), -1, 1), (-3.0, -1, 1.0)])
+    def test_integer_valued_coefficients_accepted(self, good):
+        f = IntPoly(good)
+        assert f == poly(-3, -1, 1)
+        assert all(type(c) is int for c in f.coeffs)
+
     def test_pretty(self):
         assert poly(-5, 0, 0, -3, 1).pretty() == "x^4 - 3*x^3 - 5"
         assert poly(-1, -1, 1).pretty() == "x^2 - x - 1"
