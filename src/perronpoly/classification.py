@@ -24,14 +24,13 @@ positive root and another root, outside those structural shortcuts,
 satisfies neither rule: the routine escalates precision and, at the cap,
 raises PrecisionExhaustedError instead of guessing. The census behind a
 decision must then obey Descartes' rule of signs, or OracleViolationError.
-Each rule, like the Salem check, compares integers; mpmath only prints lambda.
+Each rule, like the Salem check, compares integers, and lambda is printed
+from integers too.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
-
-import mpmath
+from math import isqrt, log
 
 from .errors import OracleViolationError
 from .irreducibility import irreducibility_witness, require_monic
@@ -89,13 +88,25 @@ class Classification:
 
 
 def _decimal(root: CertifiedRoot, scale: int) -> str:
-    """The centre x / 2^scale of a real positive root's disk to the digits
-    the disk certifies, floor(log10(x / r)) (r >= 1), at most 20; an mpf of
-    x's bit length holds the centre exactly."""
-    with mpmath.workprec(root.x.bit_length()):
-        value = mpmath.mpf((root.x, -scale))
-    digits = len(str(root.x // root.r)) - 1
-    return mpmath.nstr(value, max(1, min(20, digits)))
+    """The centre x / 2^scale > 1 of a real positive root's disk to the d
+    digits the disk certifies, floor(log10(x / r)) (r >= 1), at most 20.
+
+    Printed as mpmath.nstr prints it: the decimal digits are truncated on a
+    binary grid of int((d + 3) log2(10)) + 10 bits, rounded half up at digit
+    d, stripped of trailing zeros, and put in exponent form from 10^d up.
+    """
+    d = max(1, min(20, len(str(root.x // root.r)) - 1))
+    bits = max(int((d + 3) * log(10, 2)) + 10 - (root.x.bit_length() - scale), 0)
+    places = int(bits / log(10, 2) + 0.5)
+    digits = str((root.x << bits >> scale) * 10**places >> bits)
+    exponent = len(digits) - places - 1
+    head = str(int(digits[:d]) + (digits[d:d + 1] >= "5"))
+    if len(head) > d:  # 10^d: the carry ran through every digit
+        head, exponent = head[:d], exponent + 1
+    split = exponent + 1 if exponent < d else 1
+    text = (head[:split] + "." + head[split:]).rstrip("0")
+    text += "0" if text.endswith(".") else ""
+    return text if exponent < d else f"{text}e+{exponent}"
 
 
 def _structural_tie(f: IntPoly) -> bool:

@@ -324,7 +324,7 @@ def _square_primes(fact: Factorization) -> list[int]:
     return sorted(out)
 
 
-def monogenic(f: IntPoly | TrinomialParams, budget: int = DEFAULT_BUDGET) -> MonogenicityReport:
+def monogenic(f: IntPoly, budget: int = DEFAULT_BUDGET) -> MonogenicityReport:
     """Aggregate monogenicity verdict for a monic irreducible polynomial.
 
     Tests every prime q with q^2 | disc(f). The trinomial criterion (for a
@@ -336,9 +336,8 @@ def monogenic(f: IntPoly | TrinomialParams, budget: int = DEFAULT_BUDGET) -> Mon
     index-dividing prime, or "Unknown(...)" when the discriminant could not
     be fully factored and no tested prime already decided the question.
     """
-    poly = f.polynomial() if isinstance(f, TrinomialParams) else f
     check_budget(budget)
-    poly = require_monic(poly, "monogenic")
+    poly = require_monic(f, "monogenic")
     if not irreducibility_witness(poly).irreducible:
         raise InvalidInputError(REDUCIBLE_INPUT)
     disc = discriminant(poly)

@@ -1,11 +1,11 @@
 """Certified complex root isolation for squarefree integer polynomials.
 
-The solver runs one Aberth-Ehrlich routine, _aberth, in double precision from
+The solver runs Aberth-Ehrlich sweeps in double precision (_float_aberth) from
 perturbed-circle starting points. At DEFAULT_PRECISION_BITS those float
 approximations are certified as they stand; only when their disks collide,
-and at every higher precision, does _aberth polish them at the precision at
-hand (mpmath backend), and should the polished approximations fail to
-certify, run once more at that precision from the circle points.
+and at every higher precision, are they refined at the precision at hand
+by the same sweeps in Gaussian fixed point (_refine), and should the refined
+approximations fail to certify, refined once more from the circle points.
 Certification is a posteriori and exact: each approximation is rounded to a
 common dyadic grid X / 2^k, and around it we place the Weierstrass disk of
 radius
@@ -20,7 +20,7 @@ exact integer inequality) each disk holds exactly one root.
 A disk is kept as it was proven: integers x, y, r over a power of two 2^s
 shared by its root set, for centre (x + iy) / 2^s and radius r / 2^s. Every
 decision read off the disks is an integer inequality on squared quantities,
-so nothing decided here is rounded; mpmath only refines (_refine_mp).
+so nothing decided here is rounded.
 
 Every decision escalates through one loop, escalate, with one cap. It
 solves f at DEFAULT_PRECISION_BITS; whenever the disks collide or cannot
@@ -49,8 +49,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import mpmath
 
 from .errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
 from .polynomial import IntPoly, is_self_reciprocal, poly_gcd, sturm_count, trace_transform
@@ -98,7 +96,7 @@ def sqrt_exceeds(a: int, b: int, c: int, strict: bool) -> bool:
 
 
 def _horner(coeffs, z):
-    """coeffs[0] + coeffs[1] z + ... in the number type of z, started from the
+    """coeffs[0] + coeffs[1] z + ... for a complex z, started from the
     leading coefficient (the step 0 * z + lead would be exact anyway). A zero
     coefficient adds nothing, so its addition is skipped."""
     it = reversed(coeffs)
@@ -139,54 +137,45 @@ def _initial_points(coeffs: tuple[int, ...]) -> list[complex]:
     return pts
 
 
-def _aberth(zs: list, coeffs, tol, max_iters: int, nudge, limit: float | None = None) -> bool:
-    """Aberth-Ehrlich sweeps updating zs in place, in the number type of zs
-    and coeffs (complex and float, or mpmath complex and int at a set
-    precision).
+def _float_aberth(coeffs: tuple[int, ...]) -> list[complex] | None:
+    """Double-precision warm start: Aberth-Ehrlich sweeps from the circle
+    points, updating them in place; None when it cannot be trusted.
 
-    Stops once no approximation moves by tol relative to 1 + |z|, or after
-    max_iters sweeps. An approximation whose derivative vanishes or that
-    collides with another moves by nudge * (1 + |z|). With limit, returns
-    False as soon as a real or imaginary part reaches it (or is NaN).
+    Stops once no approximation moves by 1e-14 relative to 1 + |z|, or after
+    140 sweeps. An approximation whose derivative vanishes or that collides
+    with another moves by 1e-7 * (1 + |z|). None when a coefficient exceeds
+    _FLOAT_LIMIT, or as soon as a real or imaginary part reaches 1e300 (or is
+    NaN). Like the roots, the approximations returned are closed under
+    conjugation: when z_j is the one nearest conj(z_i) and z_i the one
+    nearest conj(z_j), z_i becomes (z_i + conj(z_j)) / 2 (i = j for a real
+    root, made real).
     """
-    n = len(coeffs) - 1
-    deriv = [i * coeffs[i] for i in range(1, n + 1)]
-    for _ in range(max_iters):
+    if any(abs(c) > _FLOAT_LIMIT for c in coeffs):
+        return None
+    zs = _initial_points(coeffs)
+    values = [float(c) for c in coeffs]
+    deriv = [i * values[i] for i in range(1, len(values))]
+    for _ in range(140):
         worst = 0
         for i, z in enumerate(zs):
             fpz = _horner(deriv, z)
             dzs = [z - zj for j, zj in enumerate(zs) if j != i]
             if fpz == 0 or 0 in dzs:
-                zs[i] = z + nudge * (1 + abs(z))
+                zs[i] = z + 1e-7 * (1 + abs(z))
                 worst = 1
                 continue
             sigma = 0
             for dz in dzs:
                 sigma += 1 / dz
-            w = _horner(coeffs, z) / fpz
+            w = _horner(values, z) / fpz
             den = 1 - w * sigma
             corr = w if den == 0 else w / den
             zs[i] = z - corr
-            if limit is not None and not (abs(zs[i].real) < limit and abs(zs[i].imag) < limit):
-                return False
+            if not (abs(zs[i].real) < 1e300 and abs(zs[i].imag) < 1e300):
+                return None
             worst = max(worst, abs(corr) / (1 + abs(zs[i])))
-        if worst < tol:
+        if worst < 1e-14:
             break
-    return True
-
-
-def _float_aberth(coeffs: tuple[int, ...]) -> list[complex] | None:
-    """Double-precision warm start; None when it cannot be trusted.
-
-    Like the roots, the approximations returned are closed under conjugation:
-    when z_j is the one nearest conj(z_i) and z_i the one nearest conj(z_j),
-    z_i becomes (z_i + conj(z_j)) / 2 (i = j for a real root, made real).
-    """
-    if any(abs(c) > _FLOAT_LIMIT for c in coeffs):
-        return None
-    zs = _initial_points(coeffs)
-    if not _aberth(zs, [float(c) for c in coeffs], 1e-14, 140, 1e-7, limit=1e300):
-        return None
     partner = [min(range(len(zs)), key=lambda j: abs(z.conjugate() - zs[j])) for z in zs]
     return [
         (z + zs[j].conjugate()) / 2 if partner[j] == i else z
@@ -194,21 +183,10 @@ def _float_aberth(coeffs: tuple[int, ...]) -> list[complex] | None:
     ]
 
 
-def _refine_mp(coeffs: tuple[int, ...], starts, prec: int, max_iters: int) -> list:
-    """Aberth refinement at the given precision; returns mpc approximations."""
-    with mpmath.workprec(prec + 32):
-        zs, two = [mpmath.mpc(z) for z in starts], mpmath.mpf(2)
-        _aberth(zs, coeffs, two ** (-(prec + 8)), max_iters, two ** (-prec // 2))
-        return zs
-
-
-def _man_exp(x) -> tuple[int, int]:
-    """(m, e) with x = m * 2^e exactly, for a float or an mpf x."""
-    if isinstance(x, float):
-        num, den = x.as_integer_ratio()
-        return num, 1 - den.bit_length()
-    sign, man, exp, _ = x._mpf_
-    return -man if sign else man, exp
+def _man_exp(x: float) -> tuple[int, int]:
+    """(m, e) with x = m * 2^e exactly."""
+    num, den = x.as_integer_ratio()
+    return num, 1 - den.bit_length()
 
 
 def _on_grid(m: int, e: int, k: int) -> int:
@@ -226,20 +204,70 @@ def _scaled_value(shifted: list[int], x: int, y: int) -> tuple[int, int]:
     return re, im
 
 
-def _certify(coeffs: tuple[int, ...], zs, prec: int) -> CertifiedRootSet | None:
-    """The root set of exact Weierstrass disks around zs (floats, complex or
-    mpmath complex), labelled with precision prec; None when two disks meet.
+def _refine(coeffs: tuple[int, ...], starts: list, prec: int, max_iters: int) -> list:
+    """_float_aberth's sweeps from starts at precision prec (tolerance 2^-(prec + 8),
+    nudge 2^-(prec // 2)) in Gaussian fixed point: each approximation is
+    (X + iY) / 2^k, with k prec + 32 plus the bit length of the largest start,
+    and every product and quotient is floored back to that grid. Returns the
+    parts (X, -k), (Y, -k) of each approximation in turn, as _certify reads them.
+    """
+    parts = [_man_exp(v) for z in starts for v in (z.real, z.imag)]
+    k = prec + 32 + max(0, max((m.bit_length() + e for m, e in parts if m), default=0))
+    grid = [_on_grid(m, e, k) for m, e in parts]
+    zs = list(zip(grid[::2], grid[1::2]))
+    one = 1 << k
+    on_grid = [c << k for c in coeffs]
+    deriv = [i * c << k for i, c in enumerate(coeffs)][1:]
+
+    def value(cs: list[int], x: int, y: int) -> tuple[int, int]:
+        re, im = cs[-1], 0
+        for c in reversed(cs[:-1]):
+            re, im = ((re * x - im * y) >> k) + c, (re * y + im * x) >> k
+        return re, im
+
+    def quotient(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+        """(a + ib) / (c + id) on the grid."""
+        den = c * c + d * d
+        return ((a * c + b * d) << k) // den, ((b * c - a * d) << k) // den
+
+    for _ in range(max_iters):
+        settled = True
+        for i, (x, y) in enumerate(zs):
+            px, py = value(deriv, x, y)
+            dzs = [(x - u, y - v) for j, (u, v) in enumerate(zs) if j != i]
+            if not (px or py) or (0, 0) in dzs:
+                zs[i] = (x + ((one + math.isqrt(x * x + y * y)) >> prec // 2), y)
+                settled = False
+                continue
+            d2s = [a * a + b * b for a, b in dzs]
+            sx = sum((a << 2 * k) // d2 for (a, _), d2 in zip(dzs, d2s))
+            sy = -sum((b << 2 * k) // d2 for (_, b), d2 in zip(dzs, d2s))
+            wx, wy = quotient(*value(on_grid, x, y), px, py)
+            ex, ey = one - ((wx * sx - wy * sy) >> k), -((wx * sy + wy * sx) >> k)
+            cx, cy = quotient(wx, wy, ex, ey) if ex or ey else (wx, wy)
+            x, y = x - cx, y - cy
+            zs[i] = (x, y)
+            if (cx * cx + cy * cy) << 2 * (prec + 8) >= (one + math.isqrt(x * x + y * y)) ** 2:
+                settled = False
+        if settled:
+            break
+    return [(v, -k) for z in zs for v in z]
+
+
+def _certify(coeffs: tuple[int, ...], parts: list, prec: int) -> CertifiedRootSet | None:
+    """The root set of exact Weierstrass disks around the approximations
+    whose real and imaginary parts are m * 2^e, (m, e) in turn in parts,
+    labelled with precision prec; None when two disks meet.
 
     The centres are rounded to the nearest point of the grid X / 2^k, with k
     prec + 24 bits below the largest centre, so that the disks carry about
-    that precision whatever the accuracy of zs. Each radius is bounded from
+    that precision whatever the accuracy of parts. Each radius is bounded from
     above by Q / 2^(k + _GUARD) with Q an integer, and the disks are disjoint
     when |X_i - X_j|^2 * 2^(2 _GUARD) > (Q_i + Q_j)^2. The set keeps these
     integers as they are, on the scale k + _GUARD: centre X * 2^_GUARD,
     radius Q. Its disks are sorted by centre, real part first.
     """
     n = len(coeffs) - 1
-    parts = [_man_exp(v) for z in zs for v in (z.real, z.imag)]
     k = max(0, prec + 24 - max((m.bit_length() + e for m, e in parts if m), default=0))
     grid = [_on_grid(m, e, k) for m, e in parts]
     pts = list(zip(grid[::2], grid[1::2]))
@@ -282,18 +310,19 @@ def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None
         raise InvalidInputError("complex_roots needs degree >= 1")
     starts = _float_aberth(coeffs)
     if starts is not None and bits == DEFAULT_PRECISION_BITS:
-        certified = _certify(coeffs, starts, bits)
+        parts = [_man_exp(v) for z in starts for v in (z.real, z.imag)]
+        certified = _certify(coeffs, parts, bits)
         if certified is not None:
             return certified
     starts = starts or _initial_points(coeffs)
-    certified = _certify(coeffs, _refine_mp(coeffs, starts, bits, 36 + 6 * n), bits)
+    certified = _certify(coeffs, _refine(coeffs, starts, bits, 36 + 6 * n), bits)
     if certified is None:
         # A poisoned start configuration (e.g. approximations trapped on a
         # symmetry line of the root set) stays poisoned at any precision;
         # retry from the generic circle points, which carry deliberate
         # angular and radial asymmetry.
-        zs = _refine_mp(coeffs, _initial_points(coeffs), bits, 72 + 10 * n)
-        certified = _certify(coeffs, zs, bits)
+        parts = _refine(coeffs, _initial_points(coeffs), bits, 72 + 10 * n)
+        certified = _certify(coeffs, parts, bits)
     return certified
 
 
@@ -338,7 +367,7 @@ def polish_real_root(f: IntPoly, rs: CertifiedRootSet, i: int) -> tuple[Certifie
     with the scale of that disk.
 
     A disk narrower than 2^-(bits + 16) times its centre comes back as it
-    is: every mpmath rung's disk is (its centres sit on a grid 2^-(bits + 24)
+    is: every _refine rung's disk is (its centres sit on a grid 2^-(bits + 24)
     relative to the largest root), no float-rung disk is. A wider one is
     refined alone: Newton in integer arithmetic at bits + 72 bits from its
     centre, then an exact sign change of f across [x - d, x + d] proves a

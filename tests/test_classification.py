@@ -1,9 +1,15 @@
 """Taxonomy verdicts: Pisot / Salem / anti-Pisot / strictly-Perron."""
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -281,6 +287,60 @@ class TestEscalation:
         assert classify(f).dominant == "3.1586580672363593388"
 
 
+@st.composite
+def centres(draw) -> tuple[int, int]:
+    """(x, s) with 1 < x / 2^s < 2^3500 and x >= 2^69 > 10^20."""
+    top = draw(st.integers(1, 3500))
+    s = draw(st.integers(max(0, 70 - top), 400))
+    return draw(st.integers((1 << (top + s - 1)) + 1, (1 << (top + s)) - 1)), s
+
+
+class TestLambdaPrinter:
+    @staticmethod
+    def printed(x: int, s: int, d: int) -> str:
+        # r = x // 10^d makes floor(log10(x / r)) = d for x >= 10^d.
+        return classification._decimal(CertifiedRoot(x, 0, x // 10**d), s)
+
+    @given(centres(), st.integers(1, 20))
+    @settings(max_examples=300, deadline=None)
+    @example((15 * 10**18 << 8, 8), 20)
+    @example((15 * 10**19, 0), 20)
+    @example((2 * 10**20 - 1, 1), 20)  # 99999999999999999999.5: every digit carries
+    def test_matches_mpmath_nstr(self, centre, d):
+        x, s = centre
+        with mpmath.workprec(x.bit_length()):
+            expected = mpmath.nstr(mpmath.mpf((x, -s)), d)
+        assert self.printed(x, s, d) == expected
+
+    def test_pinned_forms(self):
+        assert self.printed(15 * 10**18 << 8, 8, 20) == "15000000000000000000.0"
+        assert self.printed(15 * 10**19, 0, 20) == "1.5e+20"
+        assert self.printed(2 * 10**20 - 1, 1, 20) == "1.0e+20"
+        # Just above 9.9999999999999999999|5 on the grid 2^-80: rounds up to 10.
+        x = -(-(int("9" * 20 + "5") << 80) // 10**20)
+        assert self.printed(x, 80, 20) == "10.0"
+
+
+def test_runs_without_mpmath():
+    # With mpmath unimportable, classify escalates x^2 - x - 10^300 through
+    # the refinement rung to 512 bits, and a certificate runs.
+    script = (
+        "import json, sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from perronpoly import IntPoly, classify, strictly_perron_certificate\n"
+        "print(json.dumps(classify(IntPoly((-10**300, -1, 1))).to_json_dict()))\n"
+        "print(json.dumps(strictly_perron_certificate(3, 1, 5).to_json_dict()))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    classified, cert = map(json.loads, done.stdout.splitlines())
+    assert (classified["lambda"], classified["precision_bits"]) == ("1.0e+150", 512)
+    assert (cert["class"], cert["lambda"]) == (STRICTLY_PERRON, "2.1163432986242116598")
+
+
 class TestProperties:
     @given(st.lists(st.integers(-9, 9), min_size=2, max_size=5))
     @settings(max_examples=80, deadline=None)
@@ -309,7 +369,8 @@ class TestProperties:
     @example([4, -4, 2, -2])  # two conjugate pairs tied at modulus sqrt 2
     def test_stable_under_extra_precision(self, body):
         # The default answer (mostly from the float rung) against one whose
-        # roots are all refined by mpmath from the circle points, at 128 bits.
+        # roots are all refined in fixed point from the circle points, at 128
+        # bits.
         f = IntPoly(tuple(body) + (1,))
         if f.constant == 0:
             return

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from sympy.polys.numberfields.basis import round_two
+from sympy.polys.numberfields.exceptions import ClosureFailure
 
-from conftest import poly, to_sympy
+from conftest import X, poly, to_sympy
 from perronpoly.errors import InvalidInputError, OracleViolationError
 from perronpoly.intarith import factorize, is_prime
 from perronpoly.irreducibility import is_irreducible
@@ -247,10 +248,6 @@ class TestMonogenicAggregate:
         assert [v.q for v in report.locals] == [3]
         assert report.locals[0].result == DIVIDES
 
-    def test_accepts_params_directly(self):
-        report = monogenic(TrinomialParams(2, 1, -1, -11))
-        assert report.verdict == "NotMonogenic(3)"
-
     def test_negative_lead_normalized(self):
         report = monogenic(IntPoly((11, 1, -1)))  # -(x^2 - x - 11)
         assert report.verdict == "NotMonogenic(3)"
@@ -334,6 +331,21 @@ class TestAgainstMaximalOrder:
             return
         report = monogenic(f)
         d = discriminant(f)
-        _, d_K = round_two(to_sympy(f))
+        try:
+            _, d_K = round_two(to_sympy(f))
+        except ClosureFailure:
+            # sympy's referee fails on some inputs, x^4 + 4x^2 - 9 among them
+            # (pinned below with its own referee); such a draw has no verdict.
+            reject()
         truly_monogenic = d == int(d_K)
         assert (report.verdict == "Monogenic") == truly_monogenic
+
+    def test_round_two_failure_pinned_independently(self):
+        # round_two raises ClosureFailure on f = x^4 + 4x^2 - 9. With theta a
+        # root, (theta^2 + 1)/2 is not in Z[theta] but is integral: it is a
+        # root of y^2 + y - 3, since ((x^2 + 1)/2)^2 + (x^2 + 1)/2 - 3 is 0
+        # mod f. So 2 divides the index.
+        f = poly(-9, 0, 4, 0, 1)
+        y = (X**2 + 1) / 2
+        assert sympy.rem(sympy.expand(y**2 + y - 3), to_sympy(f).as_expr(), X) == 0
+        assert monogenic(f).verdict == "NotMonogenic(2)"

@@ -325,13 +325,13 @@ class TestAberthStarts:
         # the retry from the circle points must certify at the first attempt.
         f = poly(1, 1, 1)
         monkeypatch.setattr(roots_module, "_float_aberth", lambda coeffs: [0.5, -0.25])
-        refine, starts = roots_module._refine_mp, []
+        refine, starts = roots_module._refine, []
 
         def spy(coeffs, zs, prec, *args, **kwargs):
             starts.append(list(zs))
             return refine(coeffs, zs, prec, *args, **kwargs)
 
-        monkeypatch.setattr(roots_module, "_refine_mp", spy)
+        monkeypatch.setattr(roots_module, "_refine", spy)
         assert complex_roots(f).precision_bits == DEFAULT_PRECISION_BITS
         assert starts == [[0.5, -0.25], roots_module._initial_points(f.coeffs)]
         assert_disks_cover_reference(f)
@@ -344,14 +344,15 @@ class TestAberthStarts:
         c = classify(f)
         assert (c.headline, c.dominant, c.precision_bits) == (STRICTLY_PERRON, "1.0e+150", 512)
 
-    def test_collision_is_nudged_apart(self):
-        # Two equal starts for x^2 - 3x + 2: in either number type the first
-        # sweep nudges one off the other, and the sweeps then find 1 and 2.
-        zs = [0.5 + 0j, 0.5 + 0j]
-        assert roots_module._aberth(zs, [2.0, -3.0, 1.0], 1e-14, 140, 1e-7)
+    def test_collision_is_nudged_apart(self, monkeypatch):
+        # Two equal starts for x^2 - 3x + 2: in double precision and in fixed
+        # point the first sweep nudges one off the other, and the sweeps then
+        # find 1 and 2.
+        monkeypatch.setattr(roots_module, "_initial_points", lambda coeffs: [0.5 + 0j] * 2)
+        zs = roots_module._float_aberth((2, -3, 1))
         assert sorted(z.real for z in zs) == pytest.approx([1, 2])
-        refined = roots_module._refine_mp((2, -3, 1), [0.5, 0.5], 64, 50)
-        assert sorted(float(z.real) for z in refined) == pytest.approx([1, 2])
+        refined = roots_module._refine((2, -3, 1), [0.5, 0.5], 64, 50)
+        assert sorted(math.ldexp(m, e) for m, e in refined[::2]) == pytest.approx([1, 2])
 
 
 class TestFloatRung:
@@ -364,7 +365,7 @@ class TestFloatRung:
         def refine(*args):
             raise AssertionError("the float rung should settle a family member")
 
-        monkeypatch.setattr(roots_module, "_refine_mp", refine)
+        monkeypatch.setattr(roots_module, "_refine", refine)
         for a, p in [(1, 5), (2, 13), (3, 101)]:
             f = FamilyParams(n, a, p).poly
             rs = complex_roots(f)
@@ -379,16 +380,16 @@ class TestFloatRung:
                     assert abs(ref - centre) <= radius, (n, a, p, centre)
 
     def test_equal_centres_do_not_certify(self):
-        assert roots_module._certify((2, -3, 1), [1.5, 1.5], DEFAULT_PRECISION_BITS) is None
-        assert roots_module._certify((2, -3, 1), [1.0, 2.0], DEFAULT_PRECISION_BITS) is not None
+        # Parts (m, e) of the centres 1.5, 1.5 and then 1, 2, imaginary parts 0.
+        equal, apart = [(3, -1), (0, 0)] * 2, [(1, 0), (0, 0), (2, 0), (0, 0)]
+        assert roots_module._certify((2, -3, 1), equal, DEFAULT_PRECISION_BITS) is None
+        assert roots_module._certify((2, -3, 1), apart, DEFAULT_PRECISION_BITS) is not None
 
     def test_centres_and_radii_are_stored_exactly(self):
         # A centre needing more than 53 bits is kept as the integers it was
         # proven for: 3 + 2^-150 on the grid, with a radius of at least
         # |f(3 + 2^-150)| = 2^-150.
-        with mpmath.workprec(200):
-            z = mpmath.mpc(3 + mpmath.mpf(2) ** -150)
-        rs = roots_module._certify((-3, 1), [z], 200)
+        rs = roots_module._certify((-3, 1), [((3 << 150) + 1, -150), (0, 0)], 200)
         (root,) = rs.roots
         assert Fraction(root.x, 1 << rs.scale) == 3 + Fraction(1, 1 << 150) and root.y == 0
         assert Fraction(root.r, 1 << rs.scale) >= Fraction(1, 1 << 150)
