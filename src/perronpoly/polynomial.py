@@ -2,11 +2,12 @@
 
 IntPoly stores ascending integer coefficients with no trailing zeros; the
 empty tuple is the zero polynomial. The resultant runs over a subresultant
-pseudo-remainder sequence, entirely in integers, and the discriminant is
-derived from it. Over Z/q the same ascending coefficients travel as plain
-lists reduced into [0, q) (reduce_mod), and each function takes the modulus as
-an argument: mul_mod and pow_mod for any modulus, divmod_mod, monic_mod and
-gcd_mod for a prime one.
+pseudo-remainder sequence, entirely in integers and on plain coefficient
+lists, and the discriminant is derived from it; poly_gcd and the Sturm chain
+wrap the same pseudo-remainder (_prem). Over Z/q the same ascending
+coefficients travel as plain lists reduced into [0, q) (reduce_mod), and each
+function takes the modulus as an argument: mul_mod and pow_mod for any
+modulus, divmod_mod, monic_mod and gcd_mod for a prime one.
 
 The text wire format used by the CLI is comma-separated ascending
 coefficients: "-3,-1,1" is x**2 - x - 3.
@@ -113,19 +114,7 @@ class IntPoly:
         """Divide every coefficient by k; the division must be exact."""
         if k == 0:
             raise InvalidInputError("division by zero scale")
-        out = []
-        for c in self.coeffs:
-            q, r = divmod(c, k)
-            if r:
-                raise InvalidInputError("inexact coefficient division")
-            out.append(q)
-        return IntPoly(tuple(out))
-
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by x**k."""
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * k + self.coeffs)
+        return IntPoly(tuple(_exact_div(self.coeffs, k)))
 
     def derivative(self) -> "IntPoly":
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
@@ -240,73 +229,75 @@ def trace_transform(f: IntPoly) -> IntPoly:
     return total
 
 
-def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder: lc(b)**(deg a - deg b + 1) * a modulo b."""
-    lb = b.lead
-    db = b.degree
-    r = a
-    e = a.degree - db + 1
-    while not r.is_zero and r.degree >= db:
-        r = r.scale(lb) - b.shift(r.degree - db).scale(r.lead)
+def _exact_div(coeffs, k: int) -> list[int]:
+    """Each coefficient divided by k; every division must be exact."""
+    out = []
+    for c in coeffs:
+        q, r = divmod(c, k)
+        if r:
+            raise InvalidInputError("inexact coefficient division")
+        out.append(q)
+    return out
+
+
+def _prem(a, b) -> list[int]:
+    """Pseudo-remainder lc(b)**(deg a - deg b + 1) * a modulo b, on ascending
+    coefficient sequences with no trailing zeros (b nonzero)."""
+    lb, db = b[-1], len(b) - 1
+    r = list(a)
+    e = len(r) - db
+    while len(r) > db:
+        top = r.pop()
+        off = len(r) - db
+        if lb != 1:
+            r = [c * lb for c in r]
+        for i in range(db):
+            r[off + i] -= top * b[i]
+        while r and r[-1] == 0:
+            r.pop()
         e -= 1
     if e > 0:
-        r = r.scale(lb**e)
+        lbe = lb**e
+        r = [c * lbe for c in r]
     return r
 
 
 def resultant(f: IntPoly, g: IntPoly) -> int:
-    """Resultant over Z via the subresultant pseudo-remainder sequence.
+    """Resultant over Z via the subresultant pseudo-remainder sequence, run
+    on plain coefficient lists.
 
     >>> resultant(IntPoly((-3, -1, 1)), IntPoly((-1, 2)))
     -13
     """
     if f.is_zero or g.is_zero:
         raise InvalidInputError("resultant requires nonzero polynomials")
-    a, b = f, g
+    a, b = f.coeffs, g.coeffs
     s = 1
-    if a.degree < b.degree:
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
+    if len(a) < len(b):
+        if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
             s = -1
         a, b = b, a
-    if b.degree == 0:
-        return s * b.coeffs[0] ** a.degree
-    ca, cb = abs(a.content()), abs(b.content())
-    a = a.scale_div(ca)
-    b = b.scale_div(cb)
-    t = s * ca**b.degree * cb**a.degree
+    if len(b) == 1:
+        return s * b[0] ** (len(a) - 1)
+    ca, cb = gcd(*a), gcd(*b)
+    a, b = _exact_div(a, ca), _exact_div(b, cb)
+    t = s * ca ** (len(b) - 1) * cb ** (len(a) - 1)
     g_, h_ = 1, 1
-    while True:
-        da, db = a.degree, b.degree
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
             t = -t
         r = _prem(a, b)
-        a = b
-        if r.is_zero:
+        if not r:
             return 0
-        b = r.scale_div(g_ * h_**delta)
-        g_ = a.lead
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
+        a, b = b, _exact_div(r, g_ * h_**delta)
+        g_ = a[-1]
+        if delta == 1:
             h_ = g_
-        else:
-            num = g_**delta
-            den = h_ ** (delta - 1)
-            h_ = num // den
-            if h_ * den != num:
-                raise OverflowError("subresultant bookkeeping broke")  # unreachable
-        if b.degree <= 0:
-            break
-    if b.is_zero:
-        return 0
-    da = a.degree
-    lead = b.coeffs[0]
-    num = lead**da
-    den = h_ ** (da - 1) if da >= 1 else 1
-    final = num // den
-    if final * den != num:
-        raise OverflowError("subresultant bookkeeping broke")  # unreachable
+        elif delta > 1:
+            (h_,) = _exact_div((g_**delta,), h_ ** (delta - 1))
+    (final,) = _exact_div((b[0] ** (len(a) - 1),), h_ ** (len(a) - 2))
     return t * final
 
 
@@ -337,7 +328,7 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     if a.degree < b.degree:
         a, b = b, a
     while not b.is_zero:
-        r = _prem(a, b).primitive()
+        r = IntPoly(tuple(_prem(a.coeffs, b.coeffs))).primitive()
         a, b = b, r
     a = a.primitive()
     if a.lead < 0:
@@ -367,7 +358,7 @@ def sturm_count(f: IntPoly, lo: Fraction | int, hi: Fraction | int) -> int:
         raise InvalidInputError("sturm_count endpoints must avoid roots")
     chain = [f, f.derivative()]
     while chain[-1].degree >= 1:
-        r = _prem(chain[-2], chain[-1])
+        r = IntPoly(tuple(_prem(chain[-2].coeffs, chain[-1].coeffs)))
         # Sign fix: the pseudo-remainder is lc**e times the true remainder
         # with e = degree difference plus one. Sturm needs minus the true
         # remainder up to a positive factor, so flip exactly when lc**e > 0.

@@ -1,11 +1,13 @@
 """Certified complex root isolation for squarefree integer polynomials.
 
 The solver runs Aberth-Ehrlich sweeps in double precision (_float_aberth) from
-perturbed-circle starting points. At DEFAULT_PRECISION_BITS those float
-approximations are certified as they stand; only when their disks collide,
-and at every higher precision, are they refined at the precision at hand
-by the same sweeps in Gaussian fixed point (_refine), and should the refined
-approximations fail to certify, refined once more from the circle points.
+Bini's starting points on the circles of the Newton polygon (_newton_starts).
+At DEFAULT_PRECISION_BITS those float approximations are certified as they
+stand; only when their disks collide or are too wide for that precision, and
+at every higher precision, are they refined at the precision at hand by the
+same sweeps in Gaussian fixed point (_refine), and should the refined
+approximations fail to certify, refined once more from one perturbed circle
+of starting points (_initial_points).
 Certification is a posteriori and exact: each approximation is rounded to a
 common dyadic grid X / 2^k, and around it we place the Weierstrass disk of
 radius
@@ -127,6 +129,7 @@ def _fujiwara_radius(coeffs: tuple[int, ...]) -> float:
 
 
 def _initial_points(coeffs: tuple[int, ...]) -> list[complex]:
+    """n jittered points on the circle of Fujiwara radius: the retry start."""
     n = len(coeffs) - 1
     rho = _fujiwara_radius(coeffs)
     pts = []
@@ -137,9 +140,36 @@ def _initial_points(coeffs: tuple[int, ...]) -> list[complex]:
     return pts
 
 
+def _newton_starts(coeffs: tuple[int, ...]) -> list[complex]:
+    """Bini's starting points from the Newton polygon: for each edge of the
+    upper convex hull of (i, log2 |c_i|), c_i != 0, of width m and slope
+    -log2 r, m points evenly spaced on the circle of radius r, turned by an
+    angle fixed per edge. Below a zero constant term, the part of the hull
+    from 0 to the lowest nonzero coefficient is an edge of radius 0. Radii
+    are capped at 2^930, as the Fujiwara radius is."""
+    hull: list[tuple[int, float]] = []
+    for i, c in enumerate(coeffs):
+        if c:
+            y = _log2_int(abs(c))
+            while len(hull) >= 2 and (
+                (hull[-1][0] - hull[-2][0]) * (y - hull[-2][1])
+                >= (hull[-1][1] - hull[-2][1]) * (i - hull[-2][0])
+            ):
+                hull.pop()
+            hull.append((i, y))
+    edges = [(hull[0][0], 0.0)] if hull[0][0] else []
+    for (i, u), (j, v) in zip(hull, hull[1:]):
+        edges.append((j - i, 2.0 ** min((u - v) / (j - i), 930.0)))
+    pts = []
+    for e, (m, r) in enumerate(edges):
+        pts += [r * cmath.exp(1j * (2.0 * cmath.pi * k / m + 0.29 + 0.37 * e)) for k in range(m)]
+    return pts
+
+
 def _float_aberth(coeffs: tuple[int, ...]) -> list[complex] | None:
-    """Double-precision warm start: Aberth-Ehrlich sweeps from the circle
-    points, updating them in place; None when it cannot be trusted.
+    """Double-precision warm start: Aberth-Ehrlich sweeps from the Newton
+    polygon's starts (_newton_starts), updating them in place; None when it
+    cannot be trusted.
 
     Stops once no approximation moves by 1e-14 relative to 1 + |z|, or after
     140 sweeps. An approximation whose derivative vanishes or that collides
@@ -152,7 +182,7 @@ def _float_aberth(coeffs: tuple[int, ...]) -> list[complex] | None:
     """
     if any(abs(c) > _FLOAT_LIMIT for c in coeffs):
         return None
-    zs = _initial_points(coeffs)
+    zs = _newton_starts(coeffs)
     values = [float(c) for c in coeffs]
     deriv = [i * values[i] for i in range(1, len(values))]
     for _ in range(140):
@@ -303,7 +333,12 @@ def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None
     """Certified roots at exactly `bits` bits, or None when the disks collide.
 
     At DEFAULT_PRECISION_BITS the double-precision approximations are tried
-    first, as they stand; their disks carry the label of that precision.
+    first, as they stand. Their disks carry the label of that precision, so
+    they are kept only when each radius is at most 2^-40 * max(1, |centre|);
+    a wider set, as when double precision rounds the coefficients, is
+    refined like one whose disks collide. The refinement starts from the
+    float approximations, and should its disks collide, from the circle
+    points (_initial_points), which differ from the Newton polygon's.
     """
     n = len(coeffs) - 1
     if n < 1:
@@ -312,9 +347,11 @@ def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None
     if starts is not None and bits == DEFAULT_PRECISION_BITS:
         parts = [_man_exp(v) for z in starts for v in (z.real, z.imag)]
         certified = _certify(coeffs, parts, bits)
-        if certified is not None:
+        if certified is not None and all(
+            (d.r << 40) ** 2 <= max(1 << 2 * certified.scale, d.norm) for d in certified.roots
+        ):
             return certified
-    starts = starts or _initial_points(coeffs)
+    starts = starts or _newton_starts(coeffs)
     certified = _certify(coeffs, _refine(coeffs, starts, bits, 36 + 6 * n), bits)
     if certified is None:
         # A poisoned start configuration (e.g. approximations trapped on a

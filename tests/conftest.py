@@ -99,8 +99,8 @@ def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
     from fractions import Fraction
 
     df, dg = f.degree, g.degree
-    if df < 1 or dg < 1:
-        raise ValueError("need two nonconstant polynomials")
+    if df < 0 or dg < 0:
+        raise ValueError("need two nonzero polynomials")
     n = df + dg
     fc = [Fraction(c) for c in reversed(f.coeffs)]
     gc = [Fraction(c) for c in reversed(g.coeffs)]

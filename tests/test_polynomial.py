@@ -138,11 +138,6 @@ class TestRingOps:
         assert abs(f.content()) == 3
         assert f.primitive() == poly(2, 0, -3, 1)
 
-    def test_shift(self):
-        # shift(k) multiplies by x^k.
-        assert poly(1, 1).shift(2) == poly(0, 0, 1, 1)
-        assert poly(3).shift(1) == poly(0, 3)
-
 
 class TestResultantDiscriminant:
     def test_known_resultants(self):
@@ -168,6 +163,22 @@ class TestResultantDiscriminant:
             return
         expected = abs(int(sympy.resultant(to_sympy(f), to_sympy(g))))
         assert abs(resultant(f, g)) == expected
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            (poly(1, 2, 0, 3), poly(-1, 0, 1, 0, 0, 2)),  # degrees 3 < 5, both odd
+            (poly(-7, 1), poly(2, -1, 0, 5)),  # degrees 1 < 3, both odd
+            (poly(-6), poly(1, 2, 3)),  # a constant first operand
+            (poly(2, 0, -4, 1), poly(3)),  # a constant second operand
+            (poly(-3, 1) * poly(1, 1, 2), poly(-3, 1) * poly(5, 0, 1)),  # a common factor
+        ],
+    )
+    def test_pinned_subresultant_cases(self, f, g):
+        # The swap of operands, with the sign (-1)^(deg f deg g) it costs; the
+        # early return on a constant; the zero remainder of a common factor.
+        assert resultant(f, g) == sylvester_resultant(f, g)
+        assert resultant(g, f) == (-1) ** (f.degree * g.degree) * resultant(f, g)
 
     def test_resultant_vanishes_on_shared_root(self):
         shared = poly(-3, 1)

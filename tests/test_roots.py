@@ -344,15 +344,64 @@ class TestAberthStarts:
         c = classify(f)
         assert (c.headline, c.dominant, c.precision_bits) == (STRICTLY_PERRON, "1.0e+150", 512)
 
+    def test_refinement_without_warm_start_begins_at_the_newton_polygon(
+        self, monkeypatch, fresh_root_cache
+    ):
+        # No float warm start above _FLOAT_LIMIT: the first refinement starts
+        # from the Newton polygon, so the circle points stay a different
+        # retry. From the circle, ordering the roots near -+10^150 took 512
+        # bits; from the polygon the sweeps converge and 128 bits do it.
+        f = poly(-(10**300) - 7, -3, 1)
+        refine, starts = roots_module._refine, []
+
+        def spy(coeffs, zs, prec, *args):
+            starts.append(list(zs))
+            return refine(coeffs, zs, prec, *args)
+
+        monkeypatch.setattr(roots_module, "_refine", spy)
+        assert complex_roots(f).precision_bits == DEFAULT_PRECISION_BITS
+        assert starts == [roots_module._newton_starts(f.coeffs)]
+        assert classify(f).precision_bits == 128
+
     def test_collision_is_nudged_apart(self, monkeypatch):
         # Two equal starts for x^2 - 3x + 2: in double precision and in fixed
         # point the first sweep nudges one off the other, and the sweeps then
         # find 1 and 2.
-        monkeypatch.setattr(roots_module, "_initial_points", lambda coeffs: [0.5 + 0j] * 2)
+        starts = []
+        monkeypatch.setattr(
+            roots_module, "_newton_starts", lambda coeffs: starts.append(coeffs) or [0.5 + 0j] * 2
+        )
         zs = roots_module._float_aberth((2, -3, 1))
+        assert starts == [(2, -3, 1)]
         assert sorted(z.real for z in zs) == pytest.approx([1, 2])
         refined = roots_module._refine((2, -3, 1), [0.5, 0.5], 64, 50)
         assert sorted(math.ldexp(m, e) for m, e in refined[::2]) == pytest.approx([1, 2])
+
+    def test_newton_polygon_puts_starts_on_two_circles(self):
+        # x^12 - 10^6 x^11 - 7: the hull of (i, log2 |c_i|) has an edge of
+        # width 1 at radius 10^6 and one of width 11 at radius (7/10^6)^(1/11),
+        # where the eleven starts are evenly spaced (so they sum to 0).
+        starts = roots_module._newton_starts(FamilyParams(12, 10**6, 7).poly.coeffs)
+        by_size = sorted(starts, key=abs)
+        assert abs(by_size[-1]) == pytest.approx(10**6, rel=1e-12)
+        small = by_size[:-1]
+        assert [abs(z) for z in small] == pytest.approx([(7 / 10**6) ** (1 / 11)] * 11, rel=1e-12)
+        assert abs(sum(small)) < 1e-12
+
+    def test_zero_constant_term_starts_at_zero(self):
+        # The hull below the lowest nonzero coefficient is an edge of radius 0.
+        starts = roots_module._newton_starts((0, -2, 0, 1))
+        assert starts[0] == 0 and [abs(z) for z in starts[1:]] == pytest.approx([2**0.5] * 2)
+        assert_disks_cover_reference(poly(0, -2, 0, 1))
+
+    def test_float_sweeps_ceiling(self, monkeypatch):
+        # Each sweep evaluates f and f' once per approximation. From the
+        # Newton polygon (16, 1, 3) settles in 5 sweeps; from the Fujiwara
+        # circle it took 9.
+        horner, calls = roots_module._horner, []
+        monkeypatch.setattr(roots_module, "_horner", lambda cs, z: calls.append(1) or horner(cs, z))
+        assert roots_module._float_aberth(FamilyParams(16, 1, 3).poly.coeffs) is not None
+        assert len(calls) <= 2 * 16 * 6
 
 
 class TestFloatRung:
@@ -378,6 +427,30 @@ class TestFloatRung:
                         df=lambda z: mpmath.polyval(desc, z, derivative=True)[1],
                     )
                     assert abs(ref - centre) <= radius, (n, a, p, centre)
+
+    def test_wide_float_set_is_refined(self, monkeypatch, fresh_root_cache):
+        # (x - 10^9)^2 - 1 from the float approximations 10^9 -+ 1.25: their
+        # disks (radius about 0.45) are disjoint, but 2^-31 of their centres
+        # wide, short of the 64 bits they would be labelled with. The set is
+        # refused, and the refinement from those approximations answers.
+        big = 10**9
+        f = poly(big * big - 1, -2 * big, 1)
+        approx = [big - 1.25 + 0j, big + 1.25 + 0j]
+        parts = [roots_module._man_exp(v) for z in approx for v in (z.real, z.imag)]
+        wide = roots_module._certify(f.coeffs, parts, DEFAULT_PRECISION_BITS)
+        assert wide is not None and all((d.r << 40) ** 2 > d.norm for d in wide.roots)
+        monkeypatch.setattr(roots_module, "_float_aberth", lambda coeffs: list(approx))
+        refine, starts = roots_module._refine, []
+
+        def spy(coeffs, zs, prec, *args):
+            starts.append(list(zs))
+            return refine(coeffs, zs, prec, *args)
+
+        monkeypatch.setattr(roots_module, "_refine", spy)
+        rs = complex_roots(f)
+        assert starts == [approx] and rs.precision_bits == DEFAULT_PRECISION_BITS
+        assert all((d.r << 40) ** 2 <= d.norm for d in rs.roots)
+        assert sorted(float(centre.real) for centre, _ in disks(rs)) == [big - 1, big + 1]
 
     def test_equal_centres_do_not_certify(self):
         # Parts (m, e) of the centres 1.5, 1.5 and then 1, 2, imaginary parts 0.
