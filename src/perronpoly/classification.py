@@ -39,6 +39,7 @@ from .roots import (
     CertifiedRoot,
     CertifiedRootSet,
     escalate,
+    expected_on_circle,
     polish_real_root,
     sqrt_exceeds,
     try_modulus_tags,
@@ -161,9 +162,10 @@ def classify_irreducible(f: IntPoly) -> Classification:
     if f.degree == 1:
         return _degree_one(f)
     tie = _structural_tie(f)
+    expected_on, variations = expected_on_circle(f), descartes_counts(f)
 
     def attempt(rs: CertifiedRootSet) -> Classification | None:
-        tags = try_modulus_tags(f, rs)
+        tags = try_modulus_tags(rs, expected_on)
         if tags is None:
             return None
         profile = (tags.count("in"), tags.count("on"), tags.count("out"))
@@ -173,13 +175,12 @@ def classify_irreducible(f: IntPoly) -> Classification:
         if census is None:
             return None
         cls = _decide(f, rs, tags, profile, census[0])
-        counts, variations = census[1:3], descartes_counts(f)
         # The exact route: by Descartes' rule each certified count is at most
         # its sign variations and of the same parity. Checked only once a rule
         # has decided, so the decision's own checks fire first.
-        if cls is not None and any(c > v or (v - c) % 2 for c, v in zip(counts, variations)):
+        if cls is not None and any(c > v or (v - c) % 2 for c, v in zip(census[1:3], variations)):
             raise OracleViolationError(
-                f"real-root census {counts} disagrees with the Descartes counts "
+                f"real-root census {census[1:3]} disagrees with the Descartes counts "
                 f"{variations} for {f.pretty()}"
             )
         return cls

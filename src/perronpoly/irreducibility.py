@@ -261,8 +261,8 @@ def irreducibility_witness(f: IntPoly) -> IrreducibilityWitness:
 
     Criteria run cheapest-first; the factor oracle is the fallback and the
     only route that can answer "reducible" (besides a vanishing constant
-    term). Degrees above the oracle ceiling are only decidable when some
-    criterion fires.
+    term). Above the oracle ceiling a root 1 or -1 answers "reducible"
+    too; there, an input no criterion decides is InvalidInputError.
     """
     f = require_monic(f, "irreducibility_witness")
     if f.degree == 1:
@@ -279,6 +279,8 @@ def irreducibility_witness(f: IntPoly) -> IrreducibilityWitness:
     if perron_equality_criterion(f):
         return IrreducibilityWitness(True, "dominant-coefficient-equality")
     if f.degree > ORACLE_MAX_DEGREE:
+        if 0 in (f(1), f(-1)):
+            return IrreducibilityWitness(False, "linear-factor", f"root {-1 if f(1) else 1}")
         raise InvalidInputError(
             f"no criterion applies and degree {f.degree} exceeds the oracle ceiling"
         )

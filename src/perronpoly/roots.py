@@ -28,6 +28,7 @@ Every decision escalates through one loop, escalate, with one cap. It
 solves f at DEFAULT_PRECISION_BITS; whenever the disks collide or cannot
 settle the question, it solves f again at doubled precision, at most
 MAX_ESCALATIONS times per decision, and then raises PrecisionExhaustedError.
+One float solve seeds every rung, and no root set outlives its decision.
 Isolation itself (complex_roots), the real-axis profile, the dominance
 decision (which tags every root against the unit circle) and the factor
 oracle are each one such decision. A float disk is only as narrow as double
@@ -50,7 +51,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
 from .polynomial import IntPoly, is_self_reciprocal, poly_gcd, sturm_count, trace_transform
@@ -328,30 +328,24 @@ def _certify(coeffs: tuple[int, ...], parts: list, prec: int) -> CertifiedRootSe
     return CertifiedRootSet(roots, prec, k + _GUARD)
 
 
-@lru_cache(maxsize=2048)
-def _solve_cached(coeffs: tuple[int, ...], bits: int) -> CertifiedRootSet | None:
+def _solve(coeffs: tuple[int, ...], bits: int, floats: list | None) -> CertifiedRootSet | None:
     """Certified roots at exactly `bits` bits, or None when the disks collide.
 
-    At DEFAULT_PRECISION_BITS the double-precision approximations are tried
-    first, as they stand. Their disks carry the label of that precision, so
-    they are kept only when each radius is at most 2^-40 * max(1, |centre|);
-    a wider set, as when double precision rounds the coefficients, is
-    refined like one whose disks collide. The refinement starts from the
-    float approximations, and should its disks collide, from the circle
-    points (_initial_points), which differ from the Newton polygon's.
+    At DEFAULT_PRECISION_BITS the float approximations floats are tried
+    first, as they stand, and kept only when each radius is at most
+    2^-40 * max(1, |centre|), as the label of that precision claims.
+    Otherwise they are refined, from floats (from the Newton polygon when
+    None), and should those disks collide, from the circle points.
     """
     n = len(coeffs) - 1
-    if n < 1:
-        raise InvalidInputError("complex_roots needs degree >= 1")
-    starts = _float_aberth(coeffs)
-    if starts is not None and bits == DEFAULT_PRECISION_BITS:
-        parts = [_man_exp(v) for z in starts for v in (z.real, z.imag)]
+    if floats is not None and bits == DEFAULT_PRECISION_BITS:
+        parts = [_man_exp(v) for z in floats for v in (z.real, z.imag)]
         certified = _certify(coeffs, parts, bits)
         if certified is not None and all(
             (d.r << 40) ** 2 <= max(1 << 2 * certified.scale, d.norm) for d in certified.roots
         ):
             return certified
-    starts = starts or _newton_starts(coeffs)
+    starts = floats or _newton_starts(coeffs)
     certified = _certify(coeffs, _refine(coeffs, starts, bits, 36 + 6 * n), bits)
     if certified is None:
         # A poisoned start configuration (e.g. approximations trapped on a
@@ -388,10 +382,14 @@ def escalate(f: IntPoly, attempt, failure: str):
     f is solved at DEFAULT_PRECISION_BITS, and after each failure again at
     doubled precision, at most MAX_ESCALATIONS times; past that,
     PrecisionExhaustedError with failure and the last precision tried.
+    Every rung starts from one float solve; nothing outlives the call.
     """
+    if f.degree < 1:
+        raise InvalidInputError("complex_roots needs degree >= 1")
+    floats = _float_aberth(f.coeffs)
     for escalation in range(MAX_ESCALATIONS + 1):
         tried = DEFAULT_PRECISION_BITS << escalation
-        rs = _solve_cached(f.coeffs, tried)
+        rs = _solve(f.coeffs, tried, floats)
         result = None if rs is None else attempt(rs)
         if result is not None:
             return rs, result
@@ -474,16 +472,15 @@ def expected_on_circle(f: IntPoly) -> int:
     return 2 * sturm_count(trace_transform(f), -2, 2)
 
 
-def try_modulus_tags(f: IntPoly, rs: CertifiedRootSet) -> tuple[str, ...] | None:
+def try_modulus_tags(rs: CertifiedRootSet, expected_on: int) -> tuple[str, ...] | None:
     """One classification attempt of each root of rs against the unit circle:
     "out" when |z| - r > 1, "in" when |z| + r < 1, both by sqrt_exceeds.
 
     Returns per-root tags "in" / "on" / "out" when the disks at this
     precision settle every root, or None when they do not and the caller
     should escalate. Disks that straddle the circle are only accepted as
-    "on" when their number matches the exact palindromic count.
+    "on" when their number is expected_on, expected_on_circle's exact count.
     """
-    expected_on = expected_on_circle(f)
     one = 1 << 2 * rs.scale  # the unit circle's norm on the grid
     tags = [
         "out" if sqrt_exceeds(d.norm, one, d.r, True)

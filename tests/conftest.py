@@ -26,17 +26,7 @@ def poly(*coeffs: int) -> IntPoly:
 
 
 @pytest.fixture
-def fresh_root_cache():
-    """Clear the solver cache around a test that fakes solver results or
-    moves the starting precision, so no other test reads its root sets."""
-    solve = roots._solve_cached
-    solve.cache_clear()
-    yield
-    solve.cache_clear()
-
-
-@pytest.fixture
-def start_at_16_bits(monkeypatch, fresh_root_cache):
+def start_at_16_bits(monkeypatch):
     """Every root decision starts at 16 bits instead of the default, so a
     test can watch escalation past coarse disks."""
     monkeypatch.setattr(roots, "DEFAULT_PRECISION_BITS", 16)

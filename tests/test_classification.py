@@ -178,11 +178,11 @@ class TestOracleFaults:
             classify_irreducible(poly(1, -1, -1, -1, 1))
 
     def test_salem_product_off_one(self, monkeypatch):
-        solve = roots._solve_cached
+        solve = roots._solve
 
-        def inside_roots_nudged(coeffs, bits):
+        def inside_roots_nudged(coeffs, bits, floats):
             # Centres of modulus below 0.9 move by 2^-30 of themselves.
-            rs = solve(coeffs, bits)
+            rs = solve(coeffs, bits, floats)
             moved = tuple(
                 CertifiedRoot(d.x + (d.x >> 30), d.y + (d.y >> 30), d.r)
                 if 100 * d.norm < 81 << 2 * rs.scale else d
@@ -190,7 +190,7 @@ class TestOracleFaults:
             )
             return CertifiedRootSet(moved, bits, rs.scale)
 
-        monkeypatch.setattr(roots, "_solve_cached", inside_roots_nudged)
+        monkeypatch.setattr(roots, "_solve", inside_roots_nudged)
         with pytest.raises(OracleViolationError, match="deviates from 1 beyond certified bounds"):
             classify_irreducible(poly(1, -1, -1, -1, 1))
 
@@ -199,10 +199,10 @@ class TestOracleFaults:
         # lambda's float disk moves by 1e-9 * lambda with its radius kept, or
         # its radius shrinks 2^20-fold (a certifier bound too small): the
         # polish finds the true lambda, which no certified disk holds.
-        solve = roots._solve_cached
+        solve = roots._solve
 
-        def lambda_disk_corrupted(coeffs, bits):
-            rs = solve(coeffs, bits)
+        def lambda_disk_corrupted(coeffs, bits, floats):
+            rs = solve(coeffs, bits, floats)
             assert bits == roots.DEFAULT_PRECISION_BITS
             moved = tuple(
                 CertifiedRoot(
@@ -213,7 +213,7 @@ class TestOracleFaults:
             )
             return CertifiedRootSet(moved, bits, rs.scale)
 
-        monkeypatch.setattr(roots, "_solve_cached", lambda_disk_corrupted)
+        monkeypatch.setattr(roots, "_solve", lambda_disk_corrupted)
         with pytest.raises(OracleViolationError, match="lies in no certified root disk"):
             classify_irreducible(poly(-5, 0, 0, -3, 1))
 
@@ -285,6 +285,29 @@ class TestEscalation:
         assert (coarse.precision_bits, coarse.dominant) == (16, "3.1586580672")
         monkeypatch.setattr(roots, "DEFAULT_PRECISION_BITS", 64)
         assert classify(f).dominant == "3.1586580672363593388"
+
+    def test_facts_about_f_computed_once_per_decision(self, monkeypatch, start_at_16_bits):
+        # x^2 - x - 2^80 climbs past 16 bits (above), yet one decision runs
+        # the float warm start once and reads f's exact facts once; a second
+        # decision on the same f solves it afresh.
+        f, calls = poly(-(2**80), -1, 1), []
+
+        def spy(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *args: calls.append(name) or fn(*args)
+            )
+
+        spy(roots, "_float_aberth")
+        spy(roots, "_solve")
+        spy(classification, "expected_on_circle")
+        spy(classification, "descartes_counts")
+        for _ in range(2):
+            calls.clear()
+            assert classify_irreducible(f).precision_bits > 16
+            assert calls.count("_solve") >= 2
+            for name in ("_float_aberth", "expected_on_circle", "descartes_counts"):
+                assert calls.count(name) == 1, name
 
 
 @st.composite
@@ -375,15 +398,11 @@ class TestProperties:
         if f.constant == 0:
             return
         base = classify(f)
-        roots._solve_cached.cache_clear()
-        try:
-            with (
-                mock.patch.object(roots, "DEFAULT_PRECISION_BITS", 128),
-                mock.patch.object(roots, "_float_aberth", lambda coeffs: None),
-            ):
-                fine = classify(f)
-        finally:
-            roots._solve_cached.cache_clear()
+        with (
+            mock.patch.object(roots, "DEFAULT_PRECISION_BITS", 128),
+            mock.patch.object(roots, "_float_aberth", lambda coeffs: None),
+        ):
+            fine = classify(f)
         assert fine.precision_bits is None or fine.precision_bits >= 128
         assert (base.kind, base.subclass, base.profile) == (
             fine.kind,

@@ -84,6 +84,7 @@ class TestClassify:
 
     @pytest.mark.parametrize("point, coeffs", [
         (("4", "3", "5"), "-5,0,0,-3,1"), (("2", "1", "2"), "-2,-1,1"),
+        (("32", "2", "3"), FamilyParams(32, 2, 3).poly.to_text()),  # root -1, degree > 14
     ])
     def test_trinomial_matches_coeffs(self, capsys, point, coeffs):
         assert run(capsys, "classify", "--trinomial", *point) == run(
@@ -233,6 +234,14 @@ class TestSearch:
         hits = [r["p"] for r in records if r["monogenic"] == "Monogenic"]
         assert hits == [3, 5, 7, 13, 17, 19, 23, 37, 41, 43]
         assert "searched 15 points" in err
+
+    def test_summary_counts_unknowns(self, capsys):
+        rc, _, err = run(capsys, "search", "--n", "14", "--a", "3", "--pmax", "5", "--budget", "0")
+        assert rc == 0
+        assert err.strip() == (
+            "searched 3 points: 1 monogenic strictly-Perron, 0 with G not squarefree, "
+            "1 unknown, 0 reducible"
+        )
 
     def test_csv_format(self, capsys):
         rc, out, _ = run(

@@ -12,7 +12,7 @@ import sympy
 
 from conftest import poly
 import perronpoly
-from perronpoly import __version__, classification, family, monogenicity, roots, search
+from perronpoly import __version__, classification, family, monogenicity, search
 from perronpoly.classification import classify, classify_irreducible
 from perronpoly.errors import InvalidInputError, NonConvergenceError, OracleViolationError
 from perronpoly.family import (
@@ -127,6 +127,14 @@ class TestFamilyMonogenic:
         with pytest.raises(InvalidInputError, match="budget"):
             family_monogenic(FamilyParams(2, 1, p), budget=-1)
 
+    def test_unknown_at_budget_zero(self):
+        # G(5) = 1448697805736569529237 for (14, 3): no prime up to the trial
+        # bound divides it, and the cofactor is too large for the squarefree
+        # shortcut to decide, so with no rho budget it stays unknown.
+        assert family_monogenic(FamilyParams(14, 3, 5), budget=0) == (
+            "Unknown(G squarefree status unknown, cofactor 1448697805736569529237)"
+        )
+
     def test_agrees_with_local_tests_everywhere(self):
         # The squarefree-G criterion and the local index tests are fully
         # independent routes; their verdicts (witness prime included) must
@@ -214,6 +222,14 @@ class TestDescartes:
         assert len(failures) == 1
         assert failures[0].startswith("(n=2, a=1, p=3): pipeline check tripped: real-root census")
 
+    def test_parity_off_trips(self, monkeypatch):
+        # Exact Descartes counts that contradict the sign analysis of the
+        # coefficients (one positive and one negative root at even n) trip
+        # the certificate's own parity check.
+        monkeypatch.setattr(family, "descartes_counts", lambda f: (1, 0))
+        with pytest.raises(OracleViolationError, match="real-root parity"):
+            strictly_perron_certificate(4, 3, 5)
+
 
 class TestCertificate:
     def test_strictly_perron_monogenic(self):
@@ -263,6 +279,14 @@ class TestCertificate:
         assert cert.g_status == "Squarefree"
         assert cert.monogenic_verdict == "Monogenic"
         assert cert.conclusion == "monogenic strictly-Perron"
+
+    def test_unknown_at_budget_zero(self):
+        # With no rho budget G(5) for (14, 3) stays unfactored, so neither
+        # monogenicity route can decide; the root class still can.
+        cert = strictly_perron_certificate(14, 3, 5, budget=0)
+        assert cert.g_status == "Unknown(1448697805736569529237)"
+        assert cert.monogenic_verdict.startswith("Unknown(")
+        assert cert.conclusion == "strictly-Perron, monogenicity unknown"
 
     def test_reducible_member(self):
         cert = strictly_perron_certificate(2, 1, 2)
@@ -413,7 +437,6 @@ def test_certificate_computes_each_fact_once(monkeypatch, point):
     escalations = _count_calls(monkeypatch, escalate)
     censuses = _count_calls(monkeypatch, try_real_census)
     taggings = _count_calls(monkeypatch, try_modulus_tags)
-    roots._solve_cached.cache_clear()
     strictly_perron_certificate(*point)
     assert primality == [(point[2],)]
     assert trials == [(expected.g,)]

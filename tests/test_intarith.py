@@ -8,13 +8,15 @@ import math
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from perronpoly import intarith
 from perronpoly.errors import InvalidInputError
 from perronpoly.family import FamilyParams, strictly_perron_certificate
 from perronpoly.intarith import (
+    _SMALL_PRIMES,
     _TRIAL_BLOCK,
     PM1_BOUND,
     PM1_CHECKPOINT,
@@ -23,6 +25,7 @@ from perronpoly.intarith import (
     SquarefreeStatus,
     _factor_hard,
     _pm1_exponent,
+    _strong_lucas_probable_prime,
     _trial_primes,
     factorize,
     finish_factorization,
@@ -55,6 +58,29 @@ class TestIsPrime:
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_sympy(self, n):
         assert is_prime(n) == sympy.isprime(n)
+
+    def test_just_above_two_to_the_64(self):
+        # The first prime past the deterministic range goes through the
+        # Miller-Rabin rounds and the strong Lucas test.
+        assert is_prime(int(sympy.nextprime(2**64)))
+
+
+class TestStrongLucas:
+    # For a Mersenne number the Selfridge parameter D stays 5 and the ladder
+    # runs over no bits, so 2^89 - 1 alone leaves the loop untested.
+    @given(st.integers(min_value=2**63, max_value=2**129 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_sympy(self, half):
+        n = 2 * half + 1
+        assume(all(n % q for q in _SMALL_PRIMES))
+        assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n)
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+    def test_pseudoprimes_pass(self, n):
+        # The smallest strong Lucas pseudoprimes: composite, yet the test
+        # passes them, as it must (BPSW relies on the Miller-Rabin rounds).
+        assert not sympy.isprime(n)
+        assert _strong_lucas_probable_prime(n)
 
 
 def test_primes_below_matches_sieve():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import from_sympy, poly, to_sympy
 from perronpoly import irreducibility, roots
 from perronpoly.errors import InvalidInputError, PrecisionExhaustedError
+from perronpoly.family import FamilyParams
 from perronpoly.irreducibility import (
     ORACLE_MAX_DEGREE,
     eisenstein_prime,
@@ -100,13 +101,13 @@ class TestFactorOracle:
     WIDE = poly(-1009, 0, 0, 0, 0, 0, -1000, 1) * poly(-1013, 0, 0, 0, 0, 0, -999, 1)
 
     def test_rounding_retry_at_doubled_precision(self, monkeypatch, start_at_16_bits):
-        solve, requested = roots._solve_cached, []
+        solve, requested = roots._solve, []
 
-        def spy(coeffs, bits):
+        def spy(coeffs, bits, floats):
             requested.append(bits)
-            return solve(coeffs, bits)
+            return solve(coeffs, bits, floats)
 
-        monkeypatch.setattr(roots, "_solve_cached", spy)
+        monkeypatch.setattr(roots, "_solve", spy)
         assert factor_oracle(self.WIDE) == (
             (poly(-1013, 0, 0, 0, 0, 0, -999, 1), 1),
             (poly(-1009, 0, 0, 0, 0, 0, -1000, 1), 1),
@@ -199,6 +200,19 @@ class TestWitness:
         g = IntPoly((-1, -1) + (0,) * 14 + (1,))
         with pytest.raises(InvalidInputError):
             is_irreducible(g)
+
+    def test_root_one_or_minus_one_above_the_ceiling(self):
+        # x^32 - 2x^31 - 3 vanishes at -1 and x^16 + x - 2 at 1; a linear
+        # factor needs no oracle.
+        x16_plus_x_minus_2 = IntPoly((-2, 1) + (0,) * 14 + (1,))
+        for f, root in [(FamilyParams(32, 2, 3).poly, -1), (x16_plus_x_minus_2, 1)]:
+            w = irreducibility_witness(f)
+            assert (w.irreducible, w.method, w.detail) == (False, "linear-factor", f"root {root}")
+        # Below the ceiling the oracle still answers x^2 - 1, and above it
+        # (x^8 + 3)(x^8 + 5), with no root +-1, is still refused.
+        assert irreducibility_witness(poly(-1, 0, 1)).method == "factor-oracle"
+        with pytest.raises(InvalidInputError, match="oracle ceiling"):
+            irreducibility_witness(IntPoly((15,) + (0,) * 7 + (8,) + (0,) * 7 + (1,)))
 
     def test_corpus(self):
         assert is_irreducible(poly(-1, -1, 1))

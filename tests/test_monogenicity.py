@@ -7,6 +7,8 @@ on a curated sample.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 import sympy
 from hypothesis import given, reject, settings
@@ -15,6 +17,7 @@ from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.exceptions import ClosureFailure
 
 from conftest import X, poly, to_sympy
+from perronpoly import monogenicity
 from perronpoly.errors import InvalidInputError, OracleViolationError
 from perronpoly.intarith import factorize, is_prime
 from perronpoly.irreducibility import is_irreducible
@@ -290,6 +293,21 @@ class TestMonogenicAggregate:
         assert report.verdict.startswith("Unknown(")
         assert "cofactor" in report.verdict
         assert not report.disc_factorization.complete
+
+    def test_local_tests_disagreeing_is_a_violation(self, monkeypatch):
+        # x^2 - x - 11 at q = 3, where JKS condition (v) applies: a Dedekind
+        # verdict flipped there contradicts it, which is a defect.
+        dedekind = monogenicity.dedekind_local_test
+
+        def flipped(f, q):
+            v = dedekind(f, q)
+            if q != 3:
+                return v
+            return replace(v, result=NOT_DIVIDES if v.result == DIVIDES else DIVIDES)
+
+        monkeypatch.setattr(monogenicity, "dedekind_local_test", flipped)
+        with pytest.raises(OracleViolationError, match="local tests disagree at q=3"):
+            monogenic(poly(-11, -1, 1))
 
     def test_json_shape(self):
         d = monogenic(poly(-11, -1, 1)).to_json_dict()

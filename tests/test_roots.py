@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import count_real_roots, disks, dominant, poly, to_sympy, work
+from perronpoly import classification
 from perronpoly import roots as roots_module
 from perronpoly.classification import NO_PERRON_ROOT, STRICTLY_PERRON, _decide, classify
 from perronpoly.classification import classify_irreducible
@@ -200,11 +201,13 @@ def coarse_x2_minus_4x_plus_2(monkeypatch):
     root2, radius = math.isqrt(2 << 2 * scale), 6 * (1 << scale) // 10
     roots = tuple(CertifiedRoot((2 << scale) + s * root2, 0, radius) for s in (-1, 1))
     coarse = CertifiedRootSet(roots, DEFAULT_PRECISION_BITS, scale)
-    solve = roots_module._solve_cached
+    solve = roots_module._solve
     start = ((2, -4, 1), DEFAULT_PRECISION_BITS)
     monkeypatch.setattr(
-        roots_module, "_solve_cached",
-        lambda coeffs, bits: coarse if (coeffs, bits) == start else solve(coeffs, bits),
+        roots_module, "_solve",
+        lambda coeffs, bits, floats: (
+            coarse if (coeffs, bits) == start else solve(coeffs, bits, floats)
+        ),
     )
     return poly(2, -4, 1)
 
@@ -235,7 +238,7 @@ class TestModulusProfile:
         # Both golden-ratio disks clear the circle; an exact count of 2
         # on-circle roots then contradicts them, which is a defect, not a
         # precision shortfall.
-        monkeypatch.setattr(roots_module, "expected_on_circle", lambda f: 2)
+        monkeypatch.setattr(classification, "expected_on_circle", lambda f: 2)
         with pytest.raises(OracleViolationError, match="accounting"):
             classify_irreducible(poly(-1, -1, 1))
 
@@ -285,7 +288,7 @@ class TestRealAxisProfile:
 
 
 class TestSingleEscalationLoop:
-    def test_one_cap_per_decision(self, monkeypatch, fresh_root_cache):
+    def test_one_cap_per_decision(self, monkeypatch):
         # Disks collide below 1024 bits and the census needs 2048. Both
         # shortfalls draw on the same MAX_ESCALATIONS doublings from 64 bits,
         # so 1024 is the last precision tried and the decision gives up there.
@@ -303,7 +306,7 @@ class TestSingleEscalationLoop:
             real_axis_profile(poly(-1, -1, 1))
 
     def test_isolation_escalates_from_the_requested_precision(
-        self, monkeypatch, fresh_root_cache
+        self, monkeypatch
     ):
         certify = roots_module._certify
         monkeypatch.setattr(
@@ -318,7 +321,7 @@ class TestSingleEscalationLoop:
 
 class TestAberthStarts:
     def test_poisoned_warm_start_falls_back_to_circle_points(
-        self, monkeypatch, fresh_root_cache
+        self, monkeypatch
     ):
         # Real starts stay real under Aberth for a real polynomial, so they
         # never reach the nonreal roots of x^2 + x + 1 and the disks collide;
@@ -336,7 +339,7 @@ class TestAberthStarts:
         assert starts == [[0.5, -0.25], roots_module._initial_points(f.coeffs)]
         assert_disks_cover_reference(f)
 
-    def test_warm_start_skipped_for_huge_coefficients(self, fresh_root_cache):
+    def test_warm_start_skipped_for_huge_coefficients(self):
         f = poly(-(10**300), -1, 1)
         assert roots_module._float_aberth(f.coeffs) is None
         # The roots sit near +-10^150 with moduli 1 apart: ordering them needs
@@ -345,7 +348,7 @@ class TestAberthStarts:
         assert (c.headline, c.dominant, c.precision_bits) == (STRICTLY_PERRON, "1.0e+150", 512)
 
     def test_refinement_without_warm_start_begins_at_the_newton_polygon(
-        self, monkeypatch, fresh_root_cache
+        self, monkeypatch
     ):
         # No float warm start above _FLOAT_LIMIT: the first refinement starts
         # from the Newton polygon, so the circle points stay a different
@@ -406,7 +409,7 @@ class TestAberthStarts:
 
 class TestFloatRung:
     @pytest.mark.parametrize("n", [2, 8, 16, 24, 32, 40])
-    def test_float_disks_hold_the_roots(self, monkeypatch, fresh_root_cache, n):
+    def test_float_disks_hold_the_roots(self, monkeypatch, n):
         # The default precision is answered by the exact disks around the
         # double-precision approximations; each must hold the 200-bit root
         # Newton reaches from its centre (the disks being disjoint, these
@@ -428,7 +431,7 @@ class TestFloatRung:
                     )
                     assert abs(ref - centre) <= radius, (n, a, p, centre)
 
-    def test_wide_float_set_is_refined(self, monkeypatch, fresh_root_cache):
+    def test_wide_float_set_is_refined(self, monkeypatch):
         # (x - 10^9)^2 - 1 from the float approximations 10^9 -+ 1.25: their
         # disks (radius about 0.45) are disjoint, but 2^-31 of their centres
         # wide, short of the 64 bits they would be labelled with. The set is
@@ -487,7 +490,7 @@ def tag(s: int, x: int, y: int, r: int) -> str | None:
     """The unit-circle tag of the disk (x + iy, r) / 2^s; None when it meets
     the circle (x^2 - 4x + 2 has no root on it, so no disk may)."""
     rs = CertifiedRootSet((CertifiedRoot(x, y, r),), DEFAULT_PRECISION_BITS, s)
-    tags = try_modulus_tags(poly(2, -4, 1), rs)
+    tags = try_modulus_tags(rs, expected_on_circle(poly(2, -4, 1)))
     return None if tags is None else tags[0]
 
 
