@@ -38,6 +38,7 @@ from .polynomial import IntPoly, descartes_counts, is_self_reciprocal
 from .roots import (
     CertifiedRoot,
     CertifiedRootSet,
+    RootLadder,
     escalate,
     expected_on_circle,
     polish_real_root,
@@ -150,15 +151,17 @@ def classify(f: IntPoly) -> Classification:
     is never converted into a verdict.
     """
     f = require_monic(f, "classify")
-    if not irreducibility_witness(f).irreducible:
+    ladder = RootLadder(f)
+    if not irreducibility_witness(f, ladder).irreducible:
         return Classification(f.to_text(), NOT_IRREDUCIBLE, None, None, None, None)
-    return classify_irreducible(f)
+    return classify_irreducible(f, ladder)
 
 
-def classify_irreducible(f: IntPoly) -> Classification:
+def classify_irreducible(f: IntPoly, ladder: RootLadder | None = None) -> Classification:
     """The root stage of classify, for monic f already known to be
     irreducible, so squarefree with f(0) != 0 at degree >= 2. classify and
-    the family certificate establish that; it is not checked again here."""
+    the family certificate establish that; it is not checked again here.
+    ladder, when given, is f's, and holds the rungs the factor oracle solved."""
     if f.degree == 1:
         return _degree_one(f)
     tie = _structural_tie(f)
@@ -186,7 +189,7 @@ def classify_irreducible(f: IntPoly) -> Classification:
         return cls
 
     failure = f"could not certify dominance structure of {f.to_text()}"
-    return escalate(f, attempt, failure)[1]
+    return escalate(ladder or RootLadder(f), attempt, failure)[1]
 
 
 def _decide(

@@ -35,7 +35,7 @@ from math import gcd, isqrt
 from .errors import InvalidInputError, OracleViolationError
 from .intarith import factorize, is_prime
 from .polynomial import IntPoly, squarefree_part
-from .roots import CertifiedRootSet, escalate
+from .roots import CertifiedRootSet, RootLadder, escalate
 
 ORACLE_MAX_DEGREE = 14
 
@@ -132,14 +132,15 @@ def prime_constant_criterion(f: IntPoly) -> bool:
     return is_prime(c0)
 
 
-def factor_oracle(f: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
+def factor_oracle(f: IntPoly, ladder: RootLadder | None = None) -> tuple[tuple[IntPoly, int], ...]:
     """Complete factorization of monic f into monic irreducibles, by brute force.
 
     Supported for 2 <= deg(f) <= 14 (the subset enumeration is exponential in
     the degree). Factors come out in ascending (degree, coefficients) order
     with their multiplicities in f. The product of the results is checked
     against f; a mismatch raises OracleViolationError, since it can only mean
-    a defect in this module.
+    a defect in this module. ladder, when given, is f's; the oracle climbs
+    it when f is squarefree, and its own one otherwise.
     """
     f = require_monic(f, "factor_oracle")
     original = f
@@ -157,7 +158,8 @@ def factor_oracle(f: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
         if sf.degree == 1:
             found.add(sf)
         else:
-            found.update(_oracle_split(sf))
+            shared = ladder is not None and ladder.f == sf
+            found.update(_oracle_split(ladder if shared else RootLadder(sf)))
 
     result: list[tuple[IntPoly, int]] = []
     for g in sorted(found, key=lambda g: (g.degree, g.coeffs)):
@@ -178,8 +180,9 @@ def factor_oracle(f: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
     return tuple(result)
 
 
-def _oracle_split(sf: IntPoly) -> list[IntPoly]:
-    """Irreducible factors of a squarefree monic polynomial, via root subsets."""
+def _oracle_split(ladder: RootLadder) -> list[IntPoly]:
+    """Irreducible factors of the squarefree monic polynomial of ladder, via
+    root subsets."""
 
     def attempt(rs: CertifiedRootSet) -> list[IntPoly] | None:
         # slack = hi - lo >= E * 2^(sn), as the module docstring shows.
@@ -191,9 +194,9 @@ def _oracle_split(sf: IntPoly) -> list[IntPoly]:
         slack = hi - lo
         if 4 * slack >= 1 << (rs.scale * len(rs.roots)):
             return None
-        return _enumerate_factors(sf, rs, slack)
+        return _enumerate_factors(ladder.f, rs, slack)
 
-    return escalate(sf, attempt, "factor oracle could not certify rounding")[1]
+    return escalate(ladder, attempt, "factor oracle could not certify rounding")[1]
 
 
 def _round_subset(
@@ -256,13 +259,14 @@ def _enumerate_factors(sf: IntPoly, rs: CertifiedRootSet, slack: int) -> list[In
     return factors
 
 
-def irreducibility_witness(f: IntPoly) -> IrreducibilityWitness:
+def irreducibility_witness(f: IntPoly, ladder: RootLadder | None = None) -> IrreducibilityWitness:
     """Decide irreducibility of monic f and say which argument decided it.
 
     Criteria run cheapest-first; the factor oracle is the fallback and the
     only route that can answer "reducible" (besides a vanishing constant
     term). Above the oracle ceiling a root 1 or -1 answers "reducible"
-    too; there, an input no criterion decides is InvalidInputError.
+    too; there, an input no criterion decides is InvalidInputError. ladder,
+    when given, is f's, and the factor oracle climbs it (factor_oracle).
     """
     f = require_monic(f, "irreducibility_witness")
     if f.degree == 1:
@@ -279,12 +283,13 @@ def irreducibility_witness(f: IntPoly) -> IrreducibilityWitness:
     if perron_equality_criterion(f):
         return IrreducibilityWitness(True, "dominant-coefficient-equality")
     if f.degree > ORACLE_MAX_DEGREE:
-        if 0 in (f(1), f(-1)):
-            return IrreducibilityWitness(False, "linear-factor", f"root {-1 if f(1) else 1}")
+        for root in (1, -1):
+            if f(root) == 0:
+                return IrreducibilityWitness(False, "linear-factor", f"root {root}")
         raise InvalidInputError(
             f"no criterion applies and degree {f.degree} exceeds the oracle ceiling"
         )
-    factors = factor_oracle(f)
+    factors = factor_oracle(f, ladder)
     if len(factors) == 1 and factors[0][1] == 1:
         return IrreducibilityWitness(True, "factor-oracle")
     shape = ", ".join(f"deg {g.degree}^{m}" if m > 1 else f"deg {g.degree}" for g, m in factors)

@@ -28,7 +28,7 @@ from perronpoly.classification import (
     classify_irreducible,
 )
 from perronpoly.errors import InvalidInputError, OracleViolationError
-from perronpoly.irreducibility import is_irreducible
+from perronpoly.irreducibility import irreducibility_witness, is_irreducible
 from perronpoly.polynomial import IntPoly
 from perronpoly.roots import CertifiedRoot, CertifiedRootSet, complex_roots
 
@@ -308,6 +308,23 @@ class TestEscalation:
             assert calls.count("_solve") >= 2
             for name in ("_float_aberth", "expected_on_circle", "descartes_counts"):
                 assert calls.count(name) == 1, name
+
+    def test_oracle_and_dominance_share_one_ladder(self, monkeypatch, start_at_16_bits):
+        # No criterion decides x^3 - x - 1, so classify runs the factor oracle
+        # on f before the dominance decision; both climb one ladder, so the
+        # 16-bit rung and the float warm start are solved once between them.
+        f, calls = poly(-1, -1, 0, 1), []
+        for name in ("_float_aberth", "_solve"):
+            fn = getattr(roots, name)
+            monkeypatch.setattr(
+                roots, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+            )
+        assert irreducibility_witness(f).method == "factor-oracle"
+        assert calls == ["_float_aberth", "_solve"]
+        calls.clear()
+        cls = classify(f)
+        assert (cls.subclass, cls.precision_bits) == (PISOT, 16)
+        assert calls == ["_float_aberth", "_solve"]
 
 
 @st.composite
