@@ -23,7 +23,7 @@ from .family import (
     family_monogenic,
     strictly_perron_certificate,
 )
-from .intarith import factorize, is_prime, squarefree_status
+from .intarith import factorize, is_prime
 from .irreducibility import factor_oracle, irreducibility_witness, is_irreducible
 from .monogenicity import (
     MonogenicityReport,
@@ -63,6 +63,5 @@ __all__ = [
     "jks_local_test",
     "monogenic",
     "resultant",
-    "squarefree_status",
     "strictly_perron_certificate",
 ]

@@ -10,7 +10,10 @@ from the dichotomy, and the certificate pipeline that runs every check side
 by side with its independent oracle and refuses to produce a verdict when
 any pair disagrees. The monogenicity report and the certificate share one
 local-test step: it factors G(p) only, multiplies p^(n-2) back in from the
-closed form, and never factors the discriminant.
+closed form, and never factors the discriminant. The squarefree criterion
+reads G's status off that same factorization (its square_primes and
+whether it is complete), in the certificate and in family_monogenic
+alike, so an Unknown means the same spent budget on both.
 """
 from __future__ import annotations
 
@@ -21,9 +24,8 @@ from math import gcd
 
 from .classification import NOT_IRREDUCIBLE, PERRON, Classification, classify_irreducible
 from .errors import InvalidInputError, OracleViolationError
-from .intarith import DEFAULT_BUDGET, TRIAL_BOUND, Factorization, SquarefreeStatus, check_budget
-from .intarith import finish_factorization, is_prime, squarefree_status, squarefree_status_of
-from .intarith import trial_divide
+from .intarith import DEFAULT_BUDGET, TRIAL_BOUND, Factorization, check_budget, factorize
+from .intarith import finish_factorization, is_prime, trial_divide
 from .monogenicity import DIVIDES, REDUCIBLE_INPUT, MonogenicityReport, TrinomialParams
 from .monogenicity import monogenic_from_factorization
 from .polynomial import IntPoly, descartes_counts
@@ -131,22 +133,33 @@ def family_monogenic(point: FamilyParams, budget: int = DEFAULT_BUDGET) -> str:
     """Monogenicity by the squarefree criterion: for irreducible members
     with gcd(a, n) = 1, the field is monogenic exactly when G(p) is
     squarefree. Returns "Monogenic", "NotMonogenic(q)", or "Unknown(...)"
-    when the budget ran out before G's square part was settled.
+    when the budget ran out before G's square part was settled. It factors
+    G as the certificate does, so the two agree at every budget.
     """
     if not point.irreducible:
         raise InvalidInputError("the squarefree criterion needs the irreducible case")
     if not point.coprime:
         raise InvalidInputError("the squarefree criterion needs gcd(a, n) = 1")
-    return _squarefree_verdict(squarefree_status(point.g, budget=budget))
+    return _squarefree_verdict(factorize(point.g, budget))
 
 
-def _squarefree_verdict(status: SquarefreeStatus) -> str:
-    """The monogenicity verdict the squarefree criterion reads off G's status."""
-    if status.is_squarefree:
-        return "Monogenic"
-    if status.kind == "not_squarefree":
-        return f"NotMonogenic({status.witness})"
-    return f"Unknown(G squarefree status unknown, cofactor {status.cofactor})"
+def _g_status(g_fact: Factorization) -> str:
+    """G's status as the certificate prints it: NotSquarefree(q) at the
+    smallest square prime, else Unknown(cofactor) or Squarefree."""
+    square = g_fact.square_primes()
+    if square:
+        return f"NotSquarefree({square[0]})"
+    return "Squarefree" if g_fact.complete else f"Unknown({g_fact.cofactor})"
+
+
+def _squarefree_verdict(g_fact: Factorization) -> str:
+    """The monogenicity verdict the squarefree criterion reads off G."""
+    square = g_fact.square_primes()
+    if square:
+        return f"NotMonogenic({square[0]})"
+    if not g_fact.complete:
+        return f"Unknown(G squarefree status unknown, cofactor {g_fact.cofactor})"
+    return "Monogenic"
 
 
 def member_classification(point: FamilyParams) -> Classification:
@@ -245,18 +258,16 @@ def _local_tests(point: FamilyParams, g_fact: Factorization, known=()) -> Monoge
     return monogenic_from_factorization(point.poly, point.trinomial, point.disc, disc_fact, known)
 
 
-def _settled_by_trial_division(
-    g_status: SquarefreeStatus, report: MonogenicityReport | None
-) -> bool:
-    """Whether the trial-division part of G already fixes every reported
-    verdict. Finishing the factorization adds only primes above TRIAL_BOUND,
+def _settled_by_trial_division(g_fact: Factorization, report: MonogenicityReport | None) -> bool:
+    """Whether the trial-division factorization g_fact of G already fixes
+    every reported verdict. Finishing it adds only primes above TRIAL_BOUND,
     so it cannot move NotSquarefree(q), nor a NotMonogenic(q') with
     q' <= TRIAL_BOUND. report is None for a reducible member, whose
     monogenicity verdict needs no factoring at all. A failing q' above
     TRIAL_BOUND (only p can be one, on large p) settles nothing: a smaller
     index-dividing prime may still hide in the cofactor.
     """
-    if g_status.kind != "not_squarefree":
+    if not g_fact.square_primes():
         return False
     if report is None:
         return True
@@ -320,16 +331,15 @@ def strictly_perron_certificate(
 
     g_fact = trial_divide(point.g)
     report = _local_tests(point, g_fact) if point.irreducible else None
-    if not _settled_by_trial_division(squarefree_status_of(g_fact), report):
+    if not _settled_by_trial_division(g_fact, report):
         g_fact = finish_factorization(g_fact, budget)
         if report is not None:  # tests only the primes rho added
             report = _local_tests(point, g_fact, report.locals)
-    g_status = squarefree_status_of(g_fact)
 
     if point.irreducible:
         verdict = report.verdict
         if point.coprime:
-            family_verdict = _squarefree_verdict(g_status)
+            family_verdict = _squarefree_verdict(g_fact)
             if _fault == "mono-route":
                 was_monogenic = family_verdict == "Monogenic"
                 family_verdict = "NotMonogenic(fault)" if was_monogenic else "Monogenic"
@@ -368,7 +378,7 @@ def strictly_perron_certificate(
 
     return Certificate(
         params=point,
-        g_status=str(g_status),
+        g_status=_g_status(g_fact),
         monogenicity=report,
         monogenic_verdict=verdict,
         classification=cls,

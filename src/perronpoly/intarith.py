@@ -1,4 +1,4 @@
-"""Unbounded-integer primitives: primality, bounded factorization, squarefree status.
+"""Unbounded-integer primitives: primality and bounded factorization.
 
 Everything here is deterministic. Primality is a strong-pseudoprime test with a
 fixed witness set that is exhaustive below 2**64; above that the witnesses are
@@ -25,6 +25,10 @@ after the first step, since the second only adds primes above TRIAL_BOUND.
 The budget counts rho iterations plus one unit per bit of the p-1 exponent,
 and no run spends more than it; when it runs out the unfinished part is
 reported as an explicit composite cofactor rather than guessed at.
+
+Whether N is squarefree is read off its Factorization alone, by
+square_primes and complete. An unfinished cofactor is never judged on its
+own, so two callers that factor N within one budget reach one answer.
 """
 from __future__ import annotations
 
@@ -343,6 +347,23 @@ class Factorization:
                 return e
         return 0
 
+    def square_primes(self) -> list[int]:
+        """The primes whose square this factorization shows to divide N,
+        ascending. A factored prime's share of an unfinished cofactor counts;
+        an empty list shows N squarefree only when the factorization is
+        complete.
+
+        >>> factorize(3 * 25 * 49).square_primes()
+        [5, 7]
+        """
+        out = []
+        for q, e in self.factors:
+            if self.cofactor % q == 0:
+                e += valuation(q, self.cofactor)
+            if e >= 2:
+                out.append(q)
+        return out
+
 
 def trial_divide(n: int) -> Factorization:
     """The first factoring step: trial division by the sieved primes, a block
@@ -457,87 +478,3 @@ def valuation(q: int, n: int) -> int:
         n //= q
         e += 1
     return e
-
-
-@dataclass(frozen=True)
-class SquarefreeStatus:
-    """Outcome of a squarefree test.
-
-    kind is one of "squarefree", "not_squarefree", "unknown". A negative
-    verdict carries a prime witness q with q**2 | N; an unknown verdict
-    carries the composite cofactor the budget could not finish.
-    """
-
-    kind: str
-    witness: int | None = None
-    cofactor: int | None = None
-
-    @staticmethod
-    def squarefree() -> "SquarefreeStatus":
-        return SquarefreeStatus("squarefree")
-
-    @staticmethod
-    def not_squarefree(witness: int) -> "SquarefreeStatus":
-        return SquarefreeStatus("not_squarefree", witness=witness)
-
-    @staticmethod
-    def unknown(cofactor: int) -> "SquarefreeStatus":
-        return SquarefreeStatus("unknown", cofactor=cofactor)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return self.kind == "squarefree"
-
-    @property
-    def is_decided(self) -> bool:
-        return self.kind != "unknown"
-
-    def __str__(self) -> str:
-        if self.kind == "squarefree":
-            return "Squarefree"
-        if self.kind == "not_squarefree":
-            return f"NotSquarefree({self.witness})"
-        return f"Unknown({self.cofactor})"
-
-
-def squarefree_status(n: int, budget: int = DEFAULT_BUDGET) -> SquarefreeStatus:
-    """Decide whether n >= 1 is squarefree, using certificates cheaper than a
-    full factorization when one applies.
-
-    Shortcut after trial division to TRIAL_BOUND: a cofactor below
-    TRIAL_BOUND**3 that is not a perfect power has at most two prime factors,
-    both distinct, hence is squarefree. Any other cofactor is split by rho
-    within the budget and judged by squarefree_status_of, so an unknown
-    verdict needs a cofactor at or above TRIAL_BOUND**3 (or a power of a
-    composite) plus an exhausted budget.
-    """
-    if n < 1:
-        raise InvalidInputError(f"squarefree_status requires N >= 1, got {n}")
-    check_budget(budget)
-    partial = trial_divide(n)
-    # Every prime the finishing step could add exceeds every prime found, so
-    # a repeated one found here is already the smallest square prime.
-    status = squarefree_status_of(partial)
-    if status.is_decided:
-        return status
-    rem = partial.cofactor
-    if rem < TRIAL_BOUND**3 and _perfect_power(rem)[1] == 1:
-        # A prime or two distinct primes above TRIAL_BOUND.
-        return SquarefreeStatus.squarefree()
-    return squarefree_status_of(finish_factorization(partial, budget))
-
-
-def squarefree_status_of(fact: Factorization) -> SquarefreeStatus:
-    """The squarefree verdict a factorization settles: the smallest prime
-    whose exponent is at least 2 witnesses NotSquarefree; failing that, an
-    unfinished cofactor leaves the question Unknown.
-
-    >>> str(squarefree_status_of(factorize(3 * 25 * 49)))
-    'NotSquarefree(5)'
-    """
-    for q, e in fact.factors:
-        if e >= 2:
-            return SquarefreeStatus.not_squarefree(q)
-    if not fact.complete:
-        return SquarefreeStatus.unknown(fact.cofactor)
-    return SquarefreeStatus.squarefree()

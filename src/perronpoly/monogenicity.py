@@ -29,7 +29,9 @@ OracleViolationError: it cannot be a property of the input.
 
 monogenic factors |disc(f)|; the family module, which knows |disc| as
 p^(n-2) * G(p), factors G only and calls the decision step
-monogenic_from_factorization itself.
+monogenic_from_factorization itself. Either way the primes tested are the
+factorization's own square_primes, so a budget that leaves the cofactor
+unfinished leaves the verdict Unknown unless a tested prime already failed.
 """
 from __future__ import annotations
 
@@ -311,19 +313,6 @@ class MonogenicityReport:
         }
 
 
-def _square_primes(fact: Factorization) -> list[int]:
-    """Primes whose square divides the factored integer, robust to an
-    unfactored cofactor sharing primes with the factored part."""
-    out = []
-    for q, e in fact.factors:
-        total = e
-        if fact.cofactor > 1 and fact.cofactor % q == 0:
-            total += valuation(q, fact.cofactor)
-        if total >= 2:
-            out.append(q)
-    return sorted(out)
-
-
 def monogenic(f: IntPoly, budget: int = DEFAULT_BUDGET) -> MonogenicityReport:
     """Aggregate monogenicity verdict for a monic irreducible polynomial.
 
@@ -361,7 +350,7 @@ def monogenic_from_factorization(
     reuse = {v.q: v for v in known}
     verdicts: list[LocalIndexVerdict] = []
     failing: int | None = None
-    for q in _square_primes(fact):
+    for q in fact.square_primes():
         chosen = reuse.get(q) or _local_verdict(poly, params, q, disc)
         verdicts.append(chosen)
         if chosen.result == DIVIDES and failing is None:

@@ -21,7 +21,7 @@ import pytest
 from conftest import disks, dominant, poly, work
 from perronpoly.classification import PERRON, STRICTLY_PERRON, classify
 from perronpoly.family import FamilyParams
-from perronpoly.intarith import factorize, primes_below, squarefree_status
+from perronpoly.intarith import factorize, primes_below
 from perronpoly.irreducibility import factor_oracle
 from perronpoly.matrices import (
     char_poly,
@@ -109,12 +109,13 @@ def test_c02_monogenic_iff_squarefree(capsys, coprime_points):
     for n, a, p, _ in coprime_points:
         point = FamilyParams(n, a, p)
         verdict = monogenic(point.poly).verdict
-        status = squarefree_status(point.g)
-        if verdict.startswith("Unknown") or not status.is_decided:
+        g_fact = factorize(point.g)
+        square = g_fact.square_primes()
+        if verdict.startswith("Unknown") or not (square or g_fact.complete):
             unknowns += 1
             continue
-        if (verdict == "Monogenic") != status.is_squarefree:
-            mismatches.append((n, a, p, verdict, str(status)))
+        if (verdict == "Monogenic") != (not square):
+            mismatches.append((n, a, p, verdict, square))
     elapsed = time.perf_counter() - t0
     ok = not mismatches and unknowns == 0 and elapsed < 300.0
     _report(
@@ -200,7 +201,8 @@ def test_c05_qualifying_points_are_strictly_perron(capsys):
     for n, a, p in GRID:
         if gcd(a, n) != 1 or p <= a + 1:
             continue
-        if not squarefree_status(FamilyParams(n, a, p).g).is_squarefree:
+        g_fact = factorize(FamilyParams(n, a, p).g)
+        if g_fact.square_primes() or not g_fact.complete:
             continue
         qualifying += 1
         cls = classify(FamilyParams(n, a, p).poly)
@@ -326,9 +328,10 @@ def test_c08_real_root_counts_and_certified_moduli(capsys):
 
 
 def test_c09_squarefree_engine_and_condition_v(capsys):
-    """The squarefree engine agrees with a literal square-divisor sieve on
-    every N up to 10^6 (witness primes verified), and the local test's
-    condition-(v) quantity equals -G(p) exactly on the whole grid."""
+    """The squarefree engine (factorize, then square_primes) agrees with a
+    literal square-divisor sieve on every N up to 10^6 (witness primes
+    verified), and the local test's condition-(v) quantity equals -G(p)
+    exactly on the whole grid."""
     t0 = time.perf_counter()
     limit = 10**6
     sieve = bytearray([1]) * (limit + 1)
@@ -337,13 +340,14 @@ def test_c09_squarefree_engine_and_condition_v(capsys):
         sieve[step::step] = bytearray(len(range(step, limit + 1, step)))
     mismatches = []
     for value in range(1, limit + 1):
-        status = squarefree_status(value)
-        if status.kind == "unknown" or status.is_squarefree != bool(sieve[value]):
-            mismatches.append((value, str(status)))
+        fact = factorize(value)
+        square = fact.square_primes()
+        if not fact.complete or (not square) != bool(sieve[value]):
+            mismatches.append((value, fact))
             if len(mismatches) > 5:
                 break
-        elif not status.is_squarefree and value % (status.witness**2):
-            mismatches.append((value, str(status), "bad witness"))
+        elif square and value % (square[0] ** 2):
+            mismatches.append((value, fact, "bad witness"))
             if len(mismatches) > 5:
                 break
     elapsed = time.perf_counter() - t0

@@ -26,7 +26,6 @@ from perronpoly.family import (
 from perronpoly.intarith import (
     TRIAL_BOUND,
     Factorization,
-    SquarefreeStatus,
     factorize,
     finish_factorization,
     is_prime,
@@ -129,11 +128,44 @@ class TestFamilyMonogenic:
 
     def test_unknown_at_budget_zero(self):
         # G(5) = 1448697805736569529237 for (14, 3): no prime up to the trial
-        # bound divides it, and the cofactor is too large for the squarefree
-        # shortcut to decide, so with no rho budget it stays unknown.
+        # bound divides it, so with no rho budget it stays unknown.
         assert family_monogenic(FamilyParams(14, 3, 5), budget=0) == (
             "Unknown(G squarefree status unknown, cofactor 1448697805736569529237)"
         )
+
+    def test_unknown_below_the_cube_of_the_trial_bound(self):
+        # G(7) = 22477181694277 for (11, 2) has no prime factor up to the
+        # trial bound and is below TRIAL_BOUND**3, so it has at most two prime
+        # factors; it is squarefree, but at budget 0 nothing has shown it, and
+        # the certificate at the same budget prints Unknown too.
+        point = FamilyParams(11, 2, 7)
+        assert point.g == 22477181694277 < TRIAL_BOUND**3
+        assert family_monogenic(point, budget=0) == (
+            "Unknown(G squarefree status unknown, cofactor 22477181694277)"
+        )
+        assert strictly_perron_certificate(11, 2, 7, budget=0).g_status == "Unknown(22477181694277)"
+        assert family_monogenic(point) == "Monogenic"
+
+    @pytest.mark.parametrize("budget", [0, 10**6])
+    def test_agrees_with_the_certificate_at_every_budget(self, budget):
+        # One factorization of G feeds both, so the squarefree verdict and the
+        # certificate's G_status agree point by point, Unknowns included.
+        for n in range(2, 13):
+            for a in range(1, 5):
+                if math.gcd(a, n) != 1:
+                    continue
+                for p in primes_below(60):
+                    point = FamilyParams(n, a, p)
+                    if not point.irreducible:
+                        continue
+                    verdict = family_monogenic(point, budget)
+                    g_status = strictly_perron_certificate(n, a, p, budget).g_status
+                    expected = (
+                        verdict.replace("NotMonogenic", "NotSquarefree")
+                        .replace("Monogenic", "Squarefree")
+                        .replace("G squarefree status unknown, cofactor ", "")
+                    )
+                    assert g_status == expected, (n, a, p, verdict, g_status)
 
     def test_agrees_with_local_tests_everywhere(self):
         # The squarefree-G criterion and the local index tests are fully
@@ -533,7 +565,7 @@ class TestStopRule:
         big = 1000003
         assert is_prime(big) and big > TRIAL_BOUND
         settled = family._settled_by_trial_division
-        g_status = SquarefreeStatus.not_squarefree(2)
+        g_fact = Factorization(((2, 2),), 1)  # NotSquarefree(2)
 
         def report(*verdicts):
             return MonogenicityReport("", 0, Factorization((), 1), verdicts, "")
@@ -541,12 +573,12 @@ class TestStopRule:
         passes = LocalIndexVerdict(2, NOT_DIVIDES, "(iii)")
         beyond = report(passes, LocalIndexVerdict(big, DIVIDES, "(i)"))
         within = report(LocalIndexVerdict(2, DIVIDES, "(iii)"))
-        assert not settled(g_status, beyond)
-        assert not settled(g_status, report(passes))
-        assert settled(g_status, within)
-        assert settled(g_status, None)  # reducible: no monogenicity verdict to settle
-        assert not settled(SquarefreeStatus.squarefree(), within)
-        assert not settled(SquarefreeStatus.unknown(big * big), None)
+        assert not settled(g_fact, beyond)
+        assert not settled(g_fact, report(passes))
+        assert settled(g_fact, within)
+        assert settled(g_fact, None)  # reducible: no monogenicity verdict to settle
+        assert not settled(Factorization(((2, 1),), 1), within)  # Squarefree
+        assert not settled(Factorization((), big * big), None)  # Unknown
 
     def test_each_local_test_runs_once(self, finishes, monkeypatch):
         # Trial division leaves the verdict open at (16, 2, 37), rho then

@@ -1,4 +1,4 @@
-"""Integer layer: primality, factorization, valuations, squarefree detection.
+"""Integer layer: primality, factorization, valuations, square primes.
 
 sympy plays referee for everything it can answer independently.
 """
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
-from perronpoly import intarith
+from perronpoly import family, intarith
 from perronpoly.errors import InvalidInputError
 from perronpoly.family import FamilyParams, strictly_perron_certificate
 from perronpoly.intarith import (
@@ -22,7 +22,6 @@ from perronpoly.intarith import (
     PM1_CHECKPOINT,
     TRIAL_BOUND,
     Factorization,
-    SquarefreeStatus,
     _factor_hard,
     _pm1_exponent,
     _strong_lucas_probable_prime,
@@ -31,8 +30,6 @@ from perronpoly.intarith import (
     finish_factorization,
     is_prime,
     primes_below,
-    squarefree_status,
-    squarefree_status_of,
     trial_divide,
     valuation,
 )
@@ -418,71 +415,84 @@ class TestValuation:
 
 
 class TestSquarefreeStatus:
+    """Whether N is squarefree, read off its Factorization.square_primes."""
+
     def test_matches_the_verdict_of_a_full_factorization(self):
+        # Finishing adds only primes above every prime trial division found,
+        # so the square primes trial division shows are the first ones.
         for n in list(range(1, 2000)) + [(2**61 - 1) ** 2 * 3, (10**6 + 3) * (10**6 + 33)]:
-            assert squarefree_status(n) == squarefree_status_of(factorize(n)), n
+            partial = trial_divide(n)
+            full = finish_factorization(partial)
+            assert full == factorize(n) and full.complete, n
+            shown = partial.square_primes()
+            assert full.square_primes()[: len(shown)] == shown, n
 
     def test_str_forms(self):
-        assert str(SquarefreeStatus.squarefree()) == "Squarefree"
-        assert str(SquarefreeStatus.not_squarefree(3)) == "NotSquarefree(3)"
-        assert str(SquarefreeStatus.unknown(91)) == "Unknown(91)"
+        assert family._g_status(Factorization(((3, 1),), 1)) == "Squarefree"
+        assert family._g_status(Factorization(((3, 2),), 1)) == "NotSquarefree(3)"
+        assert family._g_status(Factorization((), 91)) == "Unknown(91)"
 
     def test_range_against_sympy(self):
         for n in range(1, 5000):
-            status = squarefree_status(n)
-            assert status.is_decided
-            expected = all(e == 1 for e in sympy.factorint(n).values())
-            assert status.is_squarefree == expected, n
-            if not expected:
-                assert status.witness is not None
-                assert n % status.witness**2 == 0
+            fact = factorize(n)
+            assert fact.complete
+            expected = [q for q, e in sorted(sympy.factorint(n).items()) if e >= 2]
+            assert fact.square_primes() == expected, n
+            for q in expected:
+                assert n % q**2 == 0
 
     def test_witness_is_smallest_square_prime(self):
-        assert squarefree_status(2**2 * 3**2 * 5).witness == 2
-        assert squarefree_status(3 * 25 * 49).witness == 5
+        assert factorize(2**2 * 3**2 * 5).square_primes()[0] == 2
+        assert factorize(3 * 25 * 49).square_primes()[0] == 5
 
     def test_large_prime_square_certificate(self):
-        # Perfect-power shortcut: no factorization budget needed.
+        # Perfect-power extraction: no factorization budget needed.
         p = 10**9 + 7
-        status = squarefree_status(p * p, budget=0)
-        assert status == SquarefreeStatus.not_squarefree(p)
+        fact = factorize(p * p, budget=0)
+        assert fact.complete and fact.square_primes() == [p]
 
     def test_large_semiprime_certificate(self):
-        # A non-square cofactor below TRIAL_BOUND**3 with no prime factor
-        # below TRIAL_BOUND has exactly two prime divisors, so it is
-        # certified squarefree without any factorization budget.
+        # Two primes above TRIAL_BOUND: only rho splits their product, so at
+        # budget 0 the question stays open, and the default budget settles it.
         p = int(sympy.prevprime(10**9))
         q = int(sympy.prevprime(p))
-        status = squarefree_status(p * q, budget=0)
-        assert status.is_squarefree
+        assert not factorize(p * q, budget=0).complete
+        fact = factorize(p * q)
+        assert fact.complete and fact.square_primes() == []
 
     def test_budget_exhaustion_reports_unknown(self):
         n = (10**9 + 7) * (10**9 + 9) * (10**9 + 21) * (10**9 + 33)
-        status = squarefree_status(n, budget=0)
-        assert not status.is_decided
-        assert status.kind == "unknown"
-        assert status.cofactor is not None and status.cofactor > 1
+        fact = factorize(n, budget=0)
+        assert not fact.complete and fact.square_primes() == []
+        assert fact.cofactor > 1
+
+    def test_cofactor_share_counts(self):
+        # A factored prime that also divides the unfinished cofactor squares
+        # into N, whatever the rest of the cofactor turns out to be.
+        q, r = 1000003, (10**9 + 7) * (10**9 + 9)
+        assert Factorization(((q, 1),), q * r).square_primes() == [q]
+        assert Factorization(((q, 1),), r).square_primes() == []
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInputError):
-            squarefree_status(0)
+            factorize(0)
 
-    # Decided by trial division, by the two-large-primes shortcut, and only
-    # after rho: none of them may read a negative budget as an Unknown.
+    # Finished by trial division alone and only after rho: neither may read
+    # a negative budget as an Unknown.
     @pytest.mark.parametrize(
         "n", [12, (10**9 + 7) * (10**9 + 9), (10**9 + 7) * (10**9 + 9) * (10**9 + 21)]
     )
     def test_negative_budget_rejected(self, n):
         with pytest.raises(InvalidInputError, match="budget"):
-            squarefree_status(n, budget=-1)
+            factorize(n, budget=-1)
 
     @given(st.integers(min_value=1, max_value=10**8))
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_sympy(self, n):
-        status = squarefree_status(n)
-        assert status.is_decided
-        expected = all(e == 1 for e in sympy.factorint(n).values())
-        assert status.is_squarefree == expected
+        fact = factorize(n)
+        assert fact.complete
+        expected = [q for q, e in sorted(sympy.factorint(n).items()) if e >= 2]
+        assert fact.square_primes() == expected
 
 
 def test_factorization_dataclass_value():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import from_sympy, poly, to_sympy
 from perronpoly import irreducibility, roots
-from perronpoly.errors import InvalidInputError, PrecisionExhaustedError
+from perronpoly.errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
 from perronpoly.family import FamilyParams
 from perronpoly.irreducibility import (
     ORACLE_MAX_DEGREE,
@@ -128,6 +128,18 @@ class TestFactorOracle:
         monkeypatch.setattr(roots, "MAX_ESCALATIONS", 0)
         with pytest.raises(PrecisionExhaustedError, match="rounding at 16 bits$"):
             factor_oracle(self.WIDE)
+
+    # The oracle checks its own output: a factor that does not divide the
+    # input, or factors whose product is not the input, is a defect.
+    def test_non_factor_trips(self, monkeypatch):
+        monkeypatch.setattr(irreducibility, "_enumerate_factors", lambda *_: [poly(1, 1, 1)])
+        with pytest.raises(OracleViolationError, match="non-factor 1,1,1"):
+            factor_oracle(poly(-2, 0, 1))
+
+    def test_missing_factor_trips(self, monkeypatch):
+        monkeypatch.setattr(irreducibility, "_enumerate_factors", lambda *_: [poly(-2, 0, 1)])
+        with pytest.raises(OracleViolationError, match="does not multiply back"):
+            factor_oracle(poly(-2, 0, 1) * poly(-3, 0, 1))
 
     def test_degree_guard(self):
         with pytest.raises(InvalidInputError):

@@ -34,7 +34,7 @@ from perronpoly.polynomial import IntPoly, discriminant
 
 
 def square_primes_of(n: int):
-    return [q for q, e in factorize(abs(n)).factors if e >= 2]
+    return factorize(abs(n)).square_primes()
 
 
 class TestTrinomialParams:
@@ -149,6 +149,17 @@ class TestDedekindLocalTest:
     def test_requires_monic(self):
         with pytest.raises(InvalidInputError):
             dedekind_local_test(IntPoly((1, 1, 2)), 2)
+
+    # Two tripwires no valid input reaches, fired at their seams: a quotient
+    # by q of a coefficient q does not divide, and a q-th root of a
+    # polynomial with a term at an exponent q does not divide.
+    def test_over_q_trips_on_a_coefficient_q_does_not_divide(self):
+        with pytest.raises(OracleViolationError, match="^not divisible$"):
+            monogenicity._over_q([1, 3], 3, "not divisible")
+
+    def test_qth_root_trips_on_a_non_q_power(self):
+        with pytest.raises(OracleViolationError, match="non-q-power polynomial"):
+            monogenicity._qth_root_mod([1, 1], 3)
 
     def test_against_sympy_round_two(self):
         # Maximal-order referee: q divides the index of Z[x]/(f) exactly when
