@@ -1,14 +1,14 @@
 """Irreducibility over Q for monic integer polynomials.
 
-Two layers. The cheap layer is a cascade of classical coefficient criteria
-(Eisenstein; Perron's dominant-coefficient bound, in both its strict and its
-guarded equality form; the prime-constant-term variant). Each is a sufficient
-condition proved by elementary root-location arguments, so a hit comes with a
-named witness. The expensive layer, factor_oracle, decides the question
-outright for degree up to 14 by enumerating subsets of certified roots:
-every monic integer factor of f is a subproduct of the true roots, so if no
-subset of approximations rounds to an integer polynomial dividing f, no
-factor exists.
+Two layers. The cheap layer is two classical coefficient criteria:
+Eisenstein, then dominance_criterion (Perron's dominant-coefficient bound,
+strict or at guarded equality, and the prime-constant-term variant, three
+conditions that exclude one another). Each is a sufficient condition proved
+by elementary root-location arguments, so a hit comes with a named witness.
+The expensive layer, factor_oracle, decides the question outright for degree
+up to 14 by enumerating subsets of certified roots: every monic integer
+factor of f is a subproduct of the true roots, so if no subset of
+approximations rounds to an integer polynomial dividing f, no factor exists.
 
 The oracle's rounding step is certified, and decided in integers on the
 root disks of roots.escalate: centre (x_i + i y_i) / 2^s, radius r_i / 2^s.
@@ -79,57 +79,42 @@ def eisenstein_prime(f: IntPoly) -> int | None:
     return None
 
 
-def perron_criterion(f: IntPoly) -> bool:
-    """Strict dominant-coefficient test: |c_{n-1}| > 1 + sum of the others.
+def dominance_criterion(f: IntPoly) -> str | None:
+    """The coefficient-dominance argument that proves monic f irreducible,
+    by name, or None when none applies.
 
-    For monic f with nonzero constant term this pins exactly one root outside
-    the closed unit disk and the rest strictly inside, so no factorization
-    into two nonconstant integer polynomials can balance the constant terms.
+    With n = deg f, t = |c_(n-1)|, c = |c_0| != 0 and s = sum |c_k| over
+    0 < k < n - 1:
+
+    * "dominant-coefficient" (Perron), when t > 1 + s + c: exactly one root
+      lies outside the closed unit disk and the rest strictly inside, so no
+      factorization into two nonconstant integer polynomials can balance the
+      constant terms.
+    * "dominant-coefficient-equality", when t = 1 + s + c and neither +1 nor
+      -1 is a root: a unit-circle root is forced (by the equality case of
+      the triangle inequality) to be +1 or -1, so the strict argument goes
+      through.
+    * "prime-constant", when c is prime and c > 1 + s + t: every root lies
+      strictly outside the unit circle, while any proper monic
+      factorization would need one factor with constant term of modulus 1,
+      i.e. a product of such roots with modulus 1.
+
+    The first two need t >= 1 + c and the third c >= 2 + t, so at most one
+    applies.
     """
-    f = require_monic(f, "perron_criterion")
+    f = require_monic(f, "dominance_criterion")
     n = f.degree
     if n < 2 or f.constant == 0:
-        return False
-    side = 1 + sum(abs(f.coeff(k)) for k in range(n - 1))
-    return abs(f.coeff(n - 1)) > side
-
-
-def perron_equality_criterion(f: IntPoly) -> bool | None:
-    """Equality case of the dominant-coefficient test, guarded at +-1.
-
-    When |c_{n-1}| equals 1 + sum of the remaining moduli, a unit-circle root
-    is forced (by the equality case of the triangle inequality) to be +1 or
-    -1; if f avoids both, the strict argument goes through. Returns True for
-    irreducible, None when the guard fails and the test says nothing.
-    """
-    f = require_monic(f, "perron_equality_criterion")
-    n = f.degree
-    if n < 2 or f.constant == 0:
         return None
-    side = 1 + sum(abs(f.coeff(k)) for k in range(n - 1))
-    if abs(f.coeff(n - 1)) != side:
-        return None
-    if f(1) == 0 or f(-1) == 0:
-        return None
-    return True
-
-
-def prime_constant_criterion(f: IntPoly) -> bool:
-    """Irreducibility from a prime constant term dominating the rest.
-
-    If |c_0| is prime and exceeds 1 + sum |c_k| (0 < k < n), every root lies
-    strictly outside the unit circle, while any proper monic factorization
-    would need one factor with constant term of modulus 1, i.e. a product of
-    such roots with modulus 1.
-    """
-    f = require_monic(f, "prime_constant_criterion")
-    n = f.degree
-    if n < 2:
-        return False
-    c0 = abs(f.constant)
-    if c0 <= 1 + sum(abs(f.coeff(k)) for k in range(1, n)):
-        return False
-    return is_prime(c0)
+    s = sum(abs(v) for v in f.coeffs[1 : n - 1])
+    t, c = abs(f.coeff(n - 1)), abs(f.constant)
+    if t > 1 + s + c:
+        return "dominant-coefficient"
+    if t == 1 + s + c and f(1) != 0 and f(-1) != 0:
+        return "dominant-coefficient-equality"
+    if c > 1 + s + t and is_prime(c):
+        return "prime-constant"
+    return None
 
 
 def factor_oracle(f: IntPoly, ladder: RootLadder | None = None) -> tuple[tuple[IntPoly, int], ...]:
@@ -276,12 +261,9 @@ def irreducibility_witness(f: IntPoly, ladder: RootLadder | None = None) -> Irre
     q = eisenstein_prime(f)
     if q is not None:
         return IrreducibilityWitness(True, "eisenstein", f"prime {q}")
-    if perron_criterion(f):
-        return IrreducibilityWitness(True, "dominant-coefficient")
-    if prime_constant_criterion(f):
-        return IrreducibilityWitness(True, "prime-constant")
-    if perron_equality_criterion(f):
-        return IrreducibilityWitness(True, "dominant-coefficient-equality")
+    name = dominance_criterion(f)
+    if name is not None:
+        return IrreducibilityWitness(True, name)
     if f.degree > ORACLE_MAX_DEGREE:
         for root in (1, -1):
             if f(root) == 0:

@@ -5,8 +5,8 @@ integers Z_K of K = Q(t); f is monogenic when the index [Z_K : Z[t]] is 1.
 Only primes q with q^2 | disc(f) can divide the index, so the decision
 aggregates local tests over exactly those primes.
 
-Two independent local tests are implemented; at every prime the trinomial
-test runs wherever it applies, the Dedekind test always runs, and the two
+Two independent local tests are implemented; at every prime the Dedekind
+test runs, the trinomial test runs too when f is a trinomial, and the two
 must agree:
 
 * jks_local_test: the five-condition criterion for trinomials x^n + A x^m + B,
@@ -14,18 +14,17 @@ must agree:
   polynomial-coprimality conditions. The big powers appearing in its
   definitions (such as (-B)^(q^j)) are only ever needed modulo q^2, and the
   exponents q^j, q^l, q^k all divide n, n - m, or m, so everything stays
-  small. Where the criterion's published hypotheses leave a case unstated
-  (q | A, q not | B, q not | n; or the degenerate k = 0 in the coprimality
-  case), the test reports NotApplicable rather than guessing — the
-  aggregator then reports the second test's verdict.
+  small. Swan's discriminant formula puts every prime dividing the
+  discriminant inside one of the five conditions, so the test always
+  decides.
 
 * dedekind_local_test: the classical index criterion. Factor f mod q as
   g*h with g the radical of f mod q, lift, form F = (g*h - f)/q, and check
   gcd(F, g, h) mod q: the prime divides the index exactly when that gcd is
   nonconstant.
 
-Any disagreement between the two on a prime where both apply raises
-OracleViolationError: it cannot be a property of the input.
+Any disagreement between the two raises OracleViolationError: it cannot be
+a property of the input.
 
 monogenic factors |disc(f)|; the family module, which knows |disc| as
 p^(n-2) * G(p), factors G only and calls the decision step
@@ -109,19 +108,11 @@ class LocalIndexVerdict:
     """Outcome of one local test at one prime."""
 
     q: int
-    result: str  # NOT_DIVIDES | DIVIDES | "NotApplicable(<reason>)"
-    condition: str  # "(i)".."(v)" | "dedekind" | "dedekind-fallback"
-
-    @property
-    def applicable(self) -> bool:
-        return self.result in (NOT_DIVIDES, DIVIDES)
+    result: str  # NOT_DIVIDES | DIVIDES
+    condition: str  # "(i)".."(v)" | "dedekind"
 
     def to_json_dict(self) -> dict:
         return {"q": self.q, "result": self.result, "condition": self.condition}
-
-
-def _not_applicable(q: int, condition: str, reason: str) -> LocalIndexVerdict:
-    return LocalIndexVerdict(q, f"NotApplicable({reason})", condition)
 
 
 def jks_local_test(t: TrinomialParams, q: int, _disc: int | None = None) -> LocalIndexVerdict:
@@ -129,9 +120,16 @@ def jks_local_test(t: TrinomialParams, q: int, _disc: int | None = None) -> Loca
 
     Expects q to be a prime factor of disc(x^n + A x^m + B); anything else is
     rejected. The result is NotDividesIndex when the condition selected by
-    the (q | A?, q | B?, q | m?) split holds, DividesIndex when it fails, and
-    NotApplicable when the split lands outside the criterion's stated
-    hypotheses.
+    the (q | A?, q | B?, q | m?) split holds, and DividesIndex when it fails.
+
+    Conditions (ii) and (iv) need q | n, and Swan's formula supplies it:
+    with d = gcd(n, m), N = n / d and M = m / d,
+
+        disc = +-B^(m-1) * [n^N B^(N-M) - (-1)^N (n-m)^(N-M) m^M A^N]^d.
+
+    Take q dividing neither n nor B. In (ii) q | A; in (iv) q | m, and so
+    q | M as q does not divide d. Either way the bracket is n^N B^(N-M),
+    nonzero mod q, and q cannot divide the discriminant.
     """
     if not is_prime(q):
         raise InvalidInputError("local tests need a prime q")
@@ -149,8 +147,6 @@ def jks_local_test(t: TrinomialParams, q: int, _disc: int | None = None) -> Loca
 
     if divides_A:
         j = valuation(q, n)
-        if j == 0:
-            return _not_applicable(q, "(ii)", "requires q | n")
         a2 = (A // q) % q
         numer = (B + pow(-B, q**j, qq)) % qq
         if numer % q != 0:
@@ -179,8 +175,6 @@ def jks_local_test(t: TrinomialParams, q: int, _disc: int | None = None) -> Loca
 
     if m % q == 0:
         k = min(valuation(q, n), valuation(q, m))
-        if k == 0:
-            return _not_applicable(q, "(iv)", "requires q | n alongside q | m")
         s_prime = n // q**k
         s = m // q**k
         first = reduce_mod(TrinomialParams(s_prime, s, A, B).polynomial().coeffs, q)
@@ -316,10 +310,9 @@ class MonogenicityReport:
 def monogenic(f: IntPoly, budget: int = DEFAULT_BUDGET) -> MonogenicityReport:
     """Aggregate monogenicity verdict for a monic irreducible polynomial.
 
-    Tests every prime q with q^2 | disc(f). The trinomial criterion (for a
-    trinomial f) and the Dedekind criterion run side by side and must agree
-    wherever both apply; where the trinomial criterion's hypotheses have a
-    gap the Dedekind verdict stands alone, tagged "dedekind-fallback".
+    Tests every prime q with q^2 | disc(f). The Dedekind criterion runs at
+    each, and for a trinomial f the trinomial criterion runs beside it; the
+    two must agree.
 
     The verdict is "Monogenic", "NotMonogenic(q)" with the smallest
     index-dividing prime, or "Unknown(...)" when the discriminant could not
@@ -372,8 +365,6 @@ def _local_verdict(
     dedekind = dedekind_local_test(poly, q)
     if jks is None:
         return dedekind
-    if not jks.applicable:
-        return LocalIndexVerdict(q, dedekind.result, "dedekind-fallback")
     if dedekind.result != jks.result:
         raise OracleViolationError(
             f"local tests disagree at q={q}: trinomial criterion says {jks.result}, "

@@ -136,9 +136,10 @@ def run_verify(
 
     Checked per point: both discriminant routes agree; both monogenicity
     routes agree (these two are enforced inside certificate construction);
-    the constant-time irreducibility dichotomy matches the factorization
-    oracle, at every degree up to ORACLE_MAX_DEGREE (the oracle's domain;
-    above it the certificate rests on the dichotomy alone); real-root
+    the constant-time irreducibility dichotomy matches is_irreducible
+    (Eisenstein and dominance_criterion, then the factor oracle where
+    neither decides), at every degree up to ORACLE_MAX_DEGREE (the oracle's
+    domain; above it the certificate rests on the dichotomy alone); real-root
     parity holds; when the headline hypothesis applies and G is squarefree
     the conclusion is "monogenic strictly-Perron"; and for even n with
     p > a+1 the certified profile puts no root inside or on the unit circle
@@ -193,10 +194,10 @@ def _point_problems(cert: Certificate) -> list[str]:
     problems = []
 
     if n <= ORACLE_MAX_DEGREE:
-        dichotomy, oracle = point.irreducible, is_irreducible(point.poly)
-        if dichotomy != oracle:
+        dichotomy, witness = point.irreducible, is_irreducible(point.poly)
+        if dichotomy != witness:
             problems.append(
-                f"irreducibility dichotomy says {dichotomy}, factorization oracle says {oracle}"
+                f"irreducibility dichotomy says {dichotomy}, is_irreducible says {witness}"
             )
 
     if (

@@ -309,6 +309,18 @@ class TestEscalation:
             for name in ("_float_aberth", "expected_on_circle", "descartes_counts"):
                 assert calls.count(name) == 1, name
 
+    def test_a_failed_polish_escalates(self, monkeypatch):
+        # A polish whose interval leaves lambda's disk asks for the next rung,
+        # and the decision there prints the same digits.
+        real = classification.polish_real_root
+
+        def fails_at_64_bits(f, rs, i):
+            return None if rs.precision_bits == 64 else real(f, rs, i)
+
+        monkeypatch.setattr(classification, "polish_real_root", fails_at_64_bits)
+        c = classify(poly(-1, -1, 1))
+        assert (c.precision_bits, c.dominant) == (128, "1.6180339887498948482")
+
     def test_oracle_and_dominance_share_one_ladder(self, monkeypatch, start_at_16_bits):
         # No criterion decides x^3 - x - 1, so classify runs the factor oracle
         # on f before the dominance decision; both climb one ladder, so the

@@ -3,7 +3,8 @@
 Every test calls cli.main(argv) directly and reads stdout/stderr through
 capsys, so the whole argparse -> handler -> exit-code path is exercised
 without spawning subprocesses. Exit codes are contract: 0 success, 2 bad
-input, 3 oracle violation, 5 factoring budget exhausted.
+input, 3 oracle violation, 4 precision exhausted, 5 factoring budget
+exhausted.
 """
 import csv
 import io
@@ -13,10 +14,11 @@ from datetime import datetime
 import pytest
 import sympy
 
-from perronpoly import __version__, search
+from perronpoly import __version__, monogenicity, search
 from perronpoly.cli import CSV_COLUMNS, LEDGER_ENV, main
 from perronpoly.errors import NonConvergenceError
 from perronpoly.family import FamilyParams, strictly_perron_certificate
+from perronpoly.monogenicity import DIVIDES, NOT_DIVIDES, LocalIndexVerdict
 
 
 # (x^2 - 18014398509482143)(x^2 - 18014398509482147): both constant terms
@@ -123,6 +125,15 @@ class TestClassify:
         assert rc == 0
         assert '"class": "NotIrreducible"' in out
 
+    def test_exact_tie_exits_4(self, capsys):
+        # x^6 - x^3 - 1: its root phi^(1/3) ties exactly in modulus with a
+        # conjugate pair, and f is neither a binomial nor a polynomial in x^2.
+        rc, out, err = run(capsys, "classify", "--coeffs", "-1,0,0,-1,0,0,1")
+        assert rc == 4
+        assert out == ""
+        assert err.startswith("precision exhausted:")
+        assert err.rstrip().endswith("at 1024 bits")
+
 
 class TestMonogenic:
     def test_not_monogenic_witness(self, capsys):
@@ -184,6 +195,20 @@ class TestMonogenic:
         assert rc == 2
         assert "error:" in err
         assert run(capsys, "monogenic", "--trinomial", "16", "2", "3")[0] == 2
+
+    def test_disagreeing_local_tests_exit_3(self, capsys, monkeypatch):
+        real = monogenicity.dedekind_local_test
+
+        def flipped(f, q):
+            verdict = real(f, q)
+            result = DIVIDES if verdict.result == NOT_DIVIDES else NOT_DIVIDES
+            return LocalIndexVerdict(q, result, verdict.condition)
+
+        monkeypatch.setattr(monogenicity, "dedekind_local_test", flipped)
+        rc, out, err = run(capsys, "monogenic", "--coeffs", "-11,-1,1")
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("oracle violation: local tests disagree at q=3")
 
     def test_factor_with_a_constant_above_2_53_rejected(self, capsys):
         rc, _, err = run(capsys, "monogenic", "--coeffs", BIG_QUARTIC)

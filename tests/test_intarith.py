@@ -301,6 +301,14 @@ class TestRhoBudget:
         assert found == {}
         assert cell == [0]  # all of the budget, and no more
 
+    def test_a_batch_gcd_of_n_backtracks(self):
+        # Both prime factors' cycles close within one batch, so the batch
+        # gcd is n itself; rho replays the batch one step at a time and
+        # stops at the first proper gcd.
+        cell = [10**6]
+        assert intarith._brent_rho(1000639 * 1002427, cell) == 1000639
+        assert 10**6 - cell[0] == 918
+
 
 class TestPollardPm1:
     def test_exponent_is_lcm_up_to_the_bound(self):

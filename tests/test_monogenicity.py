@@ -201,10 +201,9 @@ def trinomial_grid(n_max=6, coef_max=6):
 
 class TestDifferentialSweep:
     def test_jks_agrees_with_dedekind_everywhere(self):
-        """Every applicable local verdict must match between the two routes,
-        and all five trinomial conditions must actually fire."""
+        """Every local verdict must match between the two routes, and all
+        five trinomial conditions must actually fire."""
         seen = {"(i)": 0, "(ii)": 0, "(iii)": 0, "(iv)": 0, "(v)": 0}
-        fallbacks = 0
         tested = 0
         for t in trinomial_grid():
             f = t.polynomial()
@@ -215,17 +214,13 @@ class TestDifferentialSweep:
                 jks = jks_local_test(t, q, _disc=d)
                 ded = dedekind_local_test(f, q)
                 tested += 1
-                if jks.applicable:
-                    seen[jks.condition] += 1
-                    assert jks.result == ded.result, (t, q)
-                else:
-                    fallbacks += 1
+                # Swan's formula puts every prime dividing the discriminant
+                # in one of the five conditions; the sweep must confirm it.
+                assert jks.condition in seen, (t, q, jks)
+                seen[jks.condition] += 1
+                assert jks.result == ded.result, (t, q)
         assert tested > 1500
         assert all(count > 0 for count in seen.values()), seen
-        # The hypothesis gaps ((ii) with q not dividing n, (iv) with
-        # q splitting neither n nor m) are provably vacuous for primes
-        # dividing the discriminant; the sweep must confirm that.
-        assert fallbacks == 0
 
     @given(
         st.integers(2, 7),
@@ -244,8 +239,8 @@ class TestDifferentialSweep:
             return
         for q in square_primes_of(d):
             jks = jks_local_test(t, q, _disc=d)
-            if jks.applicable:
-                assert jks.result == dedekind_local_test(f, q).result
+            assert jks.condition in ("(i)", "(ii)", "(iii)", "(iv)", "(v)"), (t, q, jks)
+            assert jks.result == dedekind_local_test(f, q).result
 
 
 class TestMonogenicAggregate:
