@@ -1,9 +1,9 @@
 """Certified study of the trinomial family x^n - a*x^(n-1) - p:
-irreducibility, monogenicity by two independent local criteria, certified
-root geometry (Pisot / Salem / anti-Pisot / strictly-Perron) with the
-dominant root checked by an exact sign-change bracket, and a searchable
-certificate pipeline. Companion matrices and power iteration are in
-`matrices`, as a library.
+irreducibility by criteria and by exact factorization modulo primes,
+monogenicity by two independent local criteria, certified root geometry
+(Pisot / Salem / anti-Pisot / strictly-Perron) with the dominant root
+checked by an exact sign-change bracket, and a searchable certificate
+pipeline. Companion matrices and power iteration are in `matrices`.
 """
 
 __version__ = "0.1.0"

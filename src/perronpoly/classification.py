@@ -38,7 +38,6 @@ from .polynomial import IntPoly, descartes_counts, is_self_reciprocal
 from .roots import (
     CertifiedRoot,
     CertifiedRootSet,
-    RootLadder,
     escalate,
     expected_on_circle,
     polish_real_root,
@@ -144,24 +143,22 @@ def _degree_one(f: IntPoly) -> Classification:
 def classify(f: IntPoly) -> Classification:
     """Full taxonomy verdict for monic f (a leading -1 is normalized away).
 
-    Runs the irreducibility pipeline first; reducible inputs come back as
-    NotIrreducible without any root work. The roots are solved at
-    roots.DEFAULT_PRECISION_BITS and escalated only as far as the decision
-    needs; PrecisionExhaustedError propagates from the certified stages and
-    is never converted into a verdict.
+    Runs the irreducibility pipeline first, which solves no roots, so
+    reducible inputs come back as NotIrreducible without any root work. The
+    roots are solved once, for the dominance decision, at
+    roots.DEFAULT_PRECISION_BITS and escalated only as far as it needs;
+    PrecisionExhaustedError propagates and is never converted into a verdict.
     """
     f = require_monic(f, "classify")
-    ladder = RootLadder(f)
-    if not irreducibility_witness(f, ladder).irreducible:
+    if not irreducibility_witness(f).irreducible:
         return Classification(f.to_text(), NOT_IRREDUCIBLE, None, None, None, None)
-    return classify_irreducible(f, ladder)
+    return classify_irreducible(f)
 
 
-def classify_irreducible(f: IntPoly, ladder: RootLadder | None = None) -> Classification:
+def classify_irreducible(f: IntPoly) -> Classification:
     """The root stage of classify, for monic f already known to be
     irreducible, so squarefree with f(0) != 0 at degree >= 2. classify and
-    the family certificate establish that; it is not checked again here.
-    ladder, when given, is f's, and holds the rungs the factor oracle solved."""
+    the family certificate establish that; it is not checked again here."""
     if f.degree == 1:
         return _degree_one(f)
     tie = _structural_tie(f)
@@ -189,7 +186,7 @@ def classify_irreducible(f: IntPoly, ladder: RootLadder | None = None) -> Classi
         return cls
 
     failure = f"could not certify dominance structure of {f.to_text()}"
-    return escalate(ladder or RootLadder(f), attempt, failure)[1]
+    return escalate(f, attempt, failure)[1]
 
 
 def _decide(

@@ -163,8 +163,8 @@ def _squarefree_verdict(g_fact: Factorization) -> str:
 
 
 def member_classification(point: FamilyParams) -> Classification:
-    """classify for a family member, irreducibility read from the dichotomy:
-    no criterion decides most members above the oracle's degree ceiling."""
+    """classify for a family member, irreducibility read from the dichotomy,
+    a formula, where classify would run the factor oracle on most members."""
     if not point.irreducible:
         return Classification(point.poly.to_text(), NOT_IRREDUCIBLE, None, None, None, None)
     return classify_irreducible(point.poly)

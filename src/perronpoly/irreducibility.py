@@ -5,39 +5,33 @@ Eisenstein, then dominance_criterion (Perron's dominant-coefficient bound,
 strict or at guarded equality, and the prime-constant-term variant, three
 conditions that exclude one another). Each is a sufficient condition proved
 by elementary root-location arguments, so a hit comes with a named witness.
-The expensive layer, factor_oracle, decides the question outright for degree
-up to 14 by enumerating subsets of certified roots: every monic integer
-factor of f is a subproduct of the true roots, so if no subset of
-approximations rounds to an integer polynomial dividing f, no factor exists.
-
-The oracle's rounding step is certified, and decided in integers on the
-root disks of roots.escalate: centre (x_i + i y_i) / 2^s, radius r_i / 2^s.
-With true roots in those disks, each coefficient of a subproduct of true
-roots differs from the corresponding coefficient for the centres by at most
-
-    E = prod_i (1 + |z_i| + r_i) - prod_i (1 + |z_i|)
-
-(the bound for the full root set dominates every subset). Since
-isqrt(x_i^2 + y_i^2) <= 2^s |z_i| < isqrt(x_i^2 + y_i^2) + 1, the integers
-hi = prod (2^s + isqrt + 1 + r_i) and lo = prod (2^s + isqrt) give
-E * 2^(sn) <= hi - lo, rounded outward with no further allowance. When
-4 (hi - lo) < 2^(sn), so E < 1/4, each subset product of the centres,
-expanded exactly in Gaussian integers, has at most one integer candidate,
-and trial division settles it exactly; otherwise the root set is recomputed
-at doubled precision.
+The exact layer, factor_oracle, factors f completely, at any degree, by
+Zassenhaus's method on the F_q arithmetic of polynomial. The squarefree
+part g of f (deg g = n) is reduced modulo odd primes q that keep it
+squarefree, and split there by distinct-degree factorization. A factor of
+g over Z reduces to a product of factors mod every q, so its degree is a
+subset sum of the factor degrees mod each q (Musser): when the only sums
+common to _PRIMES primes are 0 and n, g is irreducible. Otherwise the
+factors at the prime with the fewest are split apart (Cantor-Zassenhaus)
+and Hensel-lifted to a modulus m > 2B, where B = 2^n ||g||_2 bounds every
+coefficient of every factor of g (Mignotte). Each monic factor of g over Z
+is then the product of a subset of the lifted factors, read in (-m/2, m/2);
+subsets are tried smallest first, and a candidate counts only when it
+divides g exactly over Z.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd, isqrt
+from functools import reduce
+from itertools import combinations, count, zip_longest
+from math import gcd, prod
+from random import Random
 
 from .errors import InvalidInputError, OracleViolationError
 from .intarith import factorize, is_prime
-from .polynomial import IntPoly, squarefree_part
-from .roots import CertifiedRootSet, RootLadder, escalate
+from .polynomial import IntPoly, divmod_mod, gcd_mod, mul_mod, pow_mod, reduce_mod, squarefree_part
 
-ORACLE_MAX_DEGREE = 14
+_PRIMES = 2  # primes whose factor degrees are intersected; 1 and 3 measured slower
 
 
 @dataclass(frozen=True)
@@ -117,141 +111,172 @@ def dominance_criterion(f: IntPoly) -> str | None:
     return None
 
 
-def factor_oracle(f: IntPoly, ladder: RootLadder | None = None) -> tuple[tuple[IntPoly, int], ...]:
-    """Complete factorization of monic f into monic irreducibles, by brute force.
+def factor_oracle(f: IntPoly) -> tuple[tuple[IntPoly, int], ...]:
+    """Complete factorization of monic f, deg f >= 2, into monic irreducibles.
 
-    Supported for 2 <= deg(f) <= 14 (the subset enumeration is exponential in
-    the degree). Factors come out in ascending (degree, coefficients) order
-    with their multiplicities in f. The product of the results is checked
-    against f; a mismatch raises OracleViolationError, since it can only mean
-    a defect in this module. ladder, when given, is f's; the oracle climbs
-    it when f is squarefree, and its own one otherwise.
+    Factors come out in ascending (degree, coefficients) order with their
+    multiplicities in f. Each factor is checked to divide f, and their
+    product to be f; a failure raises OracleViolationError, since it can only
+    mean a defect in this module.
     """
     f = require_monic(f, "factor_oracle")
-    original = f
-    n = f.degree
-    if not 2 <= n <= ORACLE_MAX_DEGREE:
-        raise InvalidInputError(f"factor_oracle supports degrees 2..{ORACLE_MAX_DEGREE}, got {n}")
-
-    while f.constant == 0:
-        f = IntPoly(f.coeffs[1:])
-    found: set[IntPoly] = set()
-    if f.degree < original.degree:
-        found.add(IntPoly((0, 1)))
-    if f.degree >= 1:
-        sf = squarefree_part(f)
-        if sf.degree == 1:
-            found.add(sf)
-        else:
-            shared = ladder is not None and ladder.f == sf
-            found.update(_oracle_split(ladder if shared else RootLadder(sf)))
+    if f.degree < 2:
+        raise InvalidInputError(f"factor_oracle needs degree >= 2, got {f.degree}")
+    zeros = next(i for i, c in enumerate(f.coeffs) if c)
+    found = [IntPoly((0, 1))] if zeros else []
+    if zeros < f.degree:
+        found += _split(squarefree_part(IntPoly(f.coeffs[zeros:])))
 
     result: list[tuple[IntPoly, int]] = []
     for g in sorted(found, key=lambda g: (g.degree, g.coeffs)):
-        mult = 0
-        rest = original
+        mult, rest = 0, f
         while g.divides(rest):
-            rest = rest.exact_div(g)
-            mult += 1
+            rest, mult = rest.exact_div(g), mult + 1
         if mult == 0:
             raise OracleViolationError(f"oracle produced a non-factor {g.to_text()}")
         result.append((g, mult))
-    check = IntPoly((1,))
-    for g, m in result:
-        for _ in range(m):
-            check = check * g
-    if check != original:
+    if prod((g for g, m in result for _ in range(m)), start=IntPoly((1,))) != f:
         raise OracleViolationError("oracle factorization does not multiply back to the input")
     return tuple(result)
 
 
-def _oracle_split(ladder: RootLadder) -> list[IntPoly]:
-    """Irreducible factors of the squarefree monic polynomial of ladder, via
-    root subsets."""
-
-    def attempt(rs: CertifiedRootSet) -> list[IntPoly] | None:
-        # slack = hi - lo >= E * 2^(sn), as the module docstring shows.
-        one, hi, lo = 1 << rs.scale, 1, 1
-        for d in rs.roots:
-            m = isqrt(d.norm)
-            hi *= one + m + 1 + d.r
-            lo *= one + m
-        slack = hi - lo
-        if 4 * slack >= 1 << (rs.scale * len(rs.roots)):
-            return None
-        return _enumerate_factors(ladder.f, rs, slack)
-
-    return escalate(ladder, attempt, "factor oracle could not certify rounding")[1]
-
-
-def _round_subset(
-    rs: CertifiedRootSet, combo: tuple[int, ...], slack: int
-) -> tuple[int, ...] | None:
-    """The integer coefficients (ascending, monic term dropped) that the root
-    subset combo of rs rounds to, or None when one of them lies farther
-    than slack / 2^(sn) from every integer.
-
-    prod (2^s x - (x_i + i y_i)) over the k roots of combo is expanded in
-    Gaussian integers; its coefficients are 2^(sk) times those of the subset
-    product of the centres, so each rounds to the nearest integer by a shift
-    of sk bits and is held to |Im| and |Re - nearest| at most slack /
-    2^(s(n - k)) on that scale.
-    """
-    s, k = rs.scale, len(combo)
-    re, im = [1], [0]
-    for i in combo:
-        x, y = rs.roots[i].x, rs.roots[i].y
-        up_re, up_im = [0] + [v << s for v in re], [0] + [v << s for v in im]
-        re.append(0)
-        im.append(0)
-        re, im = (
-            [u - x * a + y * b for u, a, b in zip(up_re, re, im)],
-            [u - x * b - y * a for u, a, b in zip(up_im, re, im)],
-        )
-    sk, spare = s * k, s * (len(rs.roots) - k)
-    half = 1 << (sk - 1)
-    candidate = []
-    for a, b in zip(re[:-1], im[:-1]):
-        nearest = (a + half) >> sk
-        if abs(b) << spare > slack or abs(a - (nearest << sk)) << spare > slack:
-            return None
-        candidate.append(nearest)
-    return tuple(candidate)
+def _split(g: IntPoly) -> list[IntPoly]:
+    """The monic irreducible factors of monic squarefree g, g(0) != 0."""
+    n, sums, best = g.degree, (2 << g.degree) - 1, None
+    primes = (q for q in count(3, 2) if is_prime(q))
+    tried = 0
+    while tried < _PRIMES and sums != 1 | 1 << n:
+        q = next(primes)
+        local = reduce_mod(g.coeffs, q)
+        if len(gcd_mod(local, reduce_mod([i * c for i, c in enumerate(local)][1:], q), q)) > 1:
+            continue
+        tried += 1
+        blocks = _distinct_degree(local, q)
+        here, size = 1, 0  # bit k of here: some product of factors mod q has degree k
+        for d, block in blocks:
+            for _ in range((len(block) - 1) // d):
+                here, size = here | here << d, size + 1
+        sums &= here
+        if best is None or size < best[0]:
+            best = size, q, blocks
+    if sums == 1 | 1 << n:
+        return [g]
+    _, q, blocks = best
+    rng = Random(0)
+    local = [h for d, block in blocks for h in _equal_degree(block, d, q, rng)]
+    bound = sum(c * c for c in g.coeffs) << 2 * (n + 1)  # (2B)^2
+    m = q
+    while m * m <= bound:
+        m *= m
+    return _recombine(g, _hensel(list(g.coeffs), local, q, m), m, sums)
 
 
-def _enumerate_factors(sf: IntPoly, rs: CertifiedRootSet, slack: int) -> list[IntPoly]:
-    pool = list(range(len(rs.roots)))
-    remaining = sf
-    factors: list[IntPoly] = []
-    size = 1
-    while pool and size <= len(pool) // 2:
-        hit = False
-        for combo in combinations(pool, size):
-            candidate = _round_subset(rs, combo, slack)
-            if candidate is None:
+def _add_mod(a: list[int], b: list[int], q: int, k: int = 1) -> list[int]:
+    """a + k b modulo q."""
+    return reduce_mod([x + k * y for x, y in zip_longest(a, b, fillvalue=0)], q)
+
+
+def _distinct_degree(f: list[int], q: int) -> list[tuple[int, list[int]]]:
+    """(d, the product of the irreducible factors of degree d) for each d
+    that occurs, for monic squarefree f in F_q[x]: the factors of degree d
+    divide x^(q^d) - x, those of lower degree being gone already."""
+    blocks, power, d = [], [0, 1], 0
+    while len(f) > 2 * d + 2:
+        d += 1
+        power = pow_mod(power, q, q, f)
+        block = gcd_mod(f, _add_mod(power, [0, 1], q, -1), q)
+        if len(block) > 1:
+            blocks.append((d, block))
+            f = divmod_mod(f, block, q)[0]
+            power = divmod_mod(power, f, q)[1]
+    if len(f) > 1:
+        blocks.append((len(f) - 1, f))
+    return blocks
+
+
+def _equal_degree(f: list[int], d: int, q: int, rng: Random) -> list[list[int]]:
+    """The monic irreducible factors of f in F_q[x], q odd, f monic,
+    squarefree and a product of irreducibles of degree d (Cantor-Zassenhaus):
+    gcd(f, a^((q^d - 1) / 2) - 1) for random a splits f with probability at
+    least 1/2."""
+    if len(f) - 1 == d:
+        return [f]
+    while True:
+        a = reduce_mod([rng.randrange(q) for _ in range(len(f) - 1)], q)
+        h = gcd_mod(f, _add_mod(pow_mod(a, (q**d - 1) // 2, q, f), [1], q, -1), q)
+        if 1 < len(h) < len(f):
+            return _equal_degree(h, d, q, rng) + _equal_degree(divmod_mod(f, h, q)[0], d, q, rng)
+
+
+def _hensel(f: list[int], local: list[list[int]], q: int, m: int) -> list[list[int]]:
+    """Monic factors of f modulo m = q^(2^j), in the order of local and each
+    congruent to its own of local modulo q, for monic f congruent modulo q to
+    the product of local, whose members are monic and pairwise coprime. A
+    balanced tree of quadratic Hensel steps (von zur Gathen and Gerhard,
+    Modern Computer Algebra, Alg. 15.10): with f = g h, s g + t h = 1 and
+    e = f - g h, all modulo p, and s e = u h + r, the lifts modulo p^2 are
+    g + t e + u g and h + r, and b = s g + t h - 1 lifts s and t."""
+    if len(local) == 1:
+        return [reduce_mod(f, m)]
+    half = len(local) // 2
+    g, h = _product(local[:half], q), _product(local[half:], q)
+    s = _inverse(g, h, q)
+    t = divmod_mod(_add_mod([1], mul_mod(s, g, q), q, -1), h, q)[0]  # s g + t h = 1
+    p = q
+    while p < m:
+        p *= p
+        e = _add_mod(f, mul_mod(g, h, p), p, -1)
+        u, r = divmod_mod(mul_mod(s, e, p), h, p)
+        g = _add_mod(_add_mod(g, mul_mod(t, e, p), p), mul_mod(u, g, p), p)
+        h = _add_mod(h, r, p)
+        b = _add_mod(_add_mod(mul_mod(s, g, p), mul_mod(t, h, p), p), [1], p, -1)
+        c, d = divmod_mod(mul_mod(s, b, p), h, p)
+        s = _add_mod(s, d, p, -1)
+        t = _add_mod(_add_mod(t, mul_mod(t, b, p), p, -1), mul_mod(c, g, p), p, -1)
+    return _hensel(g, local[:half], q, m) + _hensel(h, local[half:], q, m)
+
+
+def _product(factors: list[list[int]], q: int) -> list[int]:
+    return reduce(lambda a, b: mul_mod(a, b, q), factors, [1])
+
+
+def _inverse(g: list[int], h: list[int], q: int) -> list[int]:
+    """The inverse of g modulo h in F_q[x], of degree below deg h, for g
+    coprime to h: the extended Euclidean algorithm."""
+    r0, r1, s0, s1 = g, h, [1], []
+    while r1:
+        u, r = divmod_mod(r0, r1, q)
+        r0, r1, s0, s1 = r1, r, s1, _add_mod(s0, mul_mod(u, s1, q), q, -1)
+    return mul_mod(s0, [pow(r0[0], -1, q)], q)
+
+
+def _recombine(g: IntPoly, local: list[list[int]], m: int, sums: int) -> list[IntPoly]:
+    """The irreducible factors of monic squarefree g from local, its monic
+    factors modulo m > 2B: each is the product of the fewest members of local
+    that, read in (-m/2, m/2), divide g. Subsets whose degree is no bit of
+    sums cannot be factors and are skipped."""
+    found, size = [], 1
+    while 2 * size <= len(local):
+        for subset in combinations(range(len(local)), size):
+            if not sums >> sum(len(local[i]) - 1 for i in subset) & 1:
                 continue
-            g = IntPoly(candidate + (1,))
-            if g.divides(remaining):
-                factors.append(g)
-                remaining = remaining.exact_div(g)
-                pool = [i for i in pool if i not in combo]
-                hit = True
+            product = _product([local[i] for i in subset], m)
+            candidate = IntPoly(tuple(c - m if 2 * c > m else c for c in product))
+            if g.constant % candidate.constant == 0 and candidate.divides(g):
+                found.append(candidate)
+                g = g.exact_div(candidate)
+                local = [h for i, h in enumerate(local) if i not in subset]
                 break
-        if not hit:
+        else:
             size += 1
-    if pool:
-        factors.append(remaining)
-    return factors
+    return found + [g]
 
 
-def irreducibility_witness(f: IntPoly, ladder: RootLadder | None = None) -> IrreducibilityWitness:
+def irreducibility_witness(f: IntPoly) -> IrreducibilityWitness:
     """Decide irreducibility of monic f and say which argument decided it.
 
-    Criteria run cheapest-first; the factor oracle is the fallback and the
-    only route that can answer "reducible" (besides a vanishing constant
-    term). Above the oracle ceiling a root 1 or -1 answers "reducible"
-    too; there, an input no criterion decides is InvalidInputError. ladder,
-    when given, is f's, and the factor oracle climbs it (factor_oracle).
+    Criteria run cheapest-first; the factor oracle decides what they leave,
+    and is the only route besides a vanishing constant term to "reducible".
     """
     f = require_monic(f, "irreducibility_witness")
     if f.degree == 1:
@@ -264,14 +289,7 @@ def irreducibility_witness(f: IntPoly, ladder: RootLadder | None = None) -> Irre
     name = dominance_criterion(f)
     if name is not None:
         return IrreducibilityWitness(True, name)
-    if f.degree > ORACLE_MAX_DEGREE:
-        for root in (1, -1):
-            if f(root) == 0:
-                return IrreducibilityWitness(False, "linear-factor", f"root {root}")
-        raise InvalidInputError(
-            f"no criterion applies and degree {f.degree} exceeds the oracle ceiling"
-        )
-    factors = factor_oracle(f, ladder)
+    factors = factor_oracle(f)
     if len(factors) == 1 and factors[0][1] == 1:
         return IrreducibilityWitness(True, "factor-oracle")
     shape = ", ".join(f"deg {g.degree}^{m}" if m > 1 else f"deg {g.degree}" for g, m in factors)

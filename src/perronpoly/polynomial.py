@@ -7,7 +7,8 @@ lists, and the discriminant is derived from it; poly_gcd and the Sturm chain
 wrap the same pseudo-remainder (_prem). Over Z/q the same ascending
 coefficients travel as plain lists reduced into [0, q) (reduce_mod), and each
 function takes the modulus as an argument: mul_mod and pow_mod for any
-modulus, divmod_mod, monic_mod and gcd_mod for a prime one.
+modulus, divmod_mod for any modulus and a monic divisor, monic_mod and
+gcd_mod for a prime one.
 
 The text wire format used by the CLI is comma-separated ascending
 coefficients: "-3,-1,1" is x**2 - x - 3.
@@ -418,18 +419,23 @@ def mul_mod(a: list[int], b: list[int], q: int) -> list[int]:
     return reduce_mod(out, q)
 
 
-def pow_mod(a: list[int], e: int, q: int) -> list[int]:
-    """a^e modulo q, for any modulus q >= 2, by square-and-multiply."""
+def pow_mod(a: list[int], e: int, q: int, f: list[int] | None = None) -> list[int]:
+    """a^e modulo q, and modulo f when f is given, by square-and-multiply;
+    for any modulus q >= 2, with f monic unless q is prime (divmod_mod)."""
     result = [1]
     for bit in bin(e)[2:]:
         result = mul_mod(result, result, q)
         if bit == "1":
             result = mul_mod(result, a, q)
+        if f is not None:
+            result = divmod_mod(result, f, q)[1]
     return result
 
 
 def divmod_mod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of a by nonzero b in F_q[x], q prime."""
+    """(quotient, remainder) of a by nonzero b in F_q[x], q prime; and modulo
+    any q >= 2 when b is monic, as Hensel lifting needs, since then no
+    leading coefficient is inverted but 1."""
     db = len(b) - 1
     dq = len(a) - 1 - db
     if dq < 0:

@@ -28,13 +28,10 @@ Every decision escalates through one loop, escalate, with one cap. It
 solves f at DEFAULT_PRECISION_BITS; whenever the disks collide or cannot
 settle the question, it solves f again at doubled precision, at most
 MAX_ESCALATIONS times per decision, and then raises PrecisionExhaustedError.
-The rungs of one f are held by a RootLadder, which its caller makes and
-drops: one float solve seeds every rung, and two decisions about one f
-(classify's factor oracle, then its dominance decision) share one ladder,
-so neither solves a rung the other has solved.
-Isolation itself (complex_roots), the real-axis profile, the dominance
-decision (which tags every root against the unit circle) and the factor
-oracle are each one such decision. A float disk is only as narrow as double
+One float solve seeds every rung of a decision, and no root set outlives
+it. Isolation itself (complex_roots), the real-axis profile and the
+dominance decision (which tags every root against the unit circle) are
+each one such decision. A float disk is only as narrow as double
 precision allows, so the one root whose digits get printed is refined alone
 (polish_real_root) instead of the whole set.
 
@@ -362,6 +359,8 @@ def _solve(coeffs: tuple[int, ...], bits: int, floats: list | None) -> Certified
 
 def _require_squarefree(f: IntPoly) -> None:
     """The solver's precondition, checked where outside input arrives."""
+    if f.degree < 1:
+        raise InvalidInputError("complex_roots needs degree >= 1")
     if f.degree >= 2 and poly_gcd(f, f.derivative()).degree >= 1:
         raise InvalidInputError("complex_roots requires a squarefree polynomial")
 
@@ -375,35 +374,19 @@ def complex_roots(f: IntPoly) -> CertifiedRootSet:
     """
     _require_squarefree(f)
     failure = f"could not isolate the roots of degree-{f.degree} polynomial"
-    return escalate(RootLadder(f), lambda rs: rs, failure)[0]
+    return escalate(f, lambda rs: rs, failure)[0]
 
 
-class RootLadder:
-    """The certified root sets of one squarefree f: rung e, at
-    DEFAULT_PRECISION_BITS << e, is solved when escalate first climbs to it,
-    every rung from one float solve. Two decisions about one f that share a
-    ladder solve no rung twice; no root set outlives the ladder's holder."""
-
-    def __init__(self, f: IntPoly):
-        if f.degree < 1:
-            raise InvalidInputError("complex_roots needs degree >= 1")
-        self.f, self._floats, self._rungs = f, None, []
-
-    def rung(self, e: int) -> CertifiedRootSet | None:
-        """The root set at rung e, or None when its disks collide."""
-        if e == len(self._rungs):
-            self._floats = _float_aberth(self.f.coeffs) if e == 0 else self._floats
-            self._rungs.append(_solve(self.f.coeffs, DEFAULT_PRECISION_BITS << e, self._floats))
-        return self._rungs[e]
-
-
-def escalate(ladder: RootLadder, attempt, failure: str):
-    """(root set, result) for the first non-None attempt(rs), rung by rung
-    up the ladder, at most MAX_ESCALATIONS rungs above the first; past
-    that, PrecisionExhaustedError with failure and the last precision tried.
+def escalate(f: IntPoly, attempt, failure: str):
+    """(root set, result) for the first non-None attempt(rs), rs the root
+    set of squarefree f at DEFAULT_PRECISION_BITS, then at doubled
+    precision, at most MAX_ESCALATIONS times, every rung from one float
+    solve; past that, PrecisionExhaustedError with failure and the last
+    precision tried.
     """
+    floats = _float_aberth(f.coeffs)
     for escalation in range(MAX_ESCALATIONS + 1):
-        rs = ladder.rung(escalation)
+        rs = _solve(f.coeffs, DEFAULT_PRECISION_BITS << escalation, floats)
         result = None if rs is None else attempt(rs)
         if result is not None:
             return rs, result
@@ -567,6 +550,6 @@ def real_axis_profile(f: IntPoly) -> RealAxisProfile:
         raise InvalidInputError("real_axis_profile needs a nonzero constant term")
     _require_squarefree(f)
     rs, (flags, pos, neg, nonreal) = escalate(
-        RootLadder(f), try_real_census, "could not settle the real-root census"
+        f, try_real_census, "could not settle the real-root census"
     )
     return RealAxisProfile(pos, neg, nonreal, flags, rs)

@@ -20,7 +20,7 @@ from .errors import InvalidInputError, OracleViolationError, PerronPolyError
 from .errors import PrecisionExhaustedError
 from .family import _FAULTS, Certificate, strictly_perron_certificate
 from .intarith import DEFAULT_BUDGET, check_budget, primes_below
-from .irreducibility import ORACLE_MAX_DEGREE, is_irreducible
+from .irreducibility import is_irreducible
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,7 @@ def run_verify(
     routes agree (these two are enforced inside certificate construction);
     the constant-time irreducibility dichotomy matches is_irreducible
     (Eisenstein and dominance_criterion, then the factor oracle where
-    neither decides), at every degree up to ORACLE_MAX_DEGREE (the oracle's
-    domain; above it the certificate rests on the dichotomy alone); real-root
+    neither decides) at every point; real-root
     parity holds; when the headline hypothesis applies and G is squarefree
     the conclusion is "monogenic strictly-Perron"; and for even n with
     p > a+1 the certified profile puts no root inside or on the unit circle
@@ -193,12 +192,9 @@ def _point_problems(cert: Certificate) -> list[str]:
     n, a, p = point.n, point.a, point.p
     problems = []
 
-    if n <= ORACLE_MAX_DEGREE:
-        dichotomy, witness = point.irreducible, is_irreducible(point.poly)
-        if dichotomy != witness:
-            problems.append(
-                f"irreducibility dichotomy says {dichotomy}, is_irreducible says {witness}"
-            )
+    dichotomy, witness = point.irreducible, is_irreducible(point.poly)
+    if dichotomy != witness:
+        problems.append(f"irreducibility dichotomy says {dichotomy}, is_irreducible says {witness}")
 
     if (
         cert.params.theorem_applicable

@@ -161,7 +161,7 @@ def test_c03_jks_agrees_with_dedekind(capsys, coprime_points):
 
 
 def test_c04_reducibility_dichotomy(capsys):
-    """Brute-force factorization finds the family reducible exactly at the
+    """The factor oracle finds the family reducible exactly at the
     even-degree p = a + 1 points (n <= 7, a <= 6, p < 100, every a)."""
     bad = []
     reducible_count = 0

@@ -351,8 +351,8 @@ class TestSearch:
 
 class TestVerify:
     def test_grid_past_oracle_ceiling_passes(self, capsys):
-        # Degrees 15 and 16 are past the factor oracle; verify compares the
-        # dichotomy with it only up to the ceiling and must not abort there.
+        # Degrees 15 and 16: verify compares the dichotomy with the factor
+        # oracle there too, and every point passes.
         rc, out, _ = run(capsys, "verify", "--nmax", "16", "--amax", "1", "--pmax", "5")
         assert rc == 0
         assert out.strip() == "verify: all 30 grid points passed"

@@ -387,8 +387,8 @@ class TestCertificate:
     def test_p_equals_a_plus_one_above_oracle_ceiling(
         self, point, irreducible, headline, conclusion
     ):
-        # Degree 15 and up is past the factor oracle; the dichotomy alone
-        # decides irreducibility, so these points certify instead of raising.
+        # The certificate reads irreducibility off the dichotomy, not the
+        # factor oracle, at every degree.
         d = strictly_perron_certificate(*point).to_json_dict()
         assert (d["irreducible"], d["class"], d["conclusion"]) == (
             irreducible, headline, conclusion,
@@ -654,7 +654,7 @@ class TestSearch:
 
     def test_verify_checks_dichotomy_against_oracle(self, monkeypatch):
         # A dichotomy that calls every member irreducible must trip at the
-        # reducible points (even n, p = a + 1) below the oracle ceiling.
+        # reducible points (even n, p = a + 1).
         class AllIrreducible(FamilyParams):
             irreducible = True
 
@@ -665,6 +665,13 @@ class TestSearch:
         monkeypatch.setattr(search, "strictly_perron_certificate", misjudged)
         report = run_verify(4, 1, 3)
         assert [f.split(":")[0] for f in report.failures] == ["(n=2, a=1, p=2)", "(n=4, a=1, p=2)"]
+
+    def test_verify_checks_the_dichotomy_at_every_degree(self, monkeypatch):
+        # is_irreducible runs on every grid point, degrees above 14 included.
+        real, degrees = search.is_irreducible, []
+        monkeypatch.setattr(search, "is_irreducible", lambda f: degrees.append(f.degree) or real(f))
+        assert run_verify(16, 1, 3).passed
+        assert degrees == list(range(2, 17))
 
     def test_verify_checks_profile_outside_unit_circle(self, monkeypatch):
         # A profile with a root inside the unit circle must trip at even n

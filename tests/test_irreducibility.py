@@ -1,4 +1,4 @@
-"""Irreducibility criteria and the brute-force factor oracle vs sympy."""
+"""Irreducibility criteria and the modular factor oracle vs sympy."""
 from __future__ import annotations
 
 import pytest
@@ -7,11 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import from_sympy, poly, to_sympy
-from perronpoly import irreducibility, roots
-from perronpoly.errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
+from perronpoly import irreducibility
+from perronpoly.errors import InvalidInputError, OracleViolationError
 from perronpoly.family import FamilyParams
 from perronpoly.irreducibility import (
-    ORACLE_MAX_DEGREE,
     dominance_criterion,
     eisenstein_prime,
     factor_oracle,
@@ -93,58 +92,23 @@ class TestFactorOracle:
         f = poly(1, 1, 1, 1, 1)
         assert factor_oracle(f) == ((f, 1),)
 
-    # Two degree-7 family members with a root near 1000 each: at 16 bits the
-    # rounding bound on their product's subset coefficients is too loose, so
-    # an oracle started there must retry.
-    WIDE = poly(-1009, 0, 0, 0, 0, 0, -1000, 1) * poly(-1013, 0, 0, 0, 0, 0, -999, 1)
-
-    def test_rounding_retry_at_doubled_precision(self, monkeypatch, start_at_16_bits):
-        solve, requested = roots._solve, []
-
-        def spy(coeffs, bits, floats):
-            requested.append(bits)
-            return solve(coeffs, bits, floats)
-
-        monkeypatch.setattr(roots, "_solve", spy)
-        assert factor_oracle(self.WIDE) == (
-            (poly(-1013, 0, 0, 0, 0, 0, -999, 1), 1),
-            (poly(-1009, 0, 0, 0, 0, 0, -1000, 1), 1),
-        )
-        assert requested == [16, 32]
-
-    def test_rounding_retry_obeys_the_escalation_cap(self, monkeypatch, start_at_16_bits):
-        # The retry is roots.escalate's, so it reads roots.MAX_ESCALATIONS.
-        monkeypatch.setattr(roots, "MAX_ESCALATIONS", 0)
-        with pytest.raises(
-            PrecisionExhaustedError, match="factor oracle could not certify rounding"
-        ):
-            factor_oracle(self.WIDE)
-
-    def test_exhaustion_names_the_last_precision_tried(self, monkeypatch, start_at_16_bits):
-        # With no escalation allowed only 16 bits are tried, so the error
-        # must not name the 32 bits that were never solved for.
-        monkeypatch.setattr(roots, "MAX_ESCALATIONS", 0)
-        with pytest.raises(PrecisionExhaustedError, match="rounding at 16 bits$"):
-            factor_oracle(self.WIDE)
-
     # The oracle checks its own output: a factor that does not divide the
-    # input, or factors whose product is not the input, is a defect.
+    # input, or factors whose product is not the input, is a defect. The
+    # factor degrees of (x^2 - 2)(x^2 - 3) modulo 5 and 7 allow a quadratic
+    # factor, so the oracle reaches recombination.
     def test_non_factor_trips(self, monkeypatch):
-        monkeypatch.setattr(irreducibility, "_enumerate_factors", lambda *_: [poly(1, 1, 1)])
+        monkeypatch.setattr(irreducibility, "_recombine", lambda *_: [poly(1, 1, 1)])
         with pytest.raises(OracleViolationError, match="non-factor 1,1,1"):
-            factor_oracle(poly(-2, 0, 1))
+            factor_oracle(poly(-2, 0, 1) * poly(-3, 0, 1))
 
     def test_missing_factor_trips(self, monkeypatch):
-        monkeypatch.setattr(irreducibility, "_enumerate_factors", lambda *_: [poly(-2, 0, 1)])
+        monkeypatch.setattr(irreducibility, "_recombine", lambda *_: [poly(-2, 0, 1)])
         with pytest.raises(OracleViolationError, match="does not multiply back"):
             factor_oracle(poly(-2, 0, 1) * poly(-3, 0, 1))
 
     def test_degree_guard(self):
         with pytest.raises(InvalidInputError):
             factor_oracle(poly(-1, 1))
-        too_big = IntPoly((1,) + (0,) * ORACLE_MAX_DEGREE + (1,))
-        with pytest.raises(InvalidInputError):
-            factor_oracle(too_big)
 
     @given(st.lists(st.integers(-8, 8), min_size=1, max_size=4),
            st.lists(st.integers(-8, 8), min_size=1, max_size=4))
@@ -165,8 +129,6 @@ class TestFactorOracle:
         ),
         min_size=2, max_size=3,
     ))
-    # Two close real roots whose float set is a conjugate pair, which
-    # refinement keeps: only _solve's retry from the circle certifies them.
     @example([(9007199254740993, []), (9007199255964673, [])])
     @settings(max_examples=30, deadline=None)
     def test_products_with_big_constants_match_sympy(self, factors):
@@ -175,6 +137,28 @@ class TestFactorOracle:
         f = IntPoly((1,))
         for constant, middle in factors:
             f = f * IntPoly((constant, *middle, 1))
+        ours = {(g.coeffs, m) for g, m in factor_oracle(f)}
+        _, sym_factors = to_sympy(f).factor_list()
+        theirs = {(from_sympy(g).coeffs, m) for g, m in sym_factors}
+        assert ours == theirs
+
+    @given(st.lists(
+        st.lists(st.integers(-20, 20), min_size=1, max_size=10).map(lambda b: IntPoly((*b, 1))),
+        min_size=1, max_size=4,
+    ))
+    # Degree 40: the 11th cyclotomic polynomial, x^10 + 1 (degrees 2 and 8)
+    # and two more of degree 10.
+    @example([IntPoly((1,) * 11), IntPoly((1,) + (0,) * 9 + (1,)),
+              IntPoly((-2, 3) + (0,) * 7 + (-1, 1)), IntPoly((5,) + (0,) * 9 + (1,))])
+    @settings(max_examples=40, deadline=None)
+    def test_products_up_to_degree_40_match_sympy(self, factors):
+        # Up to four monic factors of degree 1..10, repeats and factors that
+        # split further included.
+        f = IntPoly((1,))
+        for g in factors:
+            f = f * g
+        if f.degree < 2:
+            return
         ours = {(g.coeffs, m) for g, m in factor_oracle(f)}
         _, sym_factors = to_sympy(f).factor_list()
         theirs = {(from_sympy(g).coeffs, m) for g, m in sym_factors}
@@ -206,26 +190,28 @@ class TestWitness:
         assert "deg 2" in w.detail
 
     def test_large_degree_needs_a_criterion(self):
-        # Degree 16 Eisenstein: fine without the oracle.
+        # Degree 16 Eisenstein: decided without the oracle.
         f = IntPoly((-2,) + (0,) * 15 + (1,))
-        assert is_irreducible(f)
-        # Degree 16 with no criterion: honest refusal, not a guess.
+        assert irreducibility_witness(f).method == "eisenstein"
+        # x^16 - x - 1: no criterion applies, and the oracle answers.
         g = IntPoly((-1, -1) + (0,) * 14 + (1,))
-        with pytest.raises(InvalidInputError):
-            is_irreducible(g)
+        w = irreducibility_witness(g)
+        assert (w.irreducible, w.method) == (to_sympy(g).is_irreducible, "factor-oracle")
 
     def test_root_one_or_minus_one_above_the_ceiling(self):
-        # x^32 - 2x^31 - 3 vanishes at -1 and x^16 + x - 2 at 1; a linear
-        # factor needs no oracle.
+        # x^32 - 2x^31 - 3 vanishes at -1 and x^16 + x - 2 at 1, and
+        # (x^8 + 3)(x^8 + 5) has no root +-1: the oracle factors all three,
+        # at any degree, as sympy does.
         x16_plus_x_minus_2 = IntPoly((-2, 1) + (0,) * 14 + (1,))
-        for f, root in [(FamilyParams(32, 2, 3).poly, -1), (x16_plus_x_minus_2, 1)]:
+        x8_plus_3_times_x8_plus_5 = IntPoly((15,) + (0,) * 7 + (8,) + (0,) * 7 + (1,))
+        for f in (FamilyParams(32, 2, 3).poly, x16_plus_x_minus_2, x8_plus_3_times_x8_plus_5):
             w = irreducibility_witness(f)
-            assert (w.irreducible, w.method, w.detail) == (False, "linear-factor", f"root {root}")
-        # Below the ceiling the oracle still answers x^2 - 1, and above it
-        # (x^8 + 3)(x^8 + 5), with no root +-1, is still refused.
-        assert irreducibility_witness(poly(-1, 0, 1)).method == "factor-oracle"
-        with pytest.raises(InvalidInputError, match="oracle ceiling"):
-            irreducibility_witness(IntPoly((15,) + (0,) * 7 + (8,) + (0,) * 7 + (1,)))
+            _, sym_factors = to_sympy(f).factor_list()
+            shape = ", ".join(f"deg {g.degree()}" for g, _ in sorted(
+                sym_factors, key=lambda gm: (gm[0].degree(), from_sympy(gm[0]).coeffs)
+            ))
+            assert (w.irreducible, w.method, w.detail) == (False, "factor-oracle", shape)
+        assert irreducibility_witness(x8_plus_3_times_x8_plus_5).detail == "deg 8, deg 8"
 
     def test_corpus(self):
         assert is_irreducible(poly(-1, -1, 1))

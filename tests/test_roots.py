@@ -339,6 +339,20 @@ class TestAberthStarts:
         assert starts == [[0.5, -0.25], roots_module._initial_points(f.coeffs)]
         assert_disks_cover_reference(f)
 
+    def test_close_real_pair_certifies_through_the_circle_retry(self, monkeypatch):
+        # The float roots of (x + 9007199254740993)(x + 9007199255964673) are
+        # a conjugate pair, which refinement keeps, so their disks collide;
+        # one retry from the circle points certifies the two real roots.
+        f = poly(9007199254740993, 1) * poly(9007199255964673, 1)
+        circle, calls = roots_module._initial_points, []
+        monkeypatch.setattr(
+            roots_module, "_initial_points", lambda coeffs: calls.append(1) or circle(coeffs)
+        )
+        rs = complex_roots(f)
+        assert (rs.precision_bits, len(calls)) == (DEFAULT_PRECISION_BITS, 1)
+        for root, d in zip((-9007199255964673, -9007199254740993), rs.roots):
+            assert (d.x - (root << rs.scale)) ** 2 + d.y**2 <= d.r**2
+
     def test_warm_start_skipped_for_huge_coefficients(self):
         f = poly(-(10**300), -1, 1)
         assert roots_module._float_aberth(f.coeffs) is None
