@@ -74,7 +74,7 @@ class TestClassify:
         assert record["subclass"] == "StrictlyPerron"
         assert float(record["lambda"]) > 3
 
-    def test_trinomial_above_the_oracle_ceiling(self, capsys):
+    def test_trinomial_at_degree_15_and_16(self, capsys):
         # No irreducibility criterion fires at degree 15 or 16 here; the
         # family dichotomy decides, as in the certificate.
         rc, out, _ = run(capsys, "classify", "--trinomial", "15", "2", "3")
@@ -158,7 +158,7 @@ class TestMonogenic:
             {"q": 3, "result": "DividesIndex", "condition": "(v)"}
         ]
 
-    def test_trinomial_above_the_oracle_ceiling(self, capsys):
+    def test_trinomial_at_degree_15(self, capsys):
         rc, out, _ = run(capsys, "monogenic", "--trinomial", "15", "4", "5")
         assert rc == 0
         assert json.loads(out)["verdict"] == "Monogenic"
@@ -350,7 +350,7 @@ class TestSearch:
 
 
 class TestVerify:
-    def test_grid_past_oracle_ceiling_passes(self, capsys):
+    def test_grid_to_degree_16_passes(self, capsys):
         # Degrees 15 and 16: verify compares the dichotomy with the factor
         # oracle there too, and every point passes.
         rc, out, _ = run(capsys, "verify", "--nmax", "16", "--amax", "1", "--pmax", "5")

@@ -384,7 +384,7 @@ class TestCertificate:
             ((24, 1, 2), False, "NotIrreducible", "reducible"),
         ],
     )
-    def test_p_equals_a_plus_one_above_oracle_ceiling(
+    def test_p_equals_a_plus_one_at_high_degree(
         self, point, irreducible, headline, conclusion
     ):
         # The certificate reads irreducibility off the dichotomy, not the

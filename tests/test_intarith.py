@@ -16,6 +16,8 @@ from perronpoly import family, intarith
 from perronpoly.errors import InvalidInputError
 from perronpoly.family import FamilyParams, strictly_perron_certificate
 from perronpoly.intarith import (
+    _PRIME_EXIT_HIGH,
+    _PRIME_EXIT_LOW,
     _SMALL_PRIMES,
     _TRIAL_BLOCK,
     PM1_BOUND,
@@ -266,6 +268,73 @@ class TestBlockTrialDivision:
         self.assert_agrees(n)
 
 
+def _spy(monkeypatch, name):
+    """Record the first argument of every call to intarith.<name>."""
+    calls = []
+    real = getattr(intarith, name)
+
+    def spy(n, *rest):
+        calls.append(n)
+        return real(n, *rest)
+
+    monkeypatch.setattr(intarith, name, spy)
+    return calls
+
+
+class TestPrimeExit:
+    """A remainder in [2**32, 2**160) that passes is_prime ends the walk, and
+    trial_divide still returns what the prime-by-prime pass returns."""
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            sympy.prevprime(_PRIME_EXIT_LOW), sympy.nextprime(_PRIME_EXIT_LOW),
+            sympy.prevprime(_PRIME_EXIT_HIGH), sympy.nextprime(_PRIME_EXIT_HIGH),
+        ],
+        ids=["below-low", "above-low", "below-high", "above-high"],
+    )
+    @pytest.mark.parametrize("smooth", [1, 2**3 * 3**2 * 5, 7**2 * 1009 * 7919])
+    def test_agrees_at_the_edges_of_the_window(self, monkeypatch, q, smooth):
+        tested = _spy(monkeypatch, "is_prime")
+        assert trial_divide(smooth * q) == _reference_trial_divide(smooth * q)
+        # Each smooth part is shed far below sqrt(q), so q is tested exactly
+        # when it lies inside the window.
+        assert (q in tested) == (_PRIME_EXIT_LOW <= q < _PRIME_EXIT_HIGH)
+
+    @pytest.mark.parametrize("smooth", [1, 2**5 * 3 * 7919])
+    def test_two_primes_above_the_table_walk_to_the_last_block(self, monkeypatch, smooth):
+        # q1 * q2 lies in the window but is composite: the walk goes on, and
+        # tests it once, not at each of the blocks that leave it unchanged.
+        q1 = sympy.nextprime(TRIAL_BOUND)
+        q2 = sympy.nextprime(q1)
+        n = smooth * q1 * q2
+        blocks = _spy(monkeypatch, "gcd")
+        tested = _spy(monkeypatch, "is_prime")
+        fact = trial_divide(n)
+        assert fact == _reference_trial_divide(n) and fact.cofactor == q1 * q2
+        assert len(blocks) == 614
+        assert tested.count(q1 * q2) == 1 and len(tested) == len(set(tested))
+
+    def test_a_prime_cofactor_ends_the_walk(self, monkeypatch):
+        # G = 7001 * q at (16, 1, 47), with q a 57-bit prime: the walk finds
+        # 7001 in the eighth block, and q passes is_prime before the ninth.
+        g = FamilyParams(16, 1, 47).g
+        blocks = _spy(monkeypatch, "gcd")
+        fact = trial_divide(g)
+        assert fact == _reference_trial_divide(g)
+        assert fact == Factorization(((7001, 1),), 123901566255496327)
+        assert len(blocks) == 8
+
+    def test_no_test_above_the_window(self, monkeypatch):
+        # test_block_boundaries' 25-kbit product sheds two primes a block;
+        # above the window it would be tested at each of them.
+        starts = range(_TRIAL_BLOCK, len(_TABLE), _TRIAL_BLOCK)
+        n = math.prod(_TABLE[start - 1] * _TABLE[start] for start in starts)
+        tested = _spy(monkeypatch, "is_prime")
+        assert trial_divide(n) == _reference_trial_divide(n)
+        assert tested and all(m < _PRIME_EXIT_HIGH for m in tested)
+
+
 # The cofactor trial division leaves of G(3) at (24, 1, 3). Rho alone spends
 # a 10**6 budget on it without a split, but Q - 1 = 2 * 5^2 * 109 * 1249 * 5531
 # divides the p-1 exponent, so one stage-1 attempt splits it.
@@ -300,6 +369,19 @@ class TestRhoBudget:
         assert _factor_hard(self.COFACTOR, found, cell) == self.COFACTOR
         assert found == {}
         assert cell == [0]  # all of the budget, and no more
+
+    @pytest.mark.parametrize(
+        "point, factor, spent",
+        [((24, 1, 5), 1998159773, 65_406), ((8, 1, sympy.nextprime(2**61)), 2319149821, 113_790)],
+    )
+    def test_pinned_on_family_cofactors(self, point, factor, spent):
+        # The factor and the units spent on G's trial-division cofactor, read
+        # when the batch product took |x - y|; the signed product takes the
+        # same steps, since modulo n it differs only by sign.
+        cofactor = trial_divide(FamilyParams(*point).g).cofactor
+        cell = [10**6]
+        assert intarith._brent_rho(cofactor, cell) == factor
+        assert 10**6 - cell[0] == spent
 
     def test_a_batch_gcd_of_n_backtracks(self):
         # Both prime factors' cycles close within one batch, so the batch

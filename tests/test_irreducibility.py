@@ -189,7 +189,7 @@ class TestWitness:
         assert not w.irreducible
         assert "deg 2" in w.detail
 
-    def test_large_degree_needs_a_criterion(self):
+    def test_degree_16_by_criterion_or_oracle(self):
         # Degree 16 Eisenstein: decided without the oracle.
         f = IntPoly((-2,) + (0,) * 15 + (1,))
         assert irreducibility_witness(f).method == "eisenstein"
@@ -198,7 +198,7 @@ class TestWitness:
         w = irreducibility_witness(g)
         assert (w.irreducible, w.method) == (to_sympy(g).is_irreducible, "factor-oracle")
 
-    def test_root_one_or_minus_one_above_the_ceiling(self):
+    def test_root_one_or_minus_one_at_high_degree(self):
         # x^32 - 2x^31 - 3 vanishes at -1 and x^16 + x - 2 at 1, and
         # (x^8 + 3)(x^8 + 5) has no root +-1: the oracle factors all three,
         # at any degree, as sympy does.
