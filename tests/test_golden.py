@@ -4,11 +4,15 @@ tests/data/certificates.jsonl holds one `to_json_dict()` line per point of
 `golden_points()`. tests/data/classify.jsonl holds one compact line per
 input of `classify_inputs()`: the input, the `classify` answer and the
 `monogenic` verdict, each replaced by its error class where the command
-exits with an error. A refactor has to reproduce every line byte for byte.
+exits with an error. tests/data/classify_big.jsonl holds the same line
+without the verdict for each input of `classify_big_inputs()`, whose roots
+mostly need the fixed-point refinement. A refactor has to reproduce every
+line byte for byte.
 """
 from __future__ import annotations
 
 import json
+import random
 import sys
 from itertools import product
 from pathlib import Path
@@ -50,6 +54,23 @@ def classify_inputs() -> list[tuple[int, ...]]:
     ]
 
 
+def classify_big_inputs() -> list[tuple[int, ...]]:
+    """400 seeded monic polynomials of degree 5..8 with coefficients in
+    -5..5 and a nonzero constant term; in every odd-indexed one a coefficient
+    below the leading one becomes +-randint(10^10, 10^e), e in 10..60."""
+    rng = random.Random(0)
+    inputs = []
+    for i in range(400):
+        n = rng.randint(5, 8)
+        coeffs = [rng.choice([c for c in range(-5, 6) if c])]
+        coeffs += [rng.randint(-5, 5) for _ in range(n - 1)]
+        if i % 2:
+            big = rng.randint(10**10, 10 ** rng.randint(10, 60))
+            coeffs[rng.randrange(n)] = rng.choice((-1, 1)) * big
+        inputs.append((*coeffs, 1))
+    return inputs
+
+
 def _answer(compute):
     """compute()'s value, or the class name of the package error it raises."""
     try:
@@ -58,10 +79,22 @@ def _answer(compute):
         return type(exc).__name__
 
 
+def classify_big_line(coeffs: tuple[int, ...]) -> str:
+    """_classified's list as one compact line."""
+    return json.dumps(_classified(IntPoly(coeffs)), separators=(",", ":"))
+
+
 def classify_line(coeffs: tuple[int, ...]) -> str:
-    """[input, class, subclass, lambda, [inside, on, outside], precision_bits,
-    monogenic verdict], with an error class in place of a failed answer."""
+    """_classified's list and the monogenic verdict, or its error class."""
     f = IntPoly(coeffs)
+    line = _classified(f)
+    line.append(_answer(lambda: monogenic(f).verdict))
+    return json.dumps(line, separators=(",", ":"))
+
+
+def _classified(f: IntPoly) -> list:
+    """[input, class, subclass, lambda, [inside, on, outside], precision_bits],
+    with an error class in place of a failed answer."""
 
     def classified() -> list:
         record = classify(f).to_json_dict()
@@ -70,14 +103,13 @@ def classify_line(coeffs: tuple[int, ...]) -> str:
                 record["precision_bits"]]
 
     answer = _answer(classified)
-    line = [f.to_text(), *(answer if isinstance(answer, list) else [answer])]
-    line.append(_answer(lambda: monogenic(f).verdict))
-    return json.dumps(line, separators=(",", ":"))
+    return [f.to_text(), *(answer if isinstance(answer, list) else [answer])]
 
 
 SETS = {
     "certificates": (golden_points, certificate_line),
     "classify": (classify_inputs, classify_line),
+    "classify_big": (classify_big_inputs, classify_big_line),
 }
 
 
@@ -102,6 +134,13 @@ def test_classify_matches_golden_file():
     `PYTHONPATH=src python tests/test_golden.py classify > tests/data/classify.jsonl`
     (only when a change of classify or monogenic output is intended)."""
     _check("classify")
+
+
+def test_classify_big_matches_golden_file():
+    """Regenerate the file with
+    `PYTHONPATH=src python tests/test_golden.py classify_big > tests/data/classify_big.jsonl`
+    (only when a change of classify output is intended)."""
+    _check("classify_big")
 
 
 if __name__ == "__main__":
