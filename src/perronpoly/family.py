@@ -30,7 +30,6 @@ from .monogenicity import DIVIDES, REDUCIBLE_INPUT, MonogenicityReport, Trinomia
 from .monogenicity import monogenic_from_factorization
 from .polynomial import IntPoly, descartes_counts
 from .polynomial import discriminant as discriminant_resultant
-from .roots import _scaled_value
 
 SUBCLASS_TEXT = {
     "Pisot": "Pisot",
@@ -364,8 +363,8 @@ def strictly_perron_certificate(
         scale = 10**12
         mid, step = lam.numerator * scale, max(lam.numerator, lam.denominator)
         den = lam.denominator * scale
-        shifted = [c * den ** (f.degree - j) for j, c in enumerate(f.coeffs)]
-        below, above = (_scaled_value(shifted, t, 0)[0] for t in (mid - step, mid + step))
+        shifted = IntPoly(tuple(c * den ** (f.degree - j) for j, c in enumerate(f.coeffs)))
+        below, above = shifted(mid - step), shifted(mid + step)
         if not below < 0 < above:
             eps = Fraction(1, scale) * max(1, lam)
             raise OracleViolationError(

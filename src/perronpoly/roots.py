@@ -5,9 +5,8 @@ Bini's starting points on the circles of the Newton polygon (_newton_starts).
 At DEFAULT_PRECISION_BITS those float approximations are certified as they
 stand; only when their disks collide or are too wide for that precision, and
 at every higher precision, are they refined at the precision at hand by the
-same sweeps in Gaussian fixed point (_refine), and should the refined
-approximations fail to certify, refined once more from one perturbed circle
-of starting points (_initial_points).
+same sweeps in Gaussian fixed point (_refine), once per precision, from
+starts turned off conjugate symmetry by one fixed angle (_TURN).
 Certification is a posteriori and exact: each approximation is rounded to a
 common dyadic grid X / 2^k, and around it we place the Weierstrass disk of
 radius
@@ -60,6 +59,15 @@ MAX_ESCALATIONS = 4
 
 _FLOAT_LIMIT = 1e280  # coefficient magnitude beyond which the float warmstart is skipped
 _GUARD = 16  # bits of each radius bound below the centres' grid spacing
+# Every refinement's starts are turned by this angle, so that no start set is
+# closed under conjugation: Aberth sweeps on a real polynomial keep such a set
+# closed, and a close real pair that _float_aberth returns as a conjugate pair
+# z, conj(z) would never split. The turn splits their real parts by about
+# 2e-6 |Im z|, which double precision keeps (|Im z| is near 1e-8 |z| for a pair
+# too close for the float sweeps), and moves each start by 1e-6 of its modulus,
+# which the sweeps win back. On seeded close real pairs, 1e-8 left some in
+# PrecisionExhaustedError, and so did 1e-4, whose starts take longer to return.
+_TURN = cmath.exp(1e-6j)
 
 
 @dataclass(frozen=True)
@@ -115,38 +123,13 @@ def _log2_int(v: int) -> float:
     return math.log2(v >> (b - 900)) + (b - 900)
 
 
-def _fujiwara_radius(coeffs: tuple[int, ...]) -> float:
-    n = len(coeffs) - 1
-    lead = abs(coeffs[-1])
-    best = 0.5
-    for k in range(1, n + 1):
-        c = abs(coeffs[n - k])
-        if c == 0:
-            continue
-        log_est = 1.0 + (_log2_int(c) - _log2_int(lead) - (1.0 if k == n else 0.0)) / k
-        best = max(best, 2.0 ** min(log_est, 930.0))
-    return best
-
-
-def _initial_points(coeffs: tuple[int, ...]) -> list[complex]:
-    """n jittered points on the circle of Fujiwara radius: the retry start."""
-    n = len(coeffs) - 1
-    rho = _fujiwara_radius(coeffs)
-    pts = []
-    for k in range(n):
-        theta = (2.0 * cmath.pi * k + 0.37) / n + 0.29
-        jitter = 1.0 + 0.05 * ((k * 0.6180339887) % 1.0)
-        pts.append(rho * jitter * cmath.exp(1j * theta))
-    return pts
-
-
 def _newton_starts(coeffs: tuple[int, ...]) -> list[complex]:
     """Bini's starting points from the Newton polygon: for each edge of the
     upper convex hull of (i, log2 |c_i|), c_i != 0, of width m and slope
     -log2 r, m points evenly spaced on the circle of radius r, turned by an
     angle fixed per edge. Below a zero constant term, the part of the hull
     from 0 to the lowest nonzero coefficient is an edge of radius 0. Radii
-    are capped at 2^930, as the Fujiwara radius is."""
+    are capped at 2^930, well inside the range of a double."""
     hull: list[tuple[int, float]] = []
     for i, c in enumerate(coeffs):
         if c:
@@ -236,7 +219,9 @@ def _scaled_value(shifted: list[int], x: int, y: int) -> tuple[int, int]:
 
 def _refine(coeffs: tuple[int, ...], starts: list, prec: int, max_iters: int) -> list:
     """_float_aberth's sweeps from starts at precision prec (tolerance 2^-(prec + 8),
-    nudge 2^-(prec // 2)) in Gaussian fixed point: each approximation is
+    nudge 2^-(prec // 2)) in Gaussian fixed point, until two sweeps in a row
+    move no approximation by more than the tolerance (one such sweep can fall
+    while a close pair is still splitting): each approximation is
     (X + iY) / 2^k, with k prec + 32 plus the bit length of the largest start,
     and every product and quotient is floored back to that grid. Returns the
     parts (X, -k), (Y, -k) of each approximation in turn, as _certify reads them.
@@ -260,14 +245,15 @@ def _refine(coeffs: tuple[int, ...], starts: list, prec: int, max_iters: int) ->
         den = c * c + d * d
         return ((a * c + b * d) << k) // den, ((b * c - a * d) << k) // den
 
+    calm = 0  # sweeps in a row that moved nothing beyond the tolerance
     for _ in range(max_iters):
-        settled = True
+        calm += 1
         for i, (x, y) in enumerate(zs):
             px, py = value(deriv, x, y)
             dzs = [(x - u, y - v) for j, (u, v) in enumerate(zs) if j != i]
             if not (px or py) or (0, 0) in dzs:
                 zs[i] = (x + ((one + math.isqrt(x * x + y * y)) >> prec // 2), y)
-                settled = False
+                calm = 0
                 continue
             d2s = [a * a + b * b for a, b in dzs]
             sx = sum((a << 2 * k) // d2 for (a, _), d2 in zip(dzs, d2s))
@@ -278,8 +264,8 @@ def _refine(coeffs: tuple[int, ...], starts: list, prec: int, max_iters: int) ->
             x, y = x - cx, y - cy
             zs[i] = (x, y)
             if (cx * cx + cy * cy) << 2 * (prec + 8) >= (one + math.isqrt(x * x + y * y)) ** 2:
-                settled = False
-        if settled:
+                calm = 0
+        if calm == 2:
             break
     return [(v, -k) for z in zs for v in z]
 
@@ -334,10 +320,9 @@ def _solve(coeffs: tuple[int, ...], bits: int, floats: list | None) -> Certified
     At DEFAULT_PRECISION_BITS the float approximations floats are tried
     first, as they stand, and kept only when each radius is at most
     2^-40 * max(1, |centre|), as the label of that precision claims.
-    Otherwise they are refined, from floats (from the Newton polygon when
-    None), and should those disks collide, from the circle points.
+    Otherwise floats (the Newton polygon's starts when None), turned by
+    _TURN, are refined once and the refined set is certified.
     """
-    n = len(coeffs) - 1
     if floats is not None and bits == DEFAULT_PRECISION_BITS:
         parts = [_man_exp(v) for z in floats for v in (z.real, z.imag)]
         certified = _certify(coeffs, parts, bits)
@@ -345,16 +330,8 @@ def _solve(coeffs: tuple[int, ...], bits: int, floats: list | None) -> Certified
             (d.r << 40) ** 2 <= max(1 << 2 * certified.scale, d.norm) for d in certified.roots
         ):
             return certified
-    starts = floats or _newton_starts(coeffs)
-    certified = _certify(coeffs, _refine(coeffs, starts, bits, 36 + 6 * n), bits)
-    if certified is None:
-        # A poisoned start configuration (e.g. approximations trapped on a
-        # symmetry line of the root set) stays poisoned at any precision;
-        # retry from the generic circle points, which carry deliberate
-        # angular and radial asymmetry.
-        parts = _refine(coeffs, _initial_points(coeffs), bits, 72 + 10 * n)
-        certified = _certify(coeffs, parts, bits)
-    return certified
+    starts = [z * _TURN for z in floats or _newton_starts(coeffs)]
+    return _certify(coeffs, _refine(coeffs, starts, bits, 36 + 6 * (len(coeffs) - 1)), bits)
 
 
 def _require_squarefree(f: IntPoly) -> None:

@@ -32,6 +32,19 @@ def start_at_16_bits(monkeypatch):
     monkeypatch.setattr(roots, "DEFAULT_PRECISION_BITS", 16)
 
 
+@pytest.fixture
+def refined(monkeypatch) -> list[int]:
+    """The precision of each refinement (roots._refine) the test runs, in turn."""
+    refine, precisions = roots._refine, []
+
+    def spy(coeffs, starts, prec, *args):
+        precisions.append(prec)
+        return refine(coeffs, starts, prec, *args)
+
+    monkeypatch.setattr(roots, "_refine", spy)
+    return precisions
+
+
 def disks(rs: roots.CertifiedRootSet) -> list[tuple[mpmath.mpc, mpmath.mpf]]:
     """(centre, radius) of each disk of rs as exact mpmath numbers; do
     arithmetic on them inside work(rs)."""

@@ -276,6 +276,18 @@ class TestEscalation:
         assert c.headline == STRICTLY_PERRON
         assert c.precision_bits > 16
 
+    def test_close_real_pair_takes_one_refinement(self, refined):
+        # x^2 - 2Ax + A^2 - 2 with A = 2^53 + 1: the roots A -+ sqrt 2 lie
+        # closer than double precision resolves, and the float sweeps return
+        # them as a conjugate pair. Turned off conjugate symmetry, the pair
+        # splits in the one refinement of the first rung.
+        f = poly(81129638414606699710187514626047, -18014398509481986, 1)
+        c = classify(f)
+        assert (c.headline, c.dominant, c.precision_bits) == (
+            STRICTLY_PERRON, "9007199254740994.4142", 64
+        )
+        assert refined == [64]
+
     def test_lambda_has_only_certified_digits(self, monkeypatch, start_at_16_bits):
         # At 16 bits the disk around lambda = 3.15865806723635933... has a
         # radius near 1e-11, which certifies 11 significant digits; 64-bit
@@ -421,7 +433,7 @@ class TestProperties:
     @example([4, -4, 2, -2])  # two conjugate pairs tied at modulus sqrt 2
     def test_stable_under_extra_precision(self, body):
         # The default answer (mostly from the float rung) against one whose
-        # roots are all refined in fixed point from the circle points, at 128
+        # roots are all refined in fixed point from the Newton polygon, at 128
         # bits.
         f = IntPoly(tuple(body) + (1,))
         if f.constant == 0:

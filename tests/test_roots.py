@@ -320,37 +320,37 @@ class TestSingleEscalationLoop:
 
 
 class TestAberthStarts:
-    def test_poisoned_warm_start_falls_back_to_circle_points(
-        self, monkeypatch
-    ):
+    def test_real_warm_start_reaches_nonreal_roots_once_turned(self, monkeypatch, refined):
         # Real starts stay real under Aberth for a real polynomial, so they
-        # never reach the nonreal roots of x^2 + x + 1 and the disks collide;
-        # the retry from the circle points must certify at the first attempt.
+        # would never reach the nonreal roots of x^2 + x + 1; turned off the
+        # axis, one refinement at the first rung certifies them.
         f = poly(1, 1, 1)
         monkeypatch.setattr(roots_module, "_float_aberth", lambda coeffs: [0.5, -0.25])
-        refine, starts = roots_module._refine, []
-
-        def spy(coeffs, zs, prec, *args, **kwargs):
-            starts.append(list(zs))
-            return refine(coeffs, zs, prec, *args, **kwargs)
-
-        monkeypatch.setattr(roots_module, "_refine", spy)
         assert complex_roots(f).precision_bits == DEFAULT_PRECISION_BITS
-        assert starts == [[0.5, -0.25], roots_module._initial_points(f.coeffs)]
+        assert refined == [DEFAULT_PRECISION_BITS]
         assert_disks_cover_reference(f)
 
-    def test_close_real_pair_certifies_through_the_circle_retry(self, monkeypatch):
+    def test_close_real_pair_splits_from_the_turned_float_pair(self, refined):
         # The float roots of (x + 9007199254740993)(x + 9007199255964673) are
-        # a conjugate pair, which refinement keeps, so their disks collide;
-        # one retry from the circle points certifies the two real roots.
+        # a conjugate pair, which refinement would keep; turned, the pair
+        # splits, and one refinement certifies the two real roots.
         f = poly(9007199254740993, 1) * poly(9007199255964673, 1)
-        circle, calls = roots_module._initial_points, []
-        monkeypatch.setattr(
-            roots_module, "_initial_points", lambda coeffs: calls.append(1) or circle(coeffs)
-        )
+        z, w = roots_module._float_aberth(f.coeffs)
+        assert z.imag and z == w.conjugate()
         rs = complex_roots(f)
-        assert (rs.precision_bits, len(calls)) == (DEFAULT_PRECISION_BITS, 1)
+        assert (rs.precision_bits, refined) == (DEFAULT_PRECISION_BITS, [DEFAULT_PRECISION_BITS])
         for root, d in zip((-9007199255964673, -9007199254740993), rs.roots):
+            assert (d.x - (root << rs.scale)) ** 2 + d.y**2 <= d.r**2
+
+    def test_refinement_waits_for_a_second_calm_sweep(self, refined):
+        # The roots 363780848355639910180 and ...182 are 2^-67 of their size
+        # apart. While the turned float pair splits, one sweep can move both
+        # approximations by less than the tolerance; stopping there left the
+        # pair unsplit, and only the 128-bit rung certified it.
+        f = poly(-363780848355639910180, 1) * poly(-363780848355639910182, 1)
+        rs = complex_roots(f)
+        assert (rs.precision_bits, refined) == (DEFAULT_PRECISION_BITS, [DEFAULT_PRECISION_BITS])
+        for root, d in zip((363780848355639910180, 363780848355639910182), rs.roots):
             assert (d.x - (root << rs.scale)) ** 2 + d.y**2 <= d.r**2
 
     def test_warm_start_skipped_for_huge_coefficients(self):
@@ -361,23 +361,13 @@ class TestAberthStarts:
         c = classify(f)
         assert (c.headline, c.dominant, c.precision_bits) == (STRICTLY_PERRON, "1.0e+150", 512)
 
-    def test_refinement_without_warm_start_begins_at_the_newton_polygon(
-        self, monkeypatch
-    ):
-        # No float warm start above _FLOAT_LIMIT: the first refinement starts
-        # from the Newton polygon, so the circle points stay a different
-        # retry. From the circle, ordering the roots near -+10^150 took 512
-        # bits; from the polygon the sweeps converge and 128 bits do it.
+    def test_refinement_without_warm_start_begins_at_the_newton_polygon(self, refined):
+        # No float warm start above _FLOAT_LIMIT: the one refinement per rung
+        # starts from the Newton polygon, where the sweeps converge, and 128
+        # bits order the roots near -+10^150.
         f = poly(-(10**300) - 7, -3, 1)
-        refine, starts = roots_module._refine, []
-
-        def spy(coeffs, zs, prec, *args):
-            starts.append(list(zs))
-            return refine(coeffs, zs, prec, *args)
-
-        monkeypatch.setattr(roots_module, "_refine", spy)
         assert complex_roots(f).precision_bits == DEFAULT_PRECISION_BITS
-        assert starts == [roots_module._newton_starts(f.coeffs)]
+        assert refined == [DEFAULT_PRECISION_BITS]
         assert classify(f).precision_bits == 128
 
     def test_collision_is_nudged_apart(self, monkeypatch):
@@ -445,11 +435,11 @@ class TestFloatRung:
                     )
                     assert abs(ref - centre) <= radius, (n, a, p, centre)
 
-    def test_wide_float_set_is_refined(self, monkeypatch):
+    def test_wide_float_set_is_refined(self, monkeypatch, refined):
         # (x - 10^9)^2 - 1 from the float approximations 10^9 -+ 1.25: their
         # disks (radius about 0.45) are disjoint, but 2^-31 of their centres
         # wide, short of the 64 bits they would be labelled with. The set is
-        # refused, and the refinement from those approximations answers.
+        # refused, and one refinement from those approximations answers.
         big = 10**9
         f = poly(big * big - 1, -2 * big, 1)
         approx = [big - 1.25 + 0j, big + 1.25 + 0j]
@@ -457,15 +447,8 @@ class TestFloatRung:
         wide = roots_module._certify(f.coeffs, parts, DEFAULT_PRECISION_BITS)
         assert wide is not None and all((d.r << 40) ** 2 > d.norm for d in wide.roots)
         monkeypatch.setattr(roots_module, "_float_aberth", lambda coeffs: list(approx))
-        refine, starts = roots_module._refine, []
-
-        def spy(coeffs, zs, prec, *args):
-            starts.append(list(zs))
-            return refine(coeffs, zs, prec, *args)
-
-        monkeypatch.setattr(roots_module, "_refine", spy)
         rs = complex_roots(f)
-        assert starts == [approx] and rs.precision_bits == DEFAULT_PRECISION_BITS
+        assert refined == [DEFAULT_PRECISION_BITS] and rs.precision_bits == DEFAULT_PRECISION_BITS
         assert all((d.r << 40) ** 2 <= d.norm for d in rs.roots)
         assert sorted(float(centre.real) for centre, _ in disks(rs)) == [big - 1, big + 1]
 
