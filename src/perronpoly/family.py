@@ -273,7 +273,8 @@ def _settled_by_trial_division(g_fact: Factorization, report: MonogenicityReport
     return any(v.result == DIVIDES and v.q <= TRIAL_BOUND for v in report.locals)
 
 
-_FAULTS = ("disc-sign", "mono-route")
+# The fault names strictly_perron_certificate and run_verify accept.
+FAULTS = ("disc-sign", "mono-route")
 
 
 def strictly_perron_certificate(
@@ -316,7 +317,7 @@ def strictly_perron_certificate(
     """
     point = FamilyParams(n, a, p)
     check_budget(budget)
-    if _fault is not None and _fault not in _FAULTS:
+    if _fault is not None and _fault not in FAULTS:
         raise InvalidInputError(f"unknown fault {_fault!r}")
     f = point.poly
 

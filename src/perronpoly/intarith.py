@@ -16,19 +16,22 @@ it can save; a prime ends the walk, since no later block divides it. Either
 way it returns the partial Factorization a prime-by-prime pass gives, whose
 cofactor is 1 or free of primes up to TRIAL_BOUND (a prime above about 10**12
 stays the cofactor, as at the end of a full walk); finish_factorization then
-splits that cofactor by perfect-power extraction and Brent-cycle rho with a
-deterministic parameter schedule. A composite that rho has not split by its
-first gcd past PM1_CHECKPOINT iterations gets one Pollard p-1 stage-1 attempt
-(bound PM1_BOUND), which splits it at once when one of its primes q has q - 1
-smooth; rho then resumes where it stopped. Brent's advance stretches take no
-gcd, and the one for cycle length 2**16 runs from iteration 131,070 to
-196,606, so on a fresh composite that gcd, and the attempt, come at
-iteration 196,734. factorize is the two steps in a row. A caller that only
-needs what the small primes settle (the smallest square prime, say) can stop
-after the first step, since the second only adds primes above TRIAL_BOUND.
-The budget counts rho iterations plus one unit per bit of the p-1 exponent,
-and no run spends more than it; when it runs out the unfinished part is
-reported as an explicit composite cofactor rather than guessed at.
+splits that cofactor. Each composite piece gets perfect-power extraction,
+then _RHO_STRETCH iterations of Brent-cycle rho with a deterministic
+parameter schedule, which split the cofactors of low-degree family members;
+what rho leaves goes to Lenstra's elliptic-curve method (ECM) on Montgomery
+curves with Suyama's parametrization at sigma = 6, 7, 8, ...: a ladder over
+lcm(1..B1), then a baby-step giant-step stage 2 over the primes in (B1, B2].
+B1 is 250 for the first 20 curves, which find most primes of 10**9 to
+10**11, and doubles every 20 curves up to 2,000 for larger ones. factorize
+is the two steps in a row. A caller that only needs what the small primes
+settle (the smallest square prime, say) can stop after the first step, since
+the second only adds primes above TRIAL_BOUND. The budget counts rho
+iterations plus a fixed charge per curve, proportional to its B1 and
+calibrated so that a unit takes about as long as one rho iteration. A curve
+runs only when its whole charge is left, so no run spends more than its
+budget; when it runs out the unfinished part is reported as an explicit
+composite cofactor rather than guessed at.
 
 Whether N is squarefree is read off its Factorization alone, by
 square_primes and complete. An unfinished cofactor is never judged on its
@@ -44,17 +47,32 @@ from math import gcd, isqrt, prod
 
 from .errors import InvalidInputError
 
-# Factoring budget, in rho iterations plus one unit per bit of the p-1
-# exponent (14,447 when the attempt runs).
+# Factoring budget, in rho iterations plus _ECM_UNITS_PER_B1 * B1 per ECM
+# curve.
 DEFAULT_BUDGET = 10**6
 
-# Pollard p-1 stage-1 bound B1, and the rho iterations on one composite after
-# which its single p-1 attempt runs, at rho's next gcd: iteration 196,734 on a
-# fresh composite, since the advance stretch from 131,070 to 196,606 takes no
-# gcd. Rho splits most family cofactors well before the checkpoint, so p-1
-# runs only on those that would otherwise eat the budget.
-PM1_BOUND = 10**4
-PM1_CHECKPOINT = 2**17
+# Rho iterations spent on each composite piece before ECM takes over. Rho
+# splits the cofactors of the low-degree grids within it; what it has not
+# split by then mostly has its smallest prime above 10**9, where ECM is the
+# faster method.
+_RHO_STRETCH = 2**13
+
+# ECM stage-1 bounds B1: _ECM_CURVES_PER_B1 curves at each but the last,
+# which takes every curve after them. Each curve's stage-2 bound B2 is
+# _ECM_B2_PER_B1 * B1, and stage 2 takes giant steps of D, with the j < D/2
+# prime to D as baby steps.
+_ECM_B1_STEPS = (250, 500, 1000, 2000)
+_ECM_CURVES_PER_B1 = 20
+_ECM_B2_PER_B1 = 60
+_ECM_D = 210
+_ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2) if gcd(j, _ECM_D) == 1)
+
+# Budget units charged per unit of B1 for one curve. With B2 tied to B1, a
+# curve's wall time grows about in step with B1: on 91- to 115-bit cofactors
+# it took as long as 20 to 28 rho iterations per unit of B1, for B1 from 250
+# to 2,000 (best of 5 runs, Python 3.11), so a curve at B1 = 250 is charged
+# 6,500 units.
+_ECM_UNITS_PER_B1 = 26
 
 TRIAL_BOUND = 10**6
 
@@ -248,43 +266,16 @@ def _perfect_power(n: int) -> tuple[int, int]:
     return n, 1
 
 
-@lru_cache(maxsize=None)
-def _pm1_exponent() -> int:
-    """Pollard p-1 stage-1 exponent: the product, over the primes q <= PM1_BOUND,
-    of the largest power of q that stays <= PM1_BOUND (lcm(1..PM1_BOUND),
-    14,447 bits); built once per process from the sieved table."""
-    table = _trial_primes()
-    exponent = 1
-    for q in table[: bisect_left(table, PM1_BOUND + 1)]:
-        power = q
-        while power * q <= PM1_BOUND:
-            power *= q
-        exponent *= power
-    return exponent
-
-
-def _pollard_pm1(n: int) -> int | None:
-    """Pollard p-1 stage 1 on odd composite n: gcd(2**E - 1, n) with
-    E = _pm1_exponent(), which catches every prime q | n whose q - 1 divides E.
-    Returns the factor when it is proper, None when it is 1 or n."""
-    g = gcd(pow(2, _pm1_exponent(), n) - 1, n)
-    return g if 1 < g < n else None
-
-
 def _brent_rho(n: int, budget: list[int]) -> int | None:
     """One nontrivial factor of odd composite n, or None if the budget dies.
 
     Deterministic: cycles use x**2 + c with c = 1, 2, 3, ... and start y = 2.
     budget is a single-element mutable cell counting remaining units; every
-    loop is clamped to it, so a call never spends more than it holds. At the
-    first gcd after PM1_CHECKPOINT iterations on n, one Pollard p-1 stage-1
-    attempt is charged the exponent's bit length (when that much is left);
-    if it finds no proper factor, rho resumes where it stopped. The product q
-    and the backtracking gcd take x - y with its sign: modulo n that changes q
-    only by sign, so every gcd, and every unit spent, is the one |x - y| gives.
+    loop is clamped to it, so a call never spends more than it holds. The
+    product q and the backtracking gcd take x - y with its sign: modulo n that
+    changes q only by sign, so every gcd, and every unit spent, is the one
+    |x - y| gives.
     """
-    start = budget[0]
-    pm1_pending = True
     c = 0
     while budget[0] > 0:
         c += 1
@@ -310,14 +301,6 @@ def _brent_rho(n: int, budget: list[int]) -> int | None:
                 budget[0] -= steps
                 g = gcd(q, n)
                 k += batch
-                if g == 1 and pm1_pending and start - budget[0] >= PM1_CHECKPOINT:
-                    pm1_pending = False
-                    cost = _pm1_exponent().bit_length()
-                    if budget[0] >= cost:
-                        budget[0] -= cost
-                        d = _pollard_pm1(n)
-                        if d is not None:
-                            return d
             r *= 2
         if g == 1:
             return None
@@ -332,6 +315,115 @@ def _brent_rho(n: int, budget: list[int]) -> int | None:
             if g == n:
                 continue  # degenerate cycle for this c, move on
         return g
+    return None
+
+
+@lru_cache(maxsize=None)
+def _ecm_plan(b1: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The stage-1 multiplier lcm(1..b1) and the stage-2 plan, built from
+    primes_below on the first curve at b1. The plan lists, for each giant step
+    m, the indices into _ECM_BABY of the j with m*D - j or m*D + j a prime in
+    (b1, _ECM_B2_PER_B1 * b1]; every such prime is m*D +- j for m its nearest
+    multiple of D, with j < D/2 prime to D."""
+    primes = primes_below(_ECM_B2_PER_B1 * b1 + 1)
+    split = bisect_left(primes, b1 + 1)
+    multiplier = 1
+    for q in primes[:split]:
+        power = q
+        while power * q <= b1:
+            power *= q
+        multiplier *= power
+    index = {j: i for i, j in enumerate(_ECM_BABY)}
+    steps: dict[int, set[int]] = {}
+    for q in primes[split:]:
+        m = (q + _ECM_D // 2) // _ECM_D
+        steps.setdefault(m, set()).add(index[abs(q - m * _ECM_D)])
+    return multiplier, tuple((m, tuple(sorted(js))) for m, js in sorted(steps.items()))
+
+
+def _ecm_curve(n: int, sigma: int, b1: int) -> int:
+    """One ECM curve on n: Suyama's parametrization at sigma, a Montgomery
+    ladder over lcm(1..b1), then the baby-step giant-step stage 2 over the
+    primes in (b1, _ECM_B2_PER_B1 * b1]. Returns the last gcd taken with n:
+    a proper factor, 1 when the curve found none, or n when stage 1 or 2 met
+    every prime of n at once."""
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    denominator = 16 * u**3 * v**4 % n  # of a24 = (A + 2)/4 times that of x0
+    g = gcd(denominator, n)
+    if g != 1:
+        return g
+    inverse = pow(denominator, -1, n)
+    a24 = (v - u) ** 3 * (3 * u + v) * v**3 * inverse % n
+    x0 = 16 * u**6 * v * inverse % n  # u^3/v^3, with z0 = 1
+
+    def add(xp: int, zp: int, xq: int, zq: int, xd: int, zd: int) -> tuple[int, int]:
+        s = (xp - zp) * (xq + zq)
+        t = (xp + zp) * (xq - zq)
+        return zd * (s + t) ** 2 % n, xd * (s - t) ** 2 % n
+
+    def double(x: int, z: int) -> tuple[int, int]:
+        s = (x + z) ** 2
+        d = (x - z) ** 2
+        t = s - d
+        return s * d % n, t * (d + a24 * t) % n
+
+    def ladder(x: int, z: int, k: int) -> tuple[int, int]:
+        x1, z1 = x, z
+        x2, z2 = double(x, z)
+        for bit in bin(k)[3:]:
+            if bit == "1":
+                x1, z1 = add(x2, z2, x1, z1, x, z)
+                x2, z2 = double(x2, z2)
+            else:
+                x2, z2 = add(x2, z2, x1, z1, x, z)
+                x1, z1 = double(x1, z1)
+        return x1, z1
+
+    multiplier, plan = _ecm_plan(b1)
+    x, z = ladder(x0, 1, multiplier)
+    g = gcd(z, n)
+    if g != 1:
+        return g
+    # Baby steps: j*Q for the odd j < D/2, kept with their products X*Z.
+    x2, z2 = double(x, z)
+    odd = [(x, z), add(x2, z2, x, z, x, z)]
+    while len(odd) < _ECM_D // 4:
+        xj, zj = odd[-1]
+        xk, zk = odd[-2]
+        odd.append(add(xj, zj, x2, z2, xk, zk))
+    baby = [(xj, zj, xj * zj % n) for xj, zj in (odd[j // 2] for j in _ECM_BABY)]
+    # Giant steps m*D*Q, m = 1, 2, ...; the product collects X_m*Z_j - X_j*Z_m
+    # over the plan's pairs, which is 0 mod a prime q of n when the order of
+    # Q mod q divides m*D - j or m*D + j.
+    xd, zd = ladder(x, z, _ECM_D)
+    m, (xm, zm), (xn, zn) = 1, (xd, zd), double(xd, zd)  # m*D*Q and (m + 1)*D*Q
+    acc = 1
+    for target, js in plan:
+        while m < target:
+            (xm, zm), (xn, zn) = (xn, zn), add(xn, zn, xd, zd, xm, zm)
+            m += 1
+        xz = xm * zm
+        for j in js:
+            xj, zj, xzj = baby[j]
+            acc = acc * ((xm - xj) * (zm + zj) - xz + xzj) % n
+    return gcd(acc, n)
+
+
+def _ecm(n: int, budget: list[int]) -> int | None:
+    """One nontrivial factor of odd composite n by ECM curves at sigma = 6,
+    7, 8, ..., with B1 stepping through _ECM_B1_STEPS, or None when the
+    budget can no longer pay for the next curve. Each curve is charged
+    _ECM_UNITS_PER_B1 * B1 before it runs; a curve whose gcd is n gives way
+    to the next sigma."""
+    curve, b1 = 0, _ECM_B1_STEPS[0]
+    while budget[0] >= _ECM_UNITS_PER_B1 * b1:
+        budget[0] -= _ECM_UNITS_PER_B1 * b1
+        g = _ecm_curve(n, 6 + curve, b1)
+        if 1 < g < n:
+            return g
+        curve += 1
+        b1 = _ECM_B1_STEPS[min(curve // _ECM_CURVES_PER_B1, len(_ECM_B1_STEPS) - 1)]
     return None
 
 
@@ -442,11 +534,10 @@ def check_budget(budget: int) -> None:
 
 def finish_factorization(partial: Factorization, budget: int = DEFAULT_BUDGET) -> Factorization:
     """The second factoring step: split the cofactor of a trial_divide result
-    by Brent rho, with one Pollard p-1 attempt on each composite that rho has
-    not split by its first gcd past PM1_CHECKPOINT iterations, within the
-    given budget (rho iterations plus the p-1 exponent's bit length; budget 0
-    runs neither). Every prime it adds exceeds TRIAL_BOUND; a complete input
-    comes back unchanged."""
+    by a stretch of Brent rho on each composite piece, then ECM curves, within
+    the given budget (rho iterations plus each curve's charge; budget 0 runs
+    neither). Every prime it adds exceeds TRIAL_BOUND; a complete input comes
+    back unchanged."""
     check_budget(budget)
     if partial.complete:
         return partial
@@ -481,7 +572,12 @@ def _factor_hard(m: int, found: dict[int, int], cell: list[int]) -> int:
         if k > 1:
             stack.append((r, mult * k))
             continue
-        d = _brent_rho(v, cell)
+        stretch = [min(_RHO_STRETCH, cell[0])]
+        cell[0] -= stretch[0]
+        d = _brent_rho(v, stretch)
+        cell[0] += stretch[0]
+        if d is None:
+            d = _ecm(v, cell)
         if d is None:
             leftover *= v**mult
             continue

@@ -18,7 +18,7 @@ from typing import Iterator
 from . import __version__
 from .errors import InvalidInputError, OracleViolationError, PerronPolyError
 from .errors import PrecisionExhaustedError
-from .family import _FAULTS, Certificate, strictly_perron_certificate
+from .family import FAULTS, Certificate, strictly_perron_certificate
 from .intarith import DEFAULT_BUDGET, check_budget, primes_below
 from .irreducibility import is_irreducible
 
@@ -158,7 +158,7 @@ def run_verify(
     spec = SearchSpec(
         tuple(range(2, nmax + 1)), tuple(range(1, amax + 1)), p_limit - 1, budget=budget
     )
-    if inject_fault is not None and inject_fault not in _FAULTS:
+    if inject_fault is not None and inject_fault not in FAULTS:
         raise InvalidInputError(f"unknown fault {inject_fault!r}")
     points = list(spec.points())
     report = VerifyReport(grid=len(points))

@@ -126,6 +126,20 @@ class TestFamilyMonogenic:
         with pytest.raises(InvalidInputError, match="budget"):
             family_monogenic(FamilyParams(2, 1, p), budget=-1)
 
+    # Rho alone spends the default budget on G's cofactor at these points
+    # without a split; ECM finds the smaller prime, of 37 to 44 bits. sympy's
+    # factorint is the referee.
+    @pytest.mark.parametrize("point", [(24, 1, 41), (24, 1, 79), (24, 1, 109), (32, 1, 5)])
+    def test_ecm_certifies_a_frontier_point(self, point):
+        g = FamilyParams(*point).g
+        expected = sympy.factorint(g)
+        assert max(expected.values()) == 1
+        fact = factorize(g)
+        assert fact.complete and dict(fact.factors) == expected
+        cert = strictly_perron_certificate(*point)
+        assert cert.g_status == "Squarefree"
+        assert cert.monogenic_verdict == "Monogenic"
+
     def test_unknown_at_budget_zero(self):
         # G(5) = 1448697805736569529237 for (14, 3): no prime up to the trial
         # bound divides it, so with no rho budget it stays unknown.
@@ -299,10 +313,10 @@ class TestCertificate:
         with pytest.raises(InvalidInputError, match="budget"):
             strictly_perron_certificate(*point, budget=-1)
 
-    def test_pm1_decides_what_rho_left_unknown(self):
+    def test_ecm_decides_what_rho_left_unknown(self):
         # Rho alone spends the default budget on G's cofactor
-        # 75502169955780014256901309 = 37649793551 * 2005380716191859; the
-        # smaller prime is 1 + a 10**4-smooth number, so Pollard p-1 splits it.
+        # 75502169955780014256901309 = 37649793551 * 2005380716191859
+        # without a split; ECM splits it on its fifth curve.
         cert = strictly_perron_certificate(24, 1, 3)
         assert cert.params.g == 4022087798550700285381599451441895
         assert sympy.factorint(cert.params.g) == {

@@ -5,6 +5,7 @@ sympy plays referee for everything it can answer independently.
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 import sympy
@@ -20,12 +21,12 @@ from perronpoly.intarith import (
     _PRIME_EXIT_LOW,
     _SMALL_PRIMES,
     _TRIAL_BLOCK,
-    PM1_BOUND,
-    PM1_CHECKPOINT,
+    _ECM_B1_STEPS,
+    _ECM_UNITS_PER_B1,
+    _RHO_STRETCH,
     TRIAL_BOUND,
     Factorization,
     _factor_hard,
-    _pm1_exponent,
     _strong_lucas_probable_prime,
     _trial_primes,
     factorize,
@@ -336,31 +337,36 @@ class TestPrimeExit:
 
 
 # The cofactor trial division leaves of G(3) at (24, 1, 3). Rho alone spends
-# a 10**6 budget on it without a split, but Q - 1 = 2 * 5^2 * 109 * 1249 * 5531
-# divides the p-1 exponent, so one stage-1 attempt splits it.
+# a 10**6 budget on it without a split; Q - 1 = 2 * 5^2 * 109 * 1249 * 5531 is
+# 10**4-smooth, which once let Pollard p-1 split it, and ECM splits it too.
 _PM1_Q, _PM1_R = 37649793551, 2005380716191859
 
 
 @pytest.fixture
-def pm1_calls(monkeypatch):
-    """Spy on every Pollard p-1 attempt: a list of (n, factor or None)."""
+def ecm_curves(monkeypatch):
+    """Spy on every ECM curve: a list of (n, sigma, B1, gcd)."""
     calls = []
-    real = intarith._pollard_pm1
+    real = intarith._ecm_curve
 
-    def spy(n):
-        calls.append((n, real(n)))
-        return calls[-1][1]
+    def spy(n, sigma, b1):
+        calls.append((n, sigma, b1, real(n, sigma, b1)))
+        return calls[-1][3]
 
-    monkeypatch.setattr(intarith, "_pollard_pm1", spy)
+    monkeypatch.setattr(intarith, "_ecm_curve", spy)
     return calls
 
 
 class TestRhoBudget:
-    # The cofactor of G(19) at (24, 1, 19), on which every budget below runs
-    # out; rho used to overshoot them (to 196,606, 393,214, 786,430 and
-    # 1,000,062) because neither its advance loop nor its batches were
-    # clamped to what was left.
+    # The cofactor of G(19) at (24, 1, 19), a 54-bit prime times a 60-bit
+    # one, on which every budget below runs out; rho used to overshoot them
+    # (to 196,606, 393,214, 786,430 and 1,000,062) because neither its advance
+    # loop nor its batches were clamped to what was left.
     COFACTOR = 25361860228155246276566903016942311
+
+    # What each budget leaves: the rho stretch and every curve it can pay
+    # for are spent (20 at B1 = 250, 20 at 500, 20 at 1,000, then 2,000),
+    # and the rest, short of the next curve, is kept.
+    LEFT = {140_000: 1_808, 300_000: 5_808, 600_000: 19_808, 10**6: 29_808}
 
     @pytest.mark.parametrize("budget", [140_000, 300_000, 600_000, 10**6])
     def test_never_spends_more_than_the_budget(self, budget):
@@ -368,7 +374,7 @@ class TestRhoBudget:
         cell, found = [budget], {}
         assert _factor_hard(self.COFACTOR, found, cell) == self.COFACTOR
         assert found == {}
-        assert cell == [0]  # all of the budget, and no more
+        assert cell == [self.LEFT[budget]]
 
     @pytest.mark.parametrize(
         "point, factor, spent",
@@ -392,37 +398,43 @@ class TestRhoBudget:
         assert 10**6 - cell[0] == 918
 
 
-class TestPollardPm1:
-    def test_exponent_is_lcm_up_to_the_bound(self):
-        exponent = _pm1_exponent()
-        assert exponent == math.lcm(*range(1, PM1_BOUND + 1))
-        assert exponent.bit_length() == 14447
+class TestEcm:
+    @pytest.mark.parametrize("b1", _ECM_B1_STEPS)
+    def test_the_plan_covers_every_prime_up_to_b2(self, b1):
+        multiplier, plan = intarith._ecm_plan(b1)
+        assert multiplier == math.lcm(*range(1, b1 + 1))
+        # Every prime of (B1, B2] is m*D +- j for a giant step m and a baby
+        # step j the plan pairs with it.
+        d = intarith._ECM_D
+        covered = set()
+        for m, js in plan:
+            for j in (intarith._ECM_BABY[i] for i in js):
+                covered |= {m * d - j, m * d + j}
+        stage_two = set(sympy.primerange(b1 + 1, intarith._ECM_B2_PER_B1 * b1 + 1))
+        assert stage_two <= covered
 
-    def test_splits_what_rho_cannot_at_the_default_budget(self, pm1_calls):
+    def test_splits_what_rho_cannot_at_the_default_budget(self, ecm_curves):
         n = _PM1_Q * _PM1_R
         fact = finish_factorization(trial_divide(n))
         assert fact.complete and fact.factors == ((_PM1_Q, 1), (_PM1_R, 1))
         assert dict(fact.factors) == sympy.factorint(n)
-        assert pm1_calls == [(n, _PM1_Q)]
+        assert [sigma for _, sigma, _, _ in ecm_curves] == [6, 7, 8, 9, 10]
+        assert ecm_curves[-1] == (n, 10, 250, _PM1_Q)
 
-    # On this input the first gcd past the checkpoint comes after 196,734 rho
-    # iterations (the 2**16-step advance starts at 131,070, then one batch of
-    # 128), so p-1 runs only with 14,447 units left after them.
-    @pytest.mark.parametrize(
-        "budget", [PM1_CHECKPOINT, PM1_CHECKPOINT + 14_446, 196_734 + 14_446]
-    )
-    def test_a_budget_short_of_the_attempt_keeps_the_cofactor(self, budget, pm1_calls):
-        n = _PM1_Q * _PM1_R
-        assert factorize(n, budget) == Factorization((), n)
-        assert pm1_calls == []
-
-    def test_the_attempt_is_charged_its_exponent_bits(self):
+    def test_each_curve_is_charged_its_units(self):
+        # The rho stretch, then the five curves of the test above.
         n = _PM1_Q * _PM1_R
         cell, found = [10**6], {}
         assert _factor_hard(n, found, cell) == 1 and found == {_PM1_Q: 1, _PM1_R: 1}
-        assert 10**6 - cell[0] == 196_734 + 14_447
+        assert 10**6 - cell[0] == _RHO_STRETCH + 5 * _ECM_UNITS_PER_B1 * 250 == 40_692
 
-    def test_budget_zero_runs_neither_rho_nor_pm1(self, monkeypatch, pm1_calls):
+    @pytest.mark.parametrize("budget", [_RHO_STRETCH, _RHO_STRETCH + _ECM_UNITS_PER_B1 * 250 - 1])
+    def test_a_budget_short_of_one_curve_keeps_the_cofactor(self, budget, ecm_curves):
+        n = _PM1_Q * _PM1_R
+        assert factorize(n, budget) == Factorization((), n)
+        assert ecm_curves == []
+
+    def test_budget_zero_runs_neither_rho_nor_ecm(self, monkeypatch, ecm_curves):
         spent = []
         real = intarith._brent_rho
 
@@ -435,27 +447,49 @@ class TestPollardPm1:
         monkeypatch.setattr(intarith, "_brent_rho", rho_spy)
         n = _PM1_Q * _PM1_R
         assert factorize(n, budget=0) == Factorization((), n)
-        assert spent == [0] and pm1_calls == []
+        assert spent == [0] and ecm_curves == []
 
-    def test_a_gcd_of_n_falls_back_to_rho(self, pm1_calls):
+    def test_smooth_p_minus_1_primes_still_factor(self):
         # q - 1 = 2 * 191 * 557 * 677 * 727 and r - 1 = 2 * 347 * 397 * 503 * 887
-        # both divide the exponent, so p-1 finds n itself; rho, resumed, splits
-        # n after about 4.7 * 10**5 iterations.
+        # are both 10**4-smooth, so Pollard p-1 used to find n itself and
+        # hand n back to rho; the ECM schedule splits it.
         q, r = 104722894547, 122925386399
         fact = factorize(q * r)
         assert fact.complete and fact.factors == ((q, 1), (r, 1))
-        assert pm1_calls == [(q * r, None)]
+        assert dict(fact.factors) == sympy.factorint(q * r)
 
-    def test_never_runs_where_rho_splits_before_the_checkpoint(self, pm1_calls):
-        # The sweep-low grid (n 2..12, a 1..3, p <= 29), and a point where rho
-        # needs 113,790 iterations on G.
+    def test_a_gcd_of_n_moves_on_to_the_next_sigma(self, ecm_curves):
+        # On the curve at sigma = 6, stage 2 completes the group order of
+        # both primes, so the curve's gcd is n.
+        q, r = 1000000093, 1000000103
+        for prime in (q, r):
+            assert intarith._ecm_curve(prime, 6, 250) == prime
+        cell = [10**6]
+        assert intarith._ecm(q * r, cell) == r
+        assert [(sigma, g) for _, sigma, _, g in ecm_curves[2:]] == [(6, q * r), (7, 1), (8, r)]
+        assert 10**6 - cell[0] == 3 * _ECM_UNITS_PER_B1 * 250
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_semiprimes_and_triples_against_sympy(self, seed):
+        # One prime of 60 to 80 bits times one or two primes of 25 to 45 bits.
+        # ECM alone returns a proper factor; factorize is complete.
+        rng = random.Random(seed)
+        large = sympy.nextprime(rng.getrandbits(rng.randint(60, 80)))
+        small = [sympy.nextprime(rng.getrandbits(rng.randint(25, 45))) for _ in range(1 + seed % 2)]
+        n = large * math.prod(small)
+        cell = [10**6]
+        d = intarith._ecm(n, cell)
+        assert d is not None and 1 < d < n and n % d == 0
+        fact = factorize(n)
+        assert fact.complete and dict(fact.factors) == sympy.factorint(n)
+
+    def test_never_runs_where_rho_splits_within_the_stretch(self, ecm_curves):
+        # The sweep-low grid (n 2..12, a 1..3, p <= 29).
         for n in range(2, 13):
             for a in (1, 2, 3):
                 for p in sympy.primerange(2, 30):
                     strictly_perron_certificate(n, a, p)
-        cert = strictly_perron_certificate(8, 1, sympy.nextprime(2**61))
-        assert cert.g_status == "Squarefree"
-        assert pm1_calls == []
+        assert ecm_curves == []
 
     @given(
         st.lists(
@@ -468,7 +502,7 @@ class TestPollardPm1:
     )
     @settings(max_examples=25, deadline=None)
     def test_products_of_large_primes_against_sympy(self, primes):
-        # A budget that reaches the p-1 checkpoint but keeps each example short.
+        # A budget past the rho stretch that keeps each example short.
         n = math.prod(primes)
         fact = factorize(n, budget=300_000)
         assert fact.value() == n
