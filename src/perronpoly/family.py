@@ -303,10 +303,10 @@ def strictly_perron_certificate(
     once, and for an irreducible member the local tests run on that partial
     factorization times p^(n-2). When this already fixes both reported
     verdicts — G_status is NotSquarefree(q), and the member is reducible or
-    the local tests give NotMonogenic(q') with q' <= TRIAL_BOUND — the rho
+    the local tests give NotMonogenic(q') with q' <= TRIAL_BOUND — the ECM
     step is skipped, since every prime it could add exceeds TRIAL_BOUND.
     Otherwise the factorization is finished once, within the budget, and
-    only the primes rho added are tested, so each local test runs once. The
+    only the primes ECM added are tested, so each local test runs once. The
     resulting G factorization gives G_status and the squarefree verdict.
     Irreducibility is the family dichotomy (run_verify checks it). The
     roots are certified once, without a squarefree gcd: disc != 0 shows it.
@@ -333,7 +333,7 @@ def strictly_perron_certificate(
     report = _local_tests(point, g_fact) if point.irreducible else None
     if not _settled_by_trial_division(g_fact, report):
         g_fact = finish_factorization(g_fact, budget)
-        if report is not None:  # tests only the primes rho added
+        if report is not None:  # tests only the primes ECM added
             report = _local_tests(point, g_fact, report.locals)
 
     if point.irreducible:

@@ -17,21 +17,17 @@ way it returns the partial Factorization a prime-by-prime pass gives, whose
 cofactor is 1 or free of primes up to TRIAL_BOUND (a prime above about 10**12
 stays the cofactor, as at the end of a full walk); finish_factorization then
 splits that cofactor. Each composite piece gets perfect-power extraction,
-then _RHO_STRETCH iterations of Brent-cycle rho with a deterministic
-parameter schedule, which split the cofactors of low-degree family members;
-what rho leaves goes to Lenstra's elliptic-curve method (ECM) on Montgomery
-curves with Suyama's parametrization at sigma = 6, 7, 8, ...: a ladder over
-lcm(1..B1), then a baby-step giant-step stage 2 over the primes in (B1, B2].
-B1 is 250 for the first 20 curves, which find most primes of 10**9 to
-10**11, and doubles every 20 curves up to 2,000 for larger ones. factorize
-is the two steps in a row. A caller that only needs what the small primes
-settle (the smallest square prime, say) can stop after the first step, since
-the second only adds primes above TRIAL_BOUND. The budget counts rho
-iterations plus a fixed charge per curve, proportional to its B1 and
-calibrated so that a unit takes about as long as one rho iteration. A curve
-runs only when its whole charge is left, so no run spends more than its
-budget; when it runs out the unfinished part is reported as an explicit
-composite cofactor rather than guessed at.
+then Lenstra's elliptic-curve method (ECM) on Montgomery curves with
+Suyama's parametrization at sigma = 6, 7, 8, ...: a ladder over lcm(1..B1),
+then a baby-step giant-step stage 2 over the primes in (B1, B2]. B1 is 250
+for the first 20 curves, which find most primes up to 10**11, and doubles
+every 20 curves up to 2,000 for larger ones. factorize is the two steps in a
+row. A caller that only needs what the small primes settle (the smallest
+square prime, say) can stop after the first step, since the second only adds
+primes above TRIAL_BOUND. The budget counts a fixed charge per curve,
+proportional to its B1. A curve runs only when its whole charge is left, so
+no run spends more than its budget; when it runs out the unfinished part is
+reported as an explicit composite cofactor rather than guessed at.
 
 Whether N is squarefree is read off its Factorization alone, by
 square_primes and complete. An unfinished cofactor is never judged on its
@@ -47,15 +43,9 @@ from math import gcd, isqrt, prod
 
 from .errors import InvalidInputError
 
-# Factoring budget, in rho iterations plus _ECM_UNITS_PER_B1 * B1 per ECM
-# curve.
+# Factoring budget, in the units of which an ECM curve is charged
+# _ECM_UNITS_PER_B1 * B1: the default pays for 61 curves.
 DEFAULT_BUDGET = 10**6
-
-# Rho iterations spent on each composite piece before ECM takes over. Rho
-# splits the cofactors of the low-degree grids within it; what it has not
-# split by then mostly has its smallest prime above 10**9, where ECM is the
-# faster method.
-_RHO_STRETCH = 2**13
 
 # ECM stage-1 bounds B1: _ECM_CURVES_PER_B1 curves at each but the last,
 # which takes every curve after them. Each curve's stage-2 bound B2 is
@@ -67,11 +57,11 @@ _ECM_B2_PER_B1 = 60
 _ECM_D = 210
 _ECM_BABY = tuple(j for j in range(1, _ECM_D // 2, 2) if gcd(j, _ECM_D) == 1)
 
-# Budget units charged per unit of B1 for one curve. With B2 tied to B1, a
-# curve's wall time grows about in step with B1: on 91- to 115-bit cofactors
-# it took as long as 20 to 28 rho iterations per unit of B1, for B1 from 250
-# to 2,000 (best of 5 runs, Python 3.11), so a curve at B1 = 250 is charged
-# 6,500 units.
+# Budget units charged per unit of B1 for one curve; this charge is what
+# defines a unit. With B2 tied to B1, a curve's wall time grows about in step
+# with B1, at 0.2 to 0.35 us per unit on 50- to 115-bit n (best of 5 runs,
+# Python 3.11 on a Xeon core). The value is kept from an earlier calibration
+# so that a budget buys the curves it bought before: 6,500 units at B1 = 250.
 _ECM_UNITS_PER_B1 = 26
 
 TRIAL_BOUND = 10**6
@@ -264,58 +254,6 @@ def _perfect_power(n: int) -> tuple[int, int]:
             r2, k2 = _perfect_power(r)
             return r2, k * k2
     return n, 1
-
-
-def _brent_rho(n: int, budget: list[int]) -> int | None:
-    """One nontrivial factor of odd composite n, or None if the budget dies.
-
-    Deterministic: cycles use x**2 + c with c = 1, 2, 3, ... and start y = 2.
-    budget is a single-element mutable cell counting remaining units; every
-    loop is clamped to it, so a call never spends more than it holds. The
-    product q and the backtracking gcd take x - y with its sign: modulo n that
-    changes q only by sign, so every gcd, and every unit spent, is the one
-    |x - y| gives.
-    """
-    c = 0
-    while budget[0] > 0:
-        c += 1
-        if c % n == 0:
-            continue
-        y, r, q = 2, 1, 1
-        g = 1
-        x = ys = y
-        batch = 128
-        while g == 1 and budget[0] > 0:
-            x = y
-            advance = min(r, budget[0])
-            for _ in range(advance):
-                y = (y * y + c) % n
-            budget[0] -= advance
-            k = 0
-            while k < r and g == 1 and budget[0] > 0:
-                ys = y
-                steps = min(batch, r - k, budget[0])
-                for _ in range(steps):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                budget[0] -= steps
-                g = gcd(q, n)
-                k += batch
-            r *= 2
-        if g == 1:
-            return None
-        if g == n:
-            g = 1
-            while g == 1 and budget[0] > 0:
-                ys = (ys * ys + c) % n
-                budget[0] -= 1
-                g = gcd(x - ys, n)
-            if g == 1:
-                return None
-            if g == n:
-                continue  # degenerate cycle for this c, move on
-        return g
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -534,10 +472,9 @@ def check_budget(budget: int) -> None:
 
 def finish_factorization(partial: Factorization, budget: int = DEFAULT_BUDGET) -> Factorization:
     """The second factoring step: split the cofactor of a trial_divide result
-    by a stretch of Brent rho on each composite piece, then ECM curves, within
-    the given budget (rho iterations plus each curve's charge; budget 0 runs
-    neither). Every prime it adds exceeds TRIAL_BOUND; a complete input comes
-    back unchanged."""
+    by ECM curves on each composite piece, within the given budget of curve
+    charges (budget 0 runs no curve). Every prime it adds exceeds
+    TRIAL_BOUND; a complete input comes back unchanged."""
     check_budget(budget)
     if partial.complete:
         return partial
@@ -572,12 +509,7 @@ def _factor_hard(m: int, found: dict[int, int], cell: list[int]) -> int:
         if k > 1:
             stack.append((r, mult * k))
             continue
-        stretch = [min(_RHO_STRETCH, cell[0])]
-        cell[0] -= stretch[0]
-        d = _brent_rho(v, stretch)
-        cell[0] += stretch[0]
-        if d is None:
-            d = _ecm(v, cell)
+        d = _ecm(v, cell)
         if d is None:
             leftover *= v**mult
             continue

@@ -183,7 +183,7 @@ class TestMonogenic:
     def test_trinomial_factors_g_not_the_discriminant(self, capsys):
         # |disc| = p^6 * G with p = 2305843009213693967: the report reads p^6
         # from the closed form and factors only G, as the certificate does,
-        # instead of asking rho to find p inside |disc|.
+        # instead of asking ECM to find p inside |disc|.
         rc, out, _ = run(capsys, "monogenic", "--trinomial", "8", "1", "2305843009213693967")
         assert rc == 0
         record = json.loads(out)

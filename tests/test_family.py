@@ -126,9 +126,8 @@ class TestFamilyMonogenic:
         with pytest.raises(InvalidInputError, match="budget"):
             family_monogenic(FamilyParams(2, 1, p), budget=-1)
 
-    # Rho alone spends the default budget on G's cofactor at these points
-    # without a split; ECM finds the smaller prime, of 37 to 44 bits. sympy's
-    # factorint is the referee.
+    # G's cofactor at these points has its smaller prime at 37 to 44 bits;
+    # ECM finds it. sympy's factorint is the referee.
     @pytest.mark.parametrize("point", [(24, 1, 41), (24, 1, 79), (24, 1, 109), (32, 1, 5)])
     def test_ecm_certifies_a_frontier_point(self, point):
         g = FamilyParams(*point).g
@@ -142,7 +141,8 @@ class TestFamilyMonogenic:
 
     def test_unknown_at_budget_zero(self):
         # G(5) = 1448697805736569529237 for (14, 3): no prime up to the trial
-        # bound divides it, so with no rho budget it stays unknown.
+        # bound divides it, so at budget 0, which runs no ECM curve, it stays
+        # unknown.
         assert family_monogenic(FamilyParams(14, 3, 5), budget=0) == (
             "Unknown(G squarefree status unknown, cofactor 1448697805736569529237)"
         )
@@ -305,18 +305,18 @@ class TestCertificate:
         assert cert.classification.headline == "AntiPisot"
         assert cert.conclusion.startswith("monogenic anti-Pisot") or cert.conclusion == "anti-Pisot, NOT monogenic"
 
-    # At (24, 1, 5) rho must split G's cofactor (with no rho step G_status
-    # reads Unknown(28530190479293004031507945039)); (2, 1, 31) is settled by
-    # trial division, so rho never runs; (2, 1, 2) is reducible.
+    # At (24, 1, 5) ECM must split G's cofactor (at budget 0 G_status reads
+    # Unknown(28530190479293004031507945039)); (2, 1, 31) is settled by trial
+    # division, so no curve runs; (2, 1, 2) is reducible.
     @pytest.mark.parametrize("point", [(24, 1, 5), (2, 1, 31), (2, 1, 2)])
     def test_negative_budget_rejected(self, point):
         with pytest.raises(InvalidInputError, match="budget"):
             strictly_perron_certificate(*point, budget=-1)
 
     def test_ecm_decides_what_rho_left_unknown(self):
-        # Rho alone spends the default budget on G's cofactor
-        # 75502169955780014256901309 = 37649793551 * 2005380716191859
-        # without a split; ECM splits it on its fifth curve.
+        # Unknown before the package had ECM: G's cofactor
+        # 75502169955780014256901309 = 37649793551 * 2005380716191859, which
+        # ECM splits on its fifth curve.
         cert = strictly_perron_certificate(24, 1, 3)
         assert cert.params.g == 4022087798550700285381599451441895
         assert sympy.factorint(cert.params.g) == {
@@ -327,7 +327,7 @@ class TestCertificate:
         assert cert.conclusion == "monogenic strictly-Perron"
 
     def test_unknown_at_budget_zero(self):
-        # With no rho budget G(5) for (14, 3) stays unfactored, so neither
+        # At budget 0 G(5) for (14, 3) stays unfactored, so neither
         # monogenicity route can decide; the root class still can.
         cert = strictly_perron_certificate(14, 3, 5, budget=0)
         assert cert.g_status == "Unknown(1448697805736569529237)"
@@ -422,7 +422,8 @@ class TestCertificate:
 
     def test_large_p_discriminant_needs_no_rho_on_p(self):
         # |disc| = p^6 * G with p just above 2^61: G factored alone settles
-        # every square prime, where factoring p^6 * G ran out of rho budget.
+        # every square prime, and the factoring step is never asked to find
+        # p inside p^6 * G.
         p = 2**61 + 1
         while not is_prime(p):
             p += 2
@@ -539,7 +540,7 @@ class TestStopRule:
     @pytest.mark.parametrize(
         "point, g_status, monogenic_verdict, conclusion",
         [
-            # Rho spends its whole budget on G's cofactor here.
+            # Trial division shows 2^2 | G, so G's cofactor is never split.
             ((24, 2, 7), "NotSquarefree(2)", "NotMonogenic(2)", "strictly-Perron, NOT monogenic"),
             ((24, 2, 3), "NotSquarefree(2)", "NotApplicable(reducible)", "reducible"),
             ((16, 1, 17), "NotSquarefree(7)", "NotMonogenic(7)", "strictly-Perron, NOT monogenic"),
@@ -595,7 +596,7 @@ class TestStopRule:
         assert not settled(Factorization((), big * big), None)  # Unknown
 
     def test_each_local_test_runs_once(self, finishes, monkeypatch):
-        # Trial division leaves the verdict open at (16, 2, 37), rho then
+        # Trial division leaves the verdict open at (16, 2, 37), ECM then
         # splits G's cofactor; the primes trial division already tested keep
         # their verdicts instead of being tested again.
         tested = []

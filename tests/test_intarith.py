@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -23,7 +24,6 @@ from perronpoly.intarith import (
     _TRIAL_BLOCK,
     _ECM_B1_STEPS,
     _ECM_UNITS_PER_B1,
-    _RHO_STRETCH,
     TRIAL_BOUND,
     Factorization,
     _factor_hard,
@@ -169,7 +169,7 @@ class TestTwoSteps:
 
     @pytest.mark.parametrize("n", [12 * (10**9 + 7), 8 * 1000003**2])
     def test_negative_budget_rejected(self, n):
-        # Also for a complete trial-division result, which needs no rho.
+        # Also for a complete trial-division result, which needs no curve.
         with pytest.raises(InvalidInputError, match="budget"):
             finish_factorization(trial_divide(n), budget=-1)
         with pytest.raises(InvalidInputError, match="budget"):
@@ -336,9 +336,10 @@ class TestPrimeExit:
         assert tested and all(m < _PRIME_EXIT_HIGH for m in tested)
 
 
-# The cofactor trial division leaves of G(3) at (24, 1, 3). Rho alone spends
-# a 10**6 budget on it without a split; Q - 1 = 2 * 5^2 * 109 * 1249 * 5531 is
-# 10**4-smooth, which once let Pollard p-1 split it, and ECM splits it too.
+# The cofactor trial division leaves of G(3) at (24, 1, 3). Brent rho once
+# spent a 10**6 budget on it without a split; Q - 1 = 2 * 5^2 * 109 * 1249 *
+# 5531 is 10**4-smooth, which once let Pollard p-1 split it, and ECM splits it
+# on its fifth curve.
 _PM1_Q, _PM1_R = 37649793551, 2005380716191859
 
 
@@ -358,15 +359,13 @@ def ecm_curves(monkeypatch):
 
 class TestRhoBudget:
     # The cofactor of G(19) at (24, 1, 19), a 54-bit prime times a 60-bit
-    # one, on which every budget below runs out; rho used to overshoot them
-    # (to 196,606, 393,214, 786,430 and 1,000,062) because neither its advance
-    # loop nor its batches were clamped to what was left.
+    # one, on which every budget below runs out without a split.
     COFACTOR = 25361860228155246276566903016942311
 
-    # What each budget leaves: the rho stretch and every curve it can pay
-    # for are spent (20 at B1 = 250, 20 at 500, 20 at 1,000, then 2,000),
-    # and the rest, short of the next curve, is kept.
-    LEFT = {140_000: 1_808, 300_000: 5_808, 600_000: 19_808, 10**6: 29_808}
+    # What each budget leaves: every curve it can pay for is spent (20 at
+    # B1 = 250, 20 at 500, 20 at 1,000, then 2,000), and the rest, short of
+    # the next curve, is kept.
+    LEFT = {140_000: 10_000, 300_000: 1_000, 600_000: 2_000, 10**6: 38_000}
 
     @pytest.mark.parametrize("budget", [140_000, 300_000, 600_000, 10**6])
     def test_never_spends_more_than_the_budget(self, budget):
@@ -375,27 +374,6 @@ class TestRhoBudget:
         assert _factor_hard(self.COFACTOR, found, cell) == self.COFACTOR
         assert found == {}
         assert cell == [self.LEFT[budget]]
-
-    @pytest.mark.parametrize(
-        "point, factor, spent",
-        [((24, 1, 5), 1998159773, 65_406), ((8, 1, sympy.nextprime(2**61)), 2319149821, 113_790)],
-    )
-    def test_pinned_on_family_cofactors(self, point, factor, spent):
-        # The factor and the units spent on G's trial-division cofactor, read
-        # when the batch product took |x - y|; the signed product takes the
-        # same steps, since modulo n it differs only by sign.
-        cofactor = trial_divide(FamilyParams(*point).g).cofactor
-        cell = [10**6]
-        assert intarith._brent_rho(cofactor, cell) == factor
-        assert 10**6 - cell[0] == spent
-
-    def test_a_batch_gcd_of_n_backtracks(self):
-        # Both prime factors' cycles close within one batch, so the batch
-        # gcd is n itself; rho replays the batch one step at a time and
-        # stops at the first proper gcd.
-        cell = [10**6]
-        assert intarith._brent_rho(1000639 * 1002427, cell) == 1000639
-        assert 10**6 - cell[0] == 918
 
 
 class TestEcm:
@@ -422,41 +400,35 @@ class TestEcm:
         assert ecm_curves[-1] == (n, 10, 250, _PM1_Q)
 
     def test_each_curve_is_charged_its_units(self):
-        # The rho stretch, then the five curves of the test above.
+        # The five curves of the test above.
         n = _PM1_Q * _PM1_R
         cell, found = [10**6], {}
         assert _factor_hard(n, found, cell) == 1 and found == {_PM1_Q: 1, _PM1_R: 1}
-        assert 10**6 - cell[0] == _RHO_STRETCH + 5 * _ECM_UNITS_PER_B1 * 250 == 40_692
+        assert 10**6 - cell[0] == 5 * _ECM_UNITS_PER_B1 * 250 == 32_500
 
-    @pytest.mark.parametrize("budget", [_RHO_STRETCH, _RHO_STRETCH + _ECM_UNITS_PER_B1 * 250 - 1])
+    @pytest.mark.parametrize("budget", [0, _ECM_UNITS_PER_B1 * 250 - 1])
     def test_a_budget_short_of_one_curve_keeps_the_cofactor(self, budget, ecm_curves):
         n = _PM1_Q * _PM1_R
         assert factorize(n, budget) == Factorization((), n)
         assert ecm_curves == []
 
-    def test_budget_zero_runs_neither_rho_nor_ecm(self, monkeypatch, ecm_curves):
-        spent = []
-        real = intarith._brent_rho
-
-        def rho_spy(n, cell):
-            before = cell[0]
-            d = real(n, cell)
-            spent.append(before - cell[0])
-            return d
-
-        monkeypatch.setattr(intarith, "_brent_rho", rho_spy)
+    def test_budget_zero_runs_no_curve(self, ecm_curves):
+        # Perfect-power extraction is free: a prime square is still
+        # certified, and a composite square keeps its root unsplit.
+        q = 10**9 + 7
+        assert factorize(q * q, budget=0) == Factorization(((q, 2),), 1)
         n = _PM1_Q * _PM1_R
-        assert factorize(n, budget=0) == Factorization((), n)
-        assert spent == [0] and ecm_curves == []
+        assert factorize(n * n, budget=0) == Factorization((), n * n)
+        assert ecm_curves == []
 
     def test_smooth_p_minus_1_primes_still_factor(self):
         # q - 1 = 2 * 191 * 557 * 677 * 727 and r - 1 = 2 * 347 * 397 * 503 * 887
         # are both 10**4-smooth, so Pollard p-1 used to find n itself and
         # hand n back to rho; the ECM schedule splits it.
         q, r = 104722894547, 122925386399
+        assert sympy.isprime(q) and sympy.isprime(r)
         fact = factorize(q * r)
         assert fact.complete and fact.factors == ((q, 1), (r, 1))
-        assert dict(fact.factors) == sympy.factorint(q * r)
 
     def test_a_gcd_of_n_moves_on_to_the_next_sigma(self, ecm_curves):
         # On the curve at sigma = 6, stage 2 completes the group order of
@@ -471,25 +443,37 @@ class TestEcm:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_semiprimes_and_triples_against_sympy(self, seed):
-        # One prime of 60 to 80 bits times one or two primes of 25 to 45 bits.
-        # ECM alone returns a proper factor; factorize is complete.
+        # One prime of 60 to 80 bits times one or two primes of 25 to 45 bits,
+        # each confirmed by sympy.isprime. ECM alone returns a proper factor;
+        # factorize is complete and finds the primes the test multiplied.
         rng = random.Random(seed)
         large = sympy.nextprime(rng.getrandbits(rng.randint(60, 80)))
         small = [sympy.nextprime(rng.getrandbits(rng.randint(25, 45))) for _ in range(1 + seed % 2)]
-        n = large * math.prod(small)
+        primes = [large, *small]
+        assert all(sympy.isprime(q) for q in primes)
+        n = math.prod(primes)
         cell = [10**6]
         d = intarith._ecm(n, cell)
         assert d is not None and 1 < d < n and n % d == 0
         fact = factorize(n)
-        assert fact.complete and dict(fact.factors) == sympy.factorint(n)
+        assert fact.complete and dict(fact.factors) == Counter(primes)
 
-    def test_never_runs_where_rho_splits_within_the_stretch(self, ecm_curves):
-        # The sweep-low grid (n 2..12, a 1..3, p <= 29).
+    def test_reaches_only_two_sweep_low_points(self, ecm_curves):
+        # On the sweep-low grid (n 2..12, a 1..3, p <= 29) trial division
+        # finishes G everywhere but at two points, whose cofactors the first
+        # curve splits.
+        reached = {}
         for n in range(2, 13):
             for a in (1, 2, 3):
                 for p in sympy.primerange(2, 30):
+                    before = len(ecm_curves)
                     strictly_perron_certificate(n, a, p)
-        assert ecm_curves == []
+                    if len(ecm_curves) > before:
+                        reached[n, a, p] = ecm_curves[before:]
+        assert reached == {
+            (11, 2, 7): [(2538691 * 8853847, 6, 250, 2538691)],
+            (11, 2, 11): [(1241923 * 6339209, 6, 250, 1241923)],
+        }
 
     @given(
         st.lists(
@@ -502,12 +486,14 @@ class TestEcm:
     )
     @settings(max_examples=25, deadline=None)
     def test_products_of_large_primes_against_sympy(self, primes):
-        # A budget past the rho stretch that keeps each example short.
+        # A budget of 33 curves that keeps each example short. The primes
+        # come from sympy.nextprime and are confirmed by sympy.isprime.
+        assert all(sympy.isprime(q) for q in primes)
         n = math.prod(primes)
         fact = factorize(n, budget=300_000)
         assert fact.value() == n
         if fact.complete:
-            assert dict(fact.factors) == sympy.factorint(n)
+            assert dict(fact.factors) == Counter(primes)
         else:
             assert fact.cofactor > 1 and not sympy.isprime(fact.cofactor)
 
@@ -576,7 +562,7 @@ class TestSquarefreeStatus:
         assert fact.complete and fact.square_primes() == [p]
 
     def test_large_semiprime_certificate(self):
-        # Two primes above TRIAL_BOUND: only rho splits their product, so at
+        # Two primes above TRIAL_BOUND: only ECM splits their product, so at
         # budget 0 the question stays open, and the default budget settles it.
         p = int(sympy.prevprime(10**9))
         q = int(sympy.prevprime(p))
@@ -601,7 +587,7 @@ class TestSquarefreeStatus:
         with pytest.raises(InvalidInputError):
             factorize(0)
 
-    # Finished by trial division alone and only after rho: neither may read
+    # Finished by trial division alone and only after ECM: neither may read
     # a negative budget as an Unknown.
     @pytest.mark.parametrize(
         "n", [12, (10**9 + 7) * (10**9 + 9), (10**9 + 7) * (10**9 + 9) * (10**9 + 21)]

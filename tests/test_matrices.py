@@ -1,6 +1,8 @@
 """Companion matrices, digraph connectivity, Perron-Frobenius numerics."""
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,8 +110,9 @@ class TestConnectivity:
         assert not strongly_connected(((0,),))
 
     def test_deep_path_no_recursion_limit(self):
-        # A 5000-cycle: digs far deeper than the default Python stack.
-        n = 5000
+        # A cycle 500 vertices longer than the recursion limit, so a
+        # recursive search would overflow the Python stack on it.
+        n = sys.getrecursionlimit() + 500
         m = tuple(
             tuple(1 if j == (i + 1) % n else 0 for j in range(n)) for i in range(n)
         )

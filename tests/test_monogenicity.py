@@ -283,7 +283,8 @@ class TestMonogenicAggregate:
 
     def test_unknown_budget_path(self):
         # Force an undecidable discriminant: 1 + 4c a product of four large
-        # primes (all 1 mod 4 so c stays integral), rho budget zero.
+        # primes (all 1 mod 4 so c stays integral), budget zero, so no ECM
+        # curve runs.
         primes = []
         candidate = 10**9
         while len(primes) < 4:
