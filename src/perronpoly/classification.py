@@ -186,7 +186,7 @@ def classify_irreducible(f: IntPoly) -> Classification:
         return cls
 
     failure = f"could not certify dominance structure of {f.to_text()}"
-    return escalate(f, attempt, failure)[1]
+    return escalate(f, attempt, failure)
 
 
 def _decide(

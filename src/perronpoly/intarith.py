@@ -83,9 +83,8 @@ _PRIME_EXIT_HIGH = 2**160
 # Exhaustive strong-pseudoprime witness set below 2**64 (Sinclair's seven bases).
 _WITNESSES_U64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
-# Extra rounds used above 2**64, alongside the Lucas check.
-_WITNESSES_WIDE = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
+# Divided out first by is_prime, and its strong-pseudoprime bases above 2**64,
+# alongside the Lucas check.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Prime exponents to probe in perfect-power extraction; 127 covers any
@@ -155,19 +154,12 @@ def _jacobi(a: int, n: int) -> int:
     return t if n == 1 else 0
 
 
-def _is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
-
-
 def _strong_lucas_probable_prime(n: int) -> bool:
     """Strong Lucas test with Selfridge's method A parameters.
 
     Assumes n odd, n > 2, not divisible by any prime in _SMALL_PRIMES.
     """
-    if _is_square(n):
+    if isqrt(n) ** 2 == n:  # the search for D below never ends on a square
         return False
     d_param = 5
     while True:
@@ -225,14 +217,12 @@ def is_prime(n: int) -> bool:
         return True
     if n < 2**64:
         return all(_strong_probable_prime(n, b) for b in _WITNESSES_U64)
-    return all(_strong_probable_prime(n, b) for b in _WITNESSES_WIDE) and _strong_lucas_probable_prime(n)
+    return all(_strong_probable_prime(n, b) for b in _SMALL_PRIMES) and _strong_lucas_probable_prime(n)
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0."""
+    """Floor of the k-th root of n >= 0, for k >= 2."""
     if n < 2:
-        return n
-    if k == 1:
         return n
     if k == 2:
         return isqrt(n)

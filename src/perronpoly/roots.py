@@ -28,15 +28,15 @@ solves f at DEFAULT_PRECISION_BITS; whenever the disks collide or cannot
 settle the question, it solves f again at doubled precision, at most
 MAX_ESCALATIONS times per decision, and then raises PrecisionExhaustedError.
 One float solve seeds every rung of a decision, and no root set outlives
-it. Isolation itself (complex_roots), the real-axis profile and the
-dominance decision (which tags every root against the unit circle) are
-each one such decision. A float disk is only as narrow as double
-precision allows, so the one root whose digits get printed is refined alone
-(polish_real_root) instead of the whole set.
+it. Isolation itself (complex_roots) and the dominance decision (which
+tags every root against the unit circle and takes the real-root census,
+try_real_census) are each one such decision. A float disk is only as narrow
+as double precision allows, so the one root whose digits get printed is
+refined alone (polish_real_root) instead of the whole set.
 
-The solver assumes a squarefree f: complex_roots and real_axis_profile check
-it with one gcd; the package's own callers pass input known to be squarefree
-and call escalate directly.
+The solver assumes a squarefree f: complex_roots checks it with one gcd; the
+package's own callers pass input known to be squarefree and call escalate
+directly.
 
 Roots exactly on the unit circle can never be separated from it numerically;
 they are handled exactly instead: for a palindromic polynomial the on-circle
@@ -334,39 +334,34 @@ def _solve(coeffs: tuple[int, ...], bits: int, floats: list | None) -> Certified
     return _certify(coeffs, _refine(coeffs, starts, bits, 36 + 6 * (len(coeffs) - 1)), bits)
 
 
-def _require_squarefree(f: IntPoly) -> None:
-    """The solver's precondition, checked where outside input arrives."""
+def complex_roots(f: IntPoly) -> CertifiedRootSet:
+    """All complex roots of squarefree f, in certified disjoint disks.
+
+    Raises InvalidInputError when f has degree < 1 or a repeated factor (the
+    solver's precondition, checked here where outside input arrives), and
+    PrecisionExhaustedError when disks cannot be separated within the
+    escalation schedule.
+    """
     if f.degree < 1:
         raise InvalidInputError("complex_roots needs degree >= 1")
     if f.degree >= 2 and poly_gcd(f, f.derivative()).degree >= 1:
         raise InvalidInputError("complex_roots requires a squarefree polynomial")
-
-
-def complex_roots(f: IntPoly) -> CertifiedRootSet:
-    """All complex roots of squarefree f, in certified disjoint disks.
-
-    Raises InvalidInputError when f has degree < 1 or a repeated factor, and
-    PrecisionExhaustedError when disks cannot be separated within the
-    escalation schedule.
-    """
-    _require_squarefree(f)
     failure = f"could not isolate the roots of degree-{f.degree} polynomial"
-    return escalate(f, lambda rs: rs, failure)[0]
+    return escalate(f, lambda rs: rs, failure)
 
 
 def escalate(f: IntPoly, attempt, failure: str):
-    """(root set, result) for the first non-None attempt(rs), rs the root
-    set of squarefree f at DEFAULT_PRECISION_BITS, then at doubled
-    precision, at most MAX_ESCALATIONS times, every rung from one float
-    solve; past that, PrecisionExhaustedError with failure and the last
-    precision tried.
+    """The first non-None attempt(rs), rs the root set of squarefree f at
+    DEFAULT_PRECISION_BITS, then at doubled precision, at most
+    MAX_ESCALATIONS times, every rung from one float solve; past that,
+    PrecisionExhaustedError with failure and the last precision tried.
     """
     floats = _float_aberth(f.coeffs)
     for escalation in range(MAX_ESCALATIONS + 1):
         rs = _solve(f.coeffs, DEFAULT_PRECISION_BITS << escalation, floats)
         result = None if rs is None else attempt(rs)
         if result is not None:
-            return rs, result
+            return result
     raise PrecisionExhaustedError(f"{failure} at {DEFAULT_PRECISION_BITS << escalation} bits")
 
 
@@ -471,17 +466,6 @@ def try_modulus_tags(rs: CertifiedRootSet, expected_on: int) -> tuple[str, ...] 
     return tuple("on" if t == "?" else t for t in tags)
 
 
-@dataclass(frozen=True)
-class RealAxisProfile:
-    """Certified real-root census: sign counts plus per-root flags."""
-
-    positive: int
-    negative: int
-    nonreal: int
-    real_flags: tuple[bool, ...]
-    rootset: CertifiedRootSet
-
-
 def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int, int] | None:
     """One attempt at (real flags, positive, negative, nonreal), or None.
 
@@ -514,19 +498,3 @@ def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int, i
         else:
             return None  # disk straddles zero; escalation fixes this when f(0) != 0
     return tuple(flags), pos, neg, nonreal
-
-
-def real_axis_profile(f: IntPoly) -> RealAxisProfile:
-    """Decide which roots of squarefree f are real, and count signs, from
-    certified disks.
-
-    Needs f(0) != 0 so that sign decisions terminate; see try_real_census for
-    the certification argument.
-    """
-    if f.constant == 0:
-        raise InvalidInputError("real_axis_profile needs a nonzero constant term")
-    _require_squarefree(f)
-    rs, (flags, pos, neg, nonreal) = escalate(
-        f, try_real_census, "could not settle the real-root census"
-    )
-    return RealAxisProfile(pos, neg, nonreal, flags, rs)

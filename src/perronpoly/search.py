@@ -100,10 +100,10 @@ def run_search(spec: SearchSpec, tally: SearchTally | None = None) -> Iterator[C
         yield cert
 
 
-def ledger_record(cert: Certificate, timestamp: str | None = None) -> str:
+def ledger_record(cert: Certificate) -> str:
     """One immutable JSON line: the certificate plus timestamp and version."""
     record = cert.to_json_dict()
-    record["timestamp"] = timestamp or datetime.now(timezone.utc).isoformat()
+    record["timestamp"] = datetime.now(timezone.utc).isoformat()
     record["version"] = __version__
     return json.dumps(record, separators=(", ", ": "))
 

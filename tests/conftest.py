@@ -5,9 +5,12 @@ factorization, resultants, polynomial factorization, and maximal-order
 computations.  It is a test-only dependency; nothing under src/ imports it.
 The root disks are read back as mpmath numbers (disks, work) and their real
 roots counted by Sturm chains (count_real_roots), as referees for the
-integer decisions of the solver.
+integer decisions of the solver. real_census reaches the classifier's
+real-root census on its own.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import mpmath
 import pytest
@@ -70,6 +73,26 @@ def dominant(rs: roots.CertifiedRootSet) -> tuple[mpmath.mpc, mpmath.mpf]:
     found = disks(rs)
     with work(rs):
         return max(found, key=lambda disk: abs(disk[0]))
+
+
+class RealCensus(NamedTuple):
+    real_flags: tuple[bool, ...]
+    positive: int
+    negative: int
+    nonreal: int
+    rootset: roots.CertifiedRootSet
+
+
+def real_census(f: IntPoly) -> RealCensus:
+    """The certified real-root census (roots.try_real_census) of squarefree f
+    with f(0) != 0, escalated as one decision, with the root set it was read
+    from."""
+
+    def attempt(rs: roots.CertifiedRootSet) -> RealCensus | None:
+        census = roots.try_real_census(rs)
+        return None if census is None else RealCensus(*census, rs)
+
+    return roots.escalate(f, attempt, "could not settle the real-root census")
 
 
 def count_real_roots(f: IntPoly) -> tuple[int, int]:

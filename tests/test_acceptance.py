@@ -18,7 +18,7 @@ from math import gcd
 
 import pytest
 
-from conftest import disks, dominant, poly, work
+from conftest import disks, dominant, poly, real_census, work
 from perronpoly.classification import PERRON, STRICTLY_PERRON, classify
 from perronpoly.family import FamilyParams
 from perronpoly.intarith import factorize, primes_below
@@ -40,7 +40,7 @@ from perronpoly.monogenicity import (
     monogenic,
 )
 from perronpoly.polynomial import discriminant
-from perronpoly.roots import complex_roots, real_axis_profile
+from perronpoly.roots import complex_roots
 from perronpoly.search import SearchSpec, SearchTally, run_search
 
 P50 = primes_below(50)  # 15 primes
@@ -290,7 +290,7 @@ def test_c08_real_root_counts_and_certified_moduli(capsys):
             continue
         irreducible_points += 1
         f = point.poly
-        rap = real_axis_profile(f)
+        rap = real_census(f)
         want = (1, 1) if n % 2 == 0 else (1, 0)
         if (rap.positive, rap.negative) != want:
             bad.append((n, a, p, "parity", rap.positive, rap.negative))

@@ -6,17 +6,24 @@ input of `classify_inputs()`: the input, the `classify` answer and the
 `monogenic` verdict, each replaced by its error class where the command
 exits with an error. tests/data/classify_big.jsonl holds the same line
 without the verdict for each input of `classify_big_inputs()`, whose roots
-mostly need the fixed-point refinement. A refactor has to reproduce every
-line byte for byte.
+mostly need the fixed-point refinement. tests/data/certificate_grid.jsonl
+holds the certificate and its `precision_bits` for each point of
+`certificate_grid()`, and tests/data/monogenic_trinomials.jsonl the exit
+code and output of `perronpoly monogenic --coeffs` for each input of
+`monogenic_trinomials()`. A refactor has to reproduce every line byte for
+byte.
 """
 from __future__ import annotations
 
+import io
 import json
 import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
+from perronpoly import cli
 from perronpoly.classification import classify
 from perronpoly.errors import PerronPolyError
 from perronpoly.family import strictly_perron_certificate
@@ -39,6 +46,19 @@ def golden_points() -> list[tuple[int, int, int]]:
 
 def certificate_line(point: tuple[int, int, int]) -> str:
     return json.dumps(strictly_perron_certificate(*point).to_json_dict())
+
+
+def certificate_grid() -> list[tuple[int, int, int]]:
+    """The 663 points n 2..12 and 16, 24 × a 1..3 × primes p < 61."""
+    return [(n, a, p) for n in [*range(2, 13), 16, 24] for a in (1, 2, 3) for p in primes_below(61)]
+
+
+def certificate_grid_line(point: tuple[int, int, int]) -> str:
+    """The certificate's JSON and the precision its roots were certified at,
+    as one compact line."""
+    cert = strictly_perron_certificate(*point)
+    record = {**cert.to_json_dict(), "precision_bits": cert.classification.precision_bits}
+    return json.dumps(record, separators=(",", ":"))
 
 
 def classify_inputs() -> list[tuple[int, ...]]:
@@ -69,6 +89,31 @@ def classify_big_inputs() -> list[tuple[int, ...]]:
             coeffs[rng.randrange(n)] = rng.choice((-1, 1)) * big
         inputs.append((*coeffs, 1))
     return inputs
+
+
+def monogenic_trinomials() -> list[tuple[int, ...]]:
+    """A seeded sample of 2,000 of the 32,400 trinomials x^n + A x^m + B
+    with n 2..9, 0 < m < n and A, B in -15..15 but not 0, ascending
+    coefficients, in enumeration order."""
+    span = [c for c in range(-15, 16) if c]
+    trinomials = [
+        tuple(B if i == 0 else A if i == m else int(i == n) for i in range(n + 1))
+        for n in range(2, 10)
+        for m in range(1, n)
+        for A in span
+        for B in span
+    ]
+    return [trinomials[i] for i in sorted(random.Random(0).sample(range(len(trinomials)), 2000))]
+
+
+def monogenic_line(coeffs: tuple[int, ...]) -> str:
+    """[input, exit code, output] of `perronpoly monogenic --coeffs`: the
+    report it prints, or its error line when it exits with an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["monogenic", "--coeffs", ",".join(map(str, coeffs))])
+    output = json.loads(out.getvalue()) if out.getvalue() else err.getvalue().strip()
+    return json.dumps([IntPoly(coeffs).to_text(), code, output], separators=(",", ":"))
 
 
 def _answer(compute):
@@ -110,6 +155,8 @@ SETS = {
     "certificates": (golden_points, certificate_line),
     "classify": (classify_inputs, classify_line),
     "classify_big": (classify_big_inputs, classify_big_line),
+    "certificate_grid": (certificate_grid, certificate_grid_line),
+    "monogenic_trinomials": (monogenic_trinomials, monogenic_line),
 }
 
 
@@ -141,6 +188,20 @@ def test_classify_big_matches_golden_file():
     `PYTHONPATH=src python tests/test_golden.py classify_big > tests/data/classify_big.jsonl`
     (only when a change of classify output is intended)."""
     _check("classify_big")
+
+
+def test_certificate_grid_matches_golden_file():
+    """Regenerate the file with
+    `PYTHONPATH=src python tests/test_golden.py certificate_grid > tests/data/certificate_grid.jsonl`
+    (only when a certificate or precision change is intended)."""
+    _check("certificate_grid")
+
+
+def test_monogenic_trinomials_match_golden_file():
+    """Regenerate the file with
+    `PYTHONPATH=src python tests/test_golden.py monogenic_trinomials > tests/data/monogenic_trinomials.jsonl`
+    (only when a change of monogenic output or exit code is intended)."""
+    _check("monogenic_trinomials")
 
 
 if __name__ == "__main__":

@@ -1,0 +1,66 @@
+"""Every public function and class in src/perronpoly is reached.
+
+A public top-level function or class must be exported in `__all__` or be
+referenced somewhere in src/ outside its own body; anything else is code
+that only tests run, and belongs under tests/.
+"""
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import perronpoly
+
+SRC = Path(perronpoly.__file__).parent
+
+# matrices is read by no other module in src/, but it stays: README presents
+# it as the library that acceptance C7 checks, and the benchmark's tracer
+# (perfbench/tracing.py) imports every module in its LAYERS, matrices among
+# them, so moving it would break every traced benchmark run.
+EXEMPT_MODULES = {"matrices"}
+
+
+def _references(tree: ast.AST) -> Counter[str]:
+    """How often each name is read in tree, as a bare name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def unreached(src: Path = SRC) -> list[str]:
+    """module.name of each public top-level function or class in the package
+    at src that is neither in perronpoly.__all__ nor referenced outside its
+    own body."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    missing = []
+    for module, tree in trees.items():
+        if module in EXEMPT_MODULES:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("_") or name in perronpoly.__all__:
+                continue
+            if everywhere[name] == _references(node)[name]:
+                missing.append(f"{module}.{name}")
+    return missing
+
+
+def test_every_public_definition_is_reached():
+    assert unreached() == []
+
+
+def test_an_unreferenced_definition_is_flagged(tmp_path):
+    # The check itself: a public function nothing calls is reported, and one
+    # that another public function calls is not.
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    (tmp_path / "extra.py").write_text(
+        "def orphan():\n    return helper()\n\n\ndef helper():\n    return helper\n"
+    )
+    assert unreached(tmp_path) == ["extra.orphan"]

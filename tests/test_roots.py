@@ -14,7 +14,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_real_roots, disks, dominant, poly, to_sympy, work
+from conftest import count_real_roots, disks, dominant, poly, real_census, to_sympy, work
 from perronpoly import classification
 from perronpoly import roots as roots_module
 from perronpoly.classification import NO_PERRON_ROOT, STRICTLY_PERRON, _decide, classify
@@ -28,7 +28,6 @@ from perronpoly.roots import (
     CertifiedRootSet,
     complex_roots,
     expected_on_circle,
-    real_axis_profile,
     sqrt_exceeds,
     try_modulus_tags,
     try_real_census,
@@ -132,7 +131,7 @@ class TestComplexRoots:
     def test_rejects_constant_and_nonsquarefree_inputs(self):
         with pytest.raises(InvalidInputError):
             complex_roots(poly(3))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="squarefree"):
             complex_roots(poly(1, 2, 1))  # (x+1)^2
 
     def test_modulus_bounds_bracket(self):
@@ -244,36 +243,30 @@ class TestModulusProfile:
 
 
 class TestRealAxisProfile:
+    # The classifier's real-root census (roots.try_real_census), escalated on
+    # its own through conftest.real_census.
     def test_escalates_past_disk_straddling_zero(self, coarse_x2_minus_4x_plus_2):
-        census = real_axis_profile(coarse_x2_minus_4x_plus_2)
+        census = real_census(coarse_x2_minus_4x_plus_2)
         assert (census.positive, census.negative, census.nonreal) == (2, 0, 0)
         assert census.rootset.precision_bits > DEFAULT_PRECISION_BITS
 
     def test_golden_ratio(self):
-        prof = real_axis_profile(poly(-1, -1, 1))
+        prof = real_census(poly(-1, -1, 1))
         assert (prof.positive, prof.negative, prof.nonreal) == (1, 1, 0)
         assert prof.real_flags == (True, True)
 
     def test_strictly_complex(self):
-        prof = real_axis_profile(poly(1, 0, 1))
+        prof = real_census(poly(1, 0, 1))
         assert (prof.positive, prof.negative, prof.nonreal) == (0, 0, 2)
 
     def test_family_point_odd(self):
-        prof = real_axis_profile(poly(-5, 0, -1, 1))
+        prof = real_census(poly(-5, 0, -1, 1))
         assert (prof.positive, prof.negative) == (1, 0)
         assert prof.nonreal == 2
 
-    def test_rejects_zero_constant(self):
-        with pytest.raises(InvalidInputError):
-            real_axis_profile(poly(0, 1, 1))
-
-    def test_rejects_nonsquarefree(self):
-        with pytest.raises(InvalidInputError, match="squarefree"):
-            real_axis_profile(poly(4, -4, 1))  # (x - 2)^2
-
     def test_huge_real_pair(self):
         big = 10**9
-        prof = real_axis_profile(poly(big * big - 1, -2 * big, 1))
+        prof = real_census(poly(big * big - 1, -2 * big, 1))
         assert (prof.positive, prof.negative, prof.nonreal) == (2, 0, 0)
 
     @given(st.lists(st.integers(-15, 15), min_size=2, max_size=6))
@@ -282,7 +275,7 @@ class TestRealAxisProfile:
         f = squarefree_part(IntPoly(tuple(body) + (1,)))
         if f.degree < 1 or f.constant == 0:
             return
-        prof = real_axis_profile(f)
+        prof = real_census(f)
         assert (prof.positive, prof.negative) == count_real_roots(f)
         assert prof.positive + prof.negative + prof.nonreal == f.degree
 
@@ -303,7 +296,7 @@ class TestSingleEscalationLoop:
             lambda rs: census(rs) if rs.precision_bits >= 2048 else None,
         )
         with pytest.raises(PrecisionExhaustedError, match="census at 1024 bits$"):
-            real_axis_profile(poly(-1, -1, 1))
+            real_census(poly(-1, -1, 1))
 
     def test_isolation_escalates_from_the_requested_precision(
         self, monkeypatch
