@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 
 from . import __version__
 from .classification import classify
@@ -139,13 +140,7 @@ def _csv_row(record: dict) -> list:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_verify(
-        nmax=args.nmax,
-        amax=args.amax,
-        p_limit=args.pmax,
-        budget=args.budget,
-        inject_fault=args.inject_fault,
-    )
+    report = run_verify(nmax=args.nmax, amax=args.amax, p_limit=args.pmax, budget=args.budget)
     if report.passed:
         print(f"verify: all {report.points} grid points passed")
         return 0
@@ -157,7 +152,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 3
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built once per process and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="perronpoly",
         description="Monogenic strictly-Perron trinomials x^n - a*x^(n-1) - p: "
@@ -198,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--amax", type=int, default=6)
     verify.add_argument("--pmax", type=int, default=300, help="primes p < PMAX")
     verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    verify.add_argument("--inject-fault", help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -219,8 +215,7 @@ def _fold_coeffs(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_fold_coeffs(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_fold_coeffs(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except InvalidInputError as exc:

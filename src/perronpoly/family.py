@@ -273,16 +273,8 @@ def _settled_by_trial_division(g_fact: Factorization, report: MonogenicityReport
     return any(v.result == DIVIDES and v.q <= TRIAL_BOUND for v in report.locals)
 
 
-# The fault names strictly_perron_certificate and run_verify accept.
-FAULTS = ("disc-sign", "mono-route")
-
-
 def strictly_perron_certificate(
-    n: int,
-    a: int,
-    p: int,
-    budget: int = DEFAULT_BUDGET,
-    _fault: str | None = None,
+    n: int, a: int, p: int, budget: int = DEFAULT_BUDGET
 ) -> Certificate:
     """Run the complete pipeline for one family member.
 
@@ -310,22 +302,15 @@ def strictly_perron_certificate(
     resulting G factorization gives G_status and the squarefree verdict.
     Irreducibility is the family dichotomy (run_verify checks it). The
     roots are certified once, without a squarefree gcd: disc != 0 shows it.
-
-    `_fault` deliberately corrupts an internal value so the tripwires
-    themselves can be exercised: "disc-sign" flips the closed-form
-    discriminant, "mono-route" flips the squarefree-route verdict.
     """
     point = FamilyParams(n, a, p)
     check_budget(budget)
-    if _fault is not None and _fault not in FAULTS:
-        raise InvalidInputError(f"unknown fault {_fault!r}")
     f = point.poly
 
-    disc_closed = -point.disc if _fault == "disc-sign" else point.disc
     disc_oracle = discriminant_resultant(f)
-    if disc_closed != disc_oracle:
+    if point.disc != disc_oracle:
         raise OracleViolationError(
-            f"discriminant mismatch for {f.pretty()}: closed form {disc_closed}, "
+            f"discriminant mismatch for {f.pretty()}: closed form {point.disc}, "
             f"resultant {disc_oracle}"
         )
 
@@ -340,9 +325,6 @@ def strictly_perron_certificate(
         verdict = report.verdict
         if point.coprime:
             family_verdict = _squarefree_verdict(g_fact)
-            if _fault == "mono-route":
-                was_monogenic = family_verdict == "Monogenic"
-                family_verdict = "NotMonogenic(fault)" if was_monogenic else "Monogenic"
             if (
                 not verdict.startswith("Unknown")
                 and not family_verdict.startswith("Unknown")

@@ -18,7 +18,7 @@ from typing import Iterator
 from . import __version__
 from .errors import InvalidInputError, OracleViolationError, PerronPolyError
 from .errors import PrecisionExhaustedError
-from .family import FAULTS, Certificate, strictly_perron_certificate
+from .family import Certificate, strictly_perron_certificate
 from .intarith import DEFAULT_BUDGET, check_budget, primes_below
 from .irreducibility import is_irreducible
 
@@ -128,7 +128,6 @@ def run_verify(
     amax: int = 6,
     p_limit: int = 300,
     budget: int = DEFAULT_BUDGET,
-    inject_fault: str | None = None,
 ) -> VerifyReport:
     """Check every promised family property on the grid n in [2, nmax],
     a in [1, amax], primes p < p_limit. An empty grid or a negative budget
@@ -149,23 +148,16 @@ def run_verify(
     error, and the sweep goes on: a tripped cross-check or exhausted
     precision reads "pipeline check tripped", any other package error reads
     as its class name.
-
-    inject_fault is the self-test hook: it is passed through to the
-    certificate pipeline so the harness can demonstrate that a corrupted
-    intermediate value actually trips a check. An unknown fault name raises
-    InvalidInputError before any point runs.
     """
     spec = SearchSpec(
         tuple(range(2, nmax + 1)), tuple(range(1, amax + 1)), p_limit - 1, budget=budget
     )
-    if inject_fault is not None and inject_fault not in FAULTS:
-        raise InvalidInputError(f"unknown fault {inject_fault!r}")
     points = list(spec.points())
     report = VerifyReport(grid=len(points))
     for n, a, p in points:
         report.points += 1
         try:
-            cert = strictly_perron_certificate(n, a, p, budget=spec.budget, _fault=inject_fault)
+            cert = strictly_perron_certificate(n, a, p, budget=spec.budget)
         except (OracleViolationError, PrecisionExhaustedError) as exc:
             problems = [f"pipeline check tripped: {exc}"]
         except PerronPolyError as exc:

@@ -7,17 +7,24 @@ The root disks are read back as mpmath numbers (disks, work) and their real
 roots counted by Sturm chains (count_real_roots), as referees for the
 integer decisions of the solver. real_census reaches the classifier's
 real-root census on its own.
+
+The corruptions below each break one route of one certificate cross-check
+by monkeypatch, so a test can show that the check fires; no command has a
+fault flag.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+from fractions import Fraction
 from typing import NamedTuple
 
 import mpmath
 import pytest
 import sympy
 
-from perronpoly import roots
+from perronpoly import classification, family, monogenicity, roots
 from perronpoly.errors import InvalidInputError
+from perronpoly.monogenicity import DIVIDES, NOT_DIVIDES
 from perronpoly.polynomial import IntPoly, sturm_count
 
 X = sympy.Symbol("x")
@@ -46,6 +53,72 @@ def refined(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(roots, "_refine", spy)
     return precisions
+
+
+def negate_closed_disc(monkeypatch) -> None:
+    """The closed-form discriminant FamilyParams.disc, negated; the
+    resultant is left alone."""
+    disc = family.FamilyParams.disc.fget
+    monkeypatch.setattr(family.FamilyParams, "disc", property(lambda point: -disc(point)))
+
+
+def swap_squarefree_verdict(monkeypatch) -> None:
+    """The squarefree criterion's Monogenic and NotMonogenic answers swapped;
+    an Unknown stays Unknown."""
+    verdict = family._squarefree_verdict
+
+    def swapped(g_fact):
+        found = verdict(g_fact)
+        if found == "Monogenic":
+            return "NotMonogenic(fault)"
+        return "Monogenic" if found.startswith("NotMonogenic") else found
+
+    monkeypatch.setattr(family, "_squarefree_verdict", swapped)
+
+
+def shift_lambda(monkeypatch) -> None:
+    """The classifier's dominant root, moved up by a relative 1e-9: outside
+    the certificate's 1e-12 sign-change bracket."""
+    classify_irreducible = classification.classify_irreducible
+
+    def shifted(f):
+        cls = classify_irreducible(f)
+        lam = Fraction(cls.dominant) * (1 + Fraction(1, 10**9))
+        return replace(cls, dominant=str(float(lam)))
+
+    monkeypatch.setattr(family, "classify_irreducible", shifted)
+
+
+def miscount_census(monkeypatch) -> None:
+    """One extra negative root in the classifier's certified real-root census."""
+    census = classification.try_real_census
+
+    def miscounted(rs):
+        result = census(rs)
+        if result is None:
+            return None
+        flags, pos, neg, nonreal = result
+        return flags, pos, neg + 1, nonreal
+
+    monkeypatch.setattr(classification, "try_real_census", miscounted)
+
+
+def contradict_parity(monkeypatch) -> None:
+    """Exact Descartes counts of (1, 0), one positive and no negative root,
+    at every member: the sign analysis gives (1, 1) at even n."""
+    monkeypatch.setattr(family, "descartes_counts", lambda f: (1, 0))
+
+
+def flip_dedekind(monkeypatch) -> None:
+    """Dedekind's local verdict reversed at every prime; the trinomial
+    (JKS) criterion is left alone."""
+    dedekind = monogenicity.dedekind_local_test
+
+    def flipped(f, q):
+        v = dedekind(f, q)
+        return replace(v, result=NOT_DIVIDES if v.result == DIVIDES else DIVIDES)
+
+    monkeypatch.setattr(monogenicity, "dedekind_local_test", flipped)
 
 
 def disks(rs: roots.CertifiedRootSet) -> list[tuple[mpmath.mpc, mpmath.mpf]]:

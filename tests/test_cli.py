@@ -6,6 +6,7 @@ without spawning subprocesses. Exit codes are contract: 0 success, 2 bad
 input, 3 oracle violation, 4 precision exhausted, 5 factoring budget
 exhausted.
 """
+import argparse
 import csv
 import io
 import json
@@ -14,11 +15,11 @@ from datetime import datetime
 import pytest
 import sympy
 
-from perronpoly import __version__, monogenicity, search
+from conftest import flip_dedekind, negate_closed_disc, swap_squarefree_verdict
+from perronpoly import __version__, search
 from perronpoly.cli import CSV_COLUMNS, LEDGER_ENV, main
 from perronpoly.errors import NonConvergenceError
 from perronpoly.family import FamilyParams, strictly_perron_certificate
-from perronpoly.monogenicity import DIVIDES, NOT_DIVIDES, LocalIndexVerdict
 
 
 # (x^2 - 18014398509482143)(x^2 - 18014398509482147): both constant terms
@@ -197,14 +198,7 @@ class TestMonogenic:
         assert run(capsys, "monogenic", "--trinomial", "16", "2", "3")[0] == 2
 
     def test_disagreeing_local_tests_exit_3(self, capsys, monkeypatch):
-        real = monogenicity.dedekind_local_test
-
-        def flipped(f, q):
-            verdict = real(f, q)
-            result = DIVIDES if verdict.result == NOT_DIVIDES else NOT_DIVIDES
-            return LocalIndexVerdict(q, result, verdict.condition)
-
-        monkeypatch.setattr(monogenicity, "dedekind_local_test", flipped)
+        flip_dedekind(monkeypatch)
         rc, out, err = run(capsys, "monogenic", "--coeffs", "-11,-1,1")
         assert rc == 3
         assert out == ""
@@ -362,24 +356,20 @@ class TestVerify:
         assert rc == 0
         assert out.strip() == "verify: all 90 grid points passed"
 
-    def test_fault_injection_trips_checks(self, capsys):
-        rc, out, err = run(
-            capsys, "verify", "--nmax", "2", "--amax", "1", "--pmax", "20",
-            "--inject-fault", "disc-sign",
-        )
+    def test_fault_injection_trips_checks(self, capsys, monkeypatch):
+        negate_closed_disc(monkeypatch)
+        rc, out, err = run(capsys, "verify", "--nmax", "2", "--amax", "1", "--pmax", "20")
         assert rc == 3
         fail_lines = [l for l in out.splitlines() if l.startswith("FAIL")]
         assert len(fail_lines) == 8  # every prime below 20 trips
         assert "failures" in err
 
-    def test_mono_route_fault_trips_checks(self, capsys):
-        rc, out, err = run(
-            capsys, "verify", "--nmax", "4", "--amax", "3", "--pmax", "30",
-            "--inject-fault", "mono-route",
-        )
+    def test_mono_route_fault_trips_checks(self, capsys, monkeypatch):
+        swap_squarefree_verdict(monkeypatch)
+        rc, out, err = run(capsys, "verify", "--nmax", "4", "--amax", "3", "--pmax", "30")
         assert rc == 3
         fail_lines = [l for l in out.splitlines() if l.startswith("FAIL")]
-        assert fail_lines
+        assert len(fail_lines) == 25
         assert all("monogenicity routes disagree" in l for l in fail_lines)
         # The failure list stops at 25 entries; the summary still names the
         # whole grid, not the points visited before the stop.
@@ -412,14 +402,6 @@ class TestVerify:
         assert out == ""
         assert "error: the grid needs" in err
 
-    def test_unknown_fault_name_rejected(self, capsys):
-        rc, _, err = run(
-            capsys, "verify", "--nmax", "2", "--amax", "1", "--pmax", "5",
-            "--inject-fault", "bogus",
-        )
-        assert rc == 2
-        assert "error:" in err
-
 
 class TestTopLevel:
     def test_version(self, capsys):
@@ -440,15 +422,30 @@ class TestTopLevel:
             ["verify", "--nmax", "2", "--amax", "1", "--pmax", "13", "--precision", "64"],
             ["classify", "--coeffs", "-1,-1,1", "--precision", "64"],
             ["monogenic", "--coeffs", "-11,-1,1", "--method", "jks"],
+            ["verify", "--nmax", "2", "--amax", "1", "--pmax", "5", "--inject-fault", "disc-sign"],
         ],
     )
     def test_certificate_commands_have_no_precision_flag(self, capsys, argv):
         # Every command starts at the solver's default precision and runs
-        # both local tests; neither is a choice.
+        # both local tests; neither is a choice. Tests corrupt values by
+        # monkeypatch, so verify has no fault flag either.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert argv[-2] in capsys.readouterr().err
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        assert run(capsys, "disc", "2", "1", "3")[0] == 0
+        assert run(capsys, "disc", "4", "3", "5")[0] == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,9 +10,17 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import poly
+from conftest import (
+    contradict_parity,
+    flip_dedekind,
+    miscount_census,
+    negate_closed_disc,
+    poly,
+    shift_lambda,
+    swap_squarefree_verdict,
+)
 import perronpoly
-from perronpoly import __version__, classification, family, monogenicity, search
+from perronpoly import __version__, family, monogenicity, search
 from perronpoly.classification import classify, classify_irreducible
 from perronpoly.errors import InvalidInputError, NonConvergenceError, OracleViolationError
 from perronpoly.family import (
@@ -250,16 +258,7 @@ class TestDescartes:
         # The census is checked against Descartes' rule where the classifier
         # makes it: one extra negative root trips at a family point, at a
         # cubic with three real roots outside the family, and in verify.
-        census = classification.try_real_census
-
-        def miscounted(rs):
-            result = census(rs)
-            if result is None:
-                return None
-            flags, pos, neg, nonreal = result
-            return flags, pos, neg + 1, nonreal
-
-        monkeypatch.setattr(classification, "try_real_census", miscounted)
+        miscount_census(monkeypatch)
         with pytest.raises(OracleViolationError, match="disagrees with the Descartes counts"):
             strictly_perron_certificate(4, 3, 5)
         with pytest.raises(OracleViolationError, match="disagrees with the Descartes counts"):
@@ -272,7 +271,7 @@ class TestDescartes:
         # Exact Descartes counts that contradict the sign analysis of the
         # coefficients (one positive and one negative root at even n) trip
         # the certificate's own parity check.
-        monkeypatch.setattr(family, "descartes_counts", lambda f: (1, 0))
+        contradict_parity(monkeypatch)
         with pytest.raises(OracleViolationError, match="real-root parity"):
             strictly_perron_certificate(4, 3, 5)
 
@@ -353,12 +352,7 @@ class TestCertificate:
     def test_shifted_root_trips_the_bracket(self, monkeypatch):
         # A root 1e-9 away (relatively) from the true one lies outside the
         # 1e-12 bracket, so the sign-change check must refuse it.
-        def shifted(f):
-            cls = classify_irreducible(f)
-            lam = Fraction(cls.dominant) * (1 + Fraction(1, 10**9))
-            return replace(cls, dominant=str(float(lam)))
-
-        monkeypatch.setattr(family, "classify_irreducible", shifted)
+        shift_lambda(monkeypatch)
         with pytest.raises(OracleViolationError, match="not bracketed"):
             strictly_perron_certificate(5, 2, 11)
 
@@ -380,11 +374,10 @@ class TestCertificate:
         assert d["class"] == "StrictlyPerron"
         assert float(d["lambda"]) > 3  # root of x^4 - 3x^3 - 5 is ~3.17
 
-    def test_fault_injection_trips_oracle(self):
-        with pytest.raises(OracleViolationError):
-            strictly_perron_certificate(4, 3, 5, _fault="disc-sign")
-        with pytest.raises(InvalidInputError):
-            strictly_perron_certificate(4, 3, 5, _fault="no-such-fault")
+    def test_fault_injection_trips_oracle(self, monkeypatch):
+        negate_closed_disc(monkeypatch)
+        with pytest.raises(OracleViolationError, match="discriminant mismatch"):
+            strictly_perron_certificate(4, 3, 5)
 
     def test_rejects_bad_params(self):
         with pytest.raises(InvalidInputError):
@@ -613,10 +606,11 @@ class TestStopRule:
         assert cert.monogenic_verdict == monogenic(cert.params.poly).verdict
 
     @pytest.mark.parametrize("point, finished", [((16, 1, 17), 0), ((4, 3, 5), 1)])
-    def test_mono_route_fault_trips_on_both_paths(self, finishes, point, finished):
+    def test_mono_route_fault_trips_on_both_paths(self, finishes, monkeypatch, point, finished):
         # (16, 1, 17) settles after trial division, (4, 3, 5) is finished.
+        swap_squarefree_verdict(monkeypatch)
         with pytest.raises(OracleViolationError, match="monogenicity routes disagree"):
-            strictly_perron_certificate(*point, _fault="mono-route")
+            strictly_perron_certificate(*point)
         assert len(finishes) == finished
 
 
@@ -710,3 +704,58 @@ class TestSearch:
         assert report.points == 3 * 2 * 5
         assert report.failures == ["(n=3, a=1, p=5): NonConvergenceError: injected"]
         assert not report.passed
+
+    @pytest.mark.parametrize(
+        "corrupt, message, runs_at",
+        [
+            pytest.param(negate_closed_disc, "discriminant mismatch", lambda cert: True, id="disc"),
+            pytest.param(
+                swap_squarefree_verdict,
+                "monogenicity routes disagree",
+                lambda cert: cert.params.irreducible and cert.params.coprime,
+                id="monogenicity",
+            ),
+            pytest.param(
+                shift_lambda,
+                "not bracketed",
+                lambda cert: cert.classification.dominant is not None,
+                id="bracket",
+            ),
+            pytest.param(
+                contradict_parity,
+                "real-root parity",
+                lambda cert: cert.params.irreducible and cert.params.n % 2 == 0,
+                id="parity",
+            ),
+            pytest.param(
+                miscount_census,
+                "disagrees with the Descartes counts",
+                lambda cert: cert.params.irreducible,
+                id="census",
+            ),
+            pytest.param(
+                flip_dedekind,
+                "local tests disagree",
+                lambda cert: cert.monogenicity is not None and cert.monogenicity.locals,
+                id="local-tests",
+            ),
+        ],
+    )
+    def test_verify_names_every_tripped_check(self, monkeypatch, corrupt, message, runs_at):
+        # One corrupted value trips its cross-check at every grid point where
+        # the check runs (runs_at, read off the uncorrupted certificate), and
+        # verify names the check there and visits the whole grid. The
+        # 24-point grid stays under the 25-line failure list.
+        points = list(SearchSpec((2, 3, 4), (1, 2), 7).points())
+        expected = [
+            f"(n={n}, a={a}, p={p})"
+            for n, a, p in points
+            if runs_at(strictly_perron_certificate(n, a, p))
+        ]
+        corrupt(monkeypatch)
+        report = run_verify(4, 2, 8)
+        assert report.points == report.grid == len(points)
+        assert expected and not report.truncated
+        tripped = [f.partition(": pipeline check tripped: ") for f in report.failures]
+        assert [point for point, _, _ in tripped] == expected
+        assert all(sep and message in problem for _, sep, problem in tripped)

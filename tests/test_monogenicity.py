@@ -7,8 +7,6 @@ on a curated sample.
 """
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 import sympy
 from hypothesis import given, reject, settings
@@ -16,7 +14,7 @@ from hypothesis import strategies as st
 from sympy.polys.numberfields.basis import round_two
 from sympy.polys.numberfields.exceptions import ClosureFailure
 
-from conftest import X, poly, to_sympy
+from conftest import X, flip_dedekind, poly, to_sympy
 from perronpoly import monogenicity
 from perronpoly.errors import InvalidInputError, OracleViolationError
 from perronpoly.intarith import factorize, is_prime
@@ -303,16 +301,9 @@ class TestMonogenicAggregate:
 
     def test_local_tests_disagreeing_is_a_violation(self, monkeypatch):
         # x^2 - x - 11 at q = 3, where JKS condition (v) applies: a Dedekind
-        # verdict flipped there contradicts it, which is a defect.
-        dedekind = monogenicity.dedekind_local_test
-
-        def flipped(f, q):
-            v = dedekind(f, q)
-            if q != 3:
-                return v
-            return replace(v, result=NOT_DIVIDES if v.result == DIVIDES else DIVIDES)
-
-        monkeypatch.setattr(monogenicity, "dedekind_local_test", flipped)
+        # verdict flipped there contradicts it, which is a defect. 3 is the
+        # only prime whose square divides the discriminant 45.
+        flip_dedekind(monkeypatch)
         with pytest.raises(OracleViolationError, match="local tests disagree at q=3"):
             monogenic(poly(-11, -1, 1))
 
