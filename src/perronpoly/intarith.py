@@ -39,7 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from .errors import InvalidInputError
 
@@ -221,9 +221,7 @@ def is_prime(n: int) -> bool:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0, for k >= 2."""
-    if n < 2:
-        return n
+    """Floor of the k-th root of n >= 2, for k >= 2."""
     if k == 2:
         return isqrt(n)
     x = 1 << (-(-n.bit_length() // k))
@@ -254,19 +252,12 @@ def _ecm_plan(b1: int) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
     (b1, _ECM_B2_PER_B1 * b1]; every such prime is m*D +- j for m its nearest
     multiple of D, with j < D/2 prime to D."""
     primes = primes_below(_ECM_B2_PER_B1 * b1 + 1)
-    split = bisect_left(primes, b1 + 1)
-    multiplier = 1
-    for q in primes[:split]:
-        power = q
-        while power * q <= b1:
-            power *= q
-        multiplier *= power
     index = {j: i for i, j in enumerate(_ECM_BABY)}
     steps: dict[int, set[int]] = {}
-    for q in primes[split:]:
+    for q in primes[bisect_left(primes, b1 + 1):]:
         m = (q + _ECM_D // 2) // _ECM_D
         steps.setdefault(m, set()).add(index[abs(q - m * _ECM_D)])
-    return multiplier, tuple((m, tuple(sorted(js))) for m, js in sorted(steps.items()))
+    return lcm(*range(1, b1 + 1)), tuple((m, tuple(sorted(js))) for m, js in sorted(steps.items()))
 
 
 def _ecm_curve(n: int, sigma: int, b1: int) -> int:
@@ -490,8 +481,6 @@ def _factor_hard(m: int, found: dict[int, int], cell: list[int]) -> int:
     leftover = 1
     while stack:
         v, mult = stack.pop()
-        if v == 1:
-            continue
         if is_prime(v):
             found[v] = found.get(v, 0) + mult
             continue

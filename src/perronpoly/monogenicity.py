@@ -242,8 +242,6 @@ def _qth_root_mod(f: list[int], q: int) -> list[int]:
 def _radical_mod(f: list[int], q: int) -> list[int]:
     """Product of the distinct monic irreducible factors of f over F_q."""
     f = monic_mod(f, q)
-    if len(f) <= 1:
-        return [1]
     d = reduce_mod([e * c for e, c in enumerate(f)][1:], q)
     if not d:
         return _radical_mod(_qth_root_mod(f, q), q)

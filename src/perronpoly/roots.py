@@ -217,14 +217,15 @@ def _scaled_value(shifted: list[int], x: int, y: int) -> tuple[int, int]:
     return re, im
 
 
-def _refine(coeffs: tuple[int, ...], starts: list, prec: int, max_iters: int) -> list:
+def _refine(coeffs: tuple[int, ...], starts: list, prec: int) -> list:
     """_float_aberth's sweeps from starts at precision prec (tolerance 2^-(prec + 8),
     nudge 2^-(prec // 2)) in Gaussian fixed point, until two sweeps in a row
     move no approximation by more than the tolerance (one such sweep can fall
-    while a close pair is still splitting): each approximation is
-    (X + iY) / 2^k, with k prec + 32 plus the bit length of the largest start,
-    and every product and quotient is floored back to that grid. Returns the
-    parts (X, -k), (Y, -k) of each approximation in turn, as _certify reads them.
+    while a close pair is still splitting) or 36 + 6n sweeps have run at degree
+    n. Each approximation is (X + iY) / 2^k, with k prec + 32 plus the bit
+    length of the largest start, and every product and quotient is floored
+    back to that grid. Returns the parts (X, -k), (Y, -k) of each
+    approximation in turn, as _certify reads them.
     """
     parts = [_man_exp(v) for z in starts for v in (z.real, z.imag)]
     k = prec + 32 + max(0, max((m.bit_length() + e for m, e in parts if m), default=0))
@@ -246,7 +247,7 @@ def _refine(coeffs: tuple[int, ...], starts: list, prec: int, max_iters: int) ->
         return ((a * c + b * d) << k) // den, ((b * c - a * d) << k) // den
 
     calm = 0  # sweeps in a row that moved nothing beyond the tolerance
-    for _ in range(max_iters):
+    for _ in range(36 + 6 * (len(coeffs) - 1)):
         calm += 1
         for i, (x, y) in enumerate(zs):
             px, py = value(deriv, x, y)
@@ -331,7 +332,7 @@ def _solve(coeffs: tuple[int, ...], bits: int, floats: list | None) -> Certified
         ):
             return certified
     starts = [z * _TURN for z in floats or _newton_starts(coeffs)]
-    return _certify(coeffs, _refine(coeffs, starts, bits, 36 + 6 * (len(coeffs) - 1)), bits)
+    return _certify(coeffs, _refine(coeffs, starts, bits), bits)
 
 
 def complex_roots(f: IntPoly) -> CertifiedRootSet:
@@ -436,8 +437,6 @@ def expected_on_circle(f: IntPoly) -> int:
         return int(c0 * c0 == c1 * c1)
     if not is_self_reciprocal(f):
         return 0
-    if f.degree % 2 != 0:
-        raise InvalidInputError("odd-degree palindromic input has a root at -1; factor it out first")
     return 2 * sturm_count(trace_transform(f), -2, 2)
 
 
@@ -466,8 +465,8 @@ def try_modulus_tags(rs: CertifiedRootSet, expected_on: int) -> tuple[str, ...] 
     return tuple("on" if t == "?" else t for t in tags)
 
 
-def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int, int] | None:
-    """One attempt at (real flags, positive, negative, nonreal), or None.
+def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int] | None:
+    """One attempt at (real flags, positive, negative), or None.
 
     A root is certified real when its disk meets the real axis while the
     mirror image of its disk meets no other disk (conjugation permutes the
@@ -477,12 +476,11 @@ def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int, i
     mirror meets a disk when |conj(c) - c'|^2 <= (r + r')^2, sign: x > r or x < -r.
     """
     flags: list[bool] = []
-    pos = neg = nonreal = 0
+    pos = neg = 0
     for i, disk in enumerate(rs.roots):
         x, y, r = disk.x, disk.y, disk.r
         if abs(y) > r:
             flags.append(False)
-            nonreal += 1
             continue
         if any(
             (x - other.x) ** 2 + (y + other.y) ** 2 <= (r + other.r) ** 2
@@ -497,4 +495,4 @@ def try_real_census(rs: CertifiedRootSet) -> tuple[tuple[bool, ...], int, int, i
             neg += 1
         else:
             return None  # disk straddles zero; escalation fixes this when f(0) != 0
-    return tuple(flags), pos, neg, nonreal
+    return tuple(flags), pos, neg

@@ -105,7 +105,7 @@ def ledger_record(cert: Certificate) -> str:
     record = cert.to_json_dict()
     record["timestamp"] = datetime.now(timezone.utc).isoformat()
     record["version"] = __version__
-    return json.dumps(record, separators=(", ", ": "))
+    return json.dumps(record)
 
 
 @dataclass
@@ -123,12 +123,7 @@ class VerifyReport:
 MAX_REPORTED_FAILURES = 25
 
 
-def run_verify(
-    nmax: int = 8,
-    amax: int = 6,
-    p_limit: int = 300,
-    budget: int = DEFAULT_BUDGET,
-) -> VerifyReport:
+def run_verify(nmax: int, amax: int, p_limit: int, budget: int = DEFAULT_BUDGET) -> VerifyReport:
     """Check every promised family property on the grid n in [2, nmax],
     a in [1, amax], primes p < p_limit. An empty grid or a negative budget
     raises InvalidInputError, as in SearchSpec.

@@ -47,9 +47,9 @@ def refined(monkeypatch) -> list[int]:
     """The precision of each refinement (roots._refine) the test runs, in turn."""
     refine, precisions = roots._refine, []
 
-    def spy(coeffs, starts, prec, *args):
+    def spy(coeffs, starts, prec):
         precisions.append(prec)
-        return refine(coeffs, starts, prec, *args)
+        return refine(coeffs, starts, prec)
 
     monkeypatch.setattr(roots, "_refine", spy)
     return precisions
@@ -97,8 +97,8 @@ def miscount_census(monkeypatch) -> None:
         result = census(rs)
         if result is None:
             return None
-        flags, pos, neg, nonreal = result
-        return flags, pos, neg + 1, nonreal
+        flags, pos, neg = result
+        return flags, pos, neg + 1
 
     monkeypatch.setattr(classification, "try_real_census", miscounted)
 
@@ -152,8 +152,11 @@ class RealCensus(NamedTuple):
     real_flags: tuple[bool, ...]
     positive: int
     negative: int
-    nonreal: int
     rootset: roots.CertifiedRootSet
+
+    @property
+    def nonreal(self) -> int:
+        return self.real_flags.count(False)
 
 
 def real_census(f: IntPoly) -> RealCensus:

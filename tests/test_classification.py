@@ -159,7 +159,7 @@ class TestOracleFaults:
         monkeypatch.setattr(
             classification,
             "try_real_census",
-            lambda rs: ((False,) * len(rs.roots), 0, 0, len(rs.roots)),
+            lambda rs: ((False,) * len(rs.roots), 0, 0),
         )
         with pytest.raises(OracleViolationError, match="nonreal root certified as strictly dominant"):
             classify_irreducible(poly(-1, -1, 1))

@@ -68,6 +68,14 @@ class TestClassify:
         assert abs(float(record["lambda"]) - (1 + 5 ** 0.5) / 2) < 1e-12
         assert record["profile"] == {"inside": 1, "on": 0, "outside": 1}
 
+    def test_root_at_zero(self, capsys):
+        # f = x: its one root, 0, lies inside the unit circle.
+        rc, out, _ = run(capsys, "classify", "--coeffs", "0,1")
+        assert rc == 0
+        record = json.loads(out)
+        assert record["class"] == "NoPerronRoot"
+        assert record["profile"] == {"inside": 1, "on": 0, "outside": 0}
+
     def test_trinomial_flag(self, capsys):
         rc, out, _ = run(capsys, "classify", "--trinomial", "4", "3", "5")
         assert rc == 0
@@ -462,3 +470,39 @@ class TestTopLevel:
         assert rc == 2
         assert out == ""
         assert "budget" in err
+
+
+class TestConsolePins:
+    """Console checks of the CI workflow, run in-process: each reads one line
+    of stdout and requires the pin in it, or equal to it when whole."""
+
+    @pytest.mark.parametrize(
+        "argv, line, pin, whole",
+        [
+            pytest.param(
+                "classify --coeffs 1,1,0,-1,-1,-1,-1,-1,0,1,1",
+                0, '"lambda": "1.1762808182599175065"', False, id="lehmer-lambda",
+            ),
+            pytest.param(
+                "classify --trinomial 40 7 3",
+                0, '"profile": {"inside": 39, "on": 0, "outside": 1}, "precision_bits": 64', False,
+                id="trinomial-40-7-3",
+            ),
+            # The curve-charge edge: 6,500 budget units pay for the ECM curve
+            # that splits G(7) = 22477181694277, and one unit less does not.
+            pytest.param(
+                "search --n 11 --a 2 --pmax 7 --budget 6499",
+                -1, '"G_status": "Unknown(22477181694277)"', False, id="budget-6499",
+            ),
+            pytest.param(
+                "search --n 11 --a 2 --pmax 7 --budget 6500",
+                -1, '"G_status": "Squarefree"', False, id="budget-6500",
+            ),
+            pytest.param("disc 4 3 5", 0, "-86675, -86675", True, id="disc-4-3-5"),
+        ],
+    )
+    def test_console_pin(self, capsys, argv, line, pin, whole):
+        rc, out, _ = run(capsys, *argv.split())
+        found = out.splitlines()[line]
+        assert rc == 0
+        assert found == pin if whole else pin in found

@@ -24,7 +24,6 @@ from perronpoly import __version__, family, monogenicity, search
 from perronpoly.classification import classify, classify_irreducible
 from perronpoly.errors import InvalidInputError, NonConvergenceError, OracleViolationError
 from perronpoly.family import (
-    Certificate,
     FamilyParams,
     descartes_profile,
     family_monogenic,
@@ -759,3 +758,20 @@ class TestSearch:
         tripped = [f.partition(": pipeline check tripped: ") for f in report.failures]
         assert [point for point, _, _ in tripped] == expected
         assert all(sep and message in problem for _, sep, problem in tripped)
+
+    def test_verify_checks_the_theorem_conclusion(self, monkeypatch):
+        # A conclusion that misreads the checked verdicts trips the theorem
+        # check at exactly the points where the hypotheses hold and G is
+        # squarefree; elsewhere the theorem promises nothing.
+        points = list(SearchSpec((2, 3, 4), (1, 2), 7).points())
+        expected = [
+            f"(n={n}, a={a}, p={p}): hypotheses hold and G is squarefree"
+            " but conclusion is 'no Perron root'"
+            for n, a, p in points
+            if (cert := strictly_perron_certificate(n, a, p)).params.theorem_applicable
+            and cert.g_status == "Squarefree"
+        ]
+        monkeypatch.setattr(family, "_conclusion", lambda cls, verdict: "no Perron root")
+        report = run_verify(4, 2, 8)
+        assert report.points == report.grid == len(points)
+        assert expected and report.failures == expected

@@ -83,6 +83,20 @@ class TestStrongLucas:
         assert not sympy.isprime(n)
         assert _strong_lucas_probable_prime(n)
 
+    def test_square_is_composite(self):
+        # On a square (D/n) is never -1, so the search for D would not end;
+        # the test answers before it starts.
+        assert not _strong_lucas_probable_prime(1000003**2)
+
+    def test_d_sharing_a_factor_with_n_is_composite(self):
+        # 539191 = 41 * 13151 is the least non-square n above 41^2, free of
+        # _SMALL_PRIMES, whose Selfridge search meets (D/n) = 0 before -1:
+        # (D/n) = 1 for D = 5, -7, ..., -39, then D = 41 shares 41 with n.
+        n = 41 * 13151
+        assert all(sympy.jacobi_symbol((-1) ** k * (5 + 2 * k) % n, n) == 1 for k in range(18))
+        assert sympy.jacobi_symbol(41, n) == 0
+        assert not _strong_lucas_probable_prime(n)
+
 
 def test_primes_below_matches_sieve():
     assert primes_below(2) == []

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import pytest
-import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 

@@ -17,7 +17,7 @@ from sympy.polys.numberfields.exceptions import ClosureFailure
 from conftest import X, flip_dedekind, poly, to_sympy
 from perronpoly import monogenicity
 from perronpoly.errors import InvalidInputError, OracleViolationError
-from perronpoly.intarith import factorize, is_prime
+from perronpoly.intarith import factorize
 from perronpoly.irreducibility import is_irreducible
 from perronpoly.monogenicity import (
     DIVIDES,

@@ -1,4 +1,5 @@
-"""Every public function and class in src/perronpoly is reached.
+"""Every public function and class in src/perronpoly is reached, and every
+import in src/perronpoly and tests/ is read.
 
 A public top-level function or class must be exported in `__all__` or be
 referenced somewhere in src/ outside its own body; anything else is code
@@ -13,6 +14,7 @@ from pathlib import Path
 import perronpoly
 
 SRC = Path(perronpoly.__file__).parent
+TESTS = Path(__file__).parent
 
 # matrices is read by no other module in src/, but it stays: README presents
 # it as the library that acceptance C7 checks, and the benchmark's tracer
@@ -64,3 +66,32 @@ def test_an_unreferenced_definition_is_flagged(tmp_path):
         "def orphan():\n    return helper()\n\n\ndef helper():\n    return helper\n"
     )
     assert unreached(tmp_path) == ["extra.orphan"]
+
+
+def unused_imports(source: str) -> list[str]:
+    """Each name the module source imports and never reads; a name listed in
+    its __all__ counts as read."""
+    tree = ast.parse(source)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if targets == ["__all__"]:
+            read |= {item.value for item in node.value.elts}
+    imported = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    return [name for name in imported if name not in read]
+
+
+def test_every_import_is_read():
+    # The check itself first: os is bound by "import os.path" and never read.
+    assert unused_imports("import os.path\nfrom sys import argv, exit\nexit(argv)\n") == ["os"]
+    unused = {
+        path.relative_to(path.parents[1]).as_posix(): unused_imports(path.read_text())
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    }
+    assert {path: names for path, names in unused.items() if names} == {}
