@@ -185,8 +185,7 @@ def classify_irreducible(f: IntPoly) -> Classification:
             )
         return cls
 
-    failure = f"could not certify dominance structure of {f.to_text()}"
-    return escalate(f, attempt, failure)
+    return escalate(f, attempt, lambda: f"could not certify dominance structure of {f.to_text()}")
 
 
 def _decide(

@@ -100,6 +100,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         p_max=args.pmax,
         coprime_only=args.coprime_only,
         budget=args.budget,
+        p_min=args.pmin,
     )
     ledger_path = args.ledger or os.environ.get(LEDGER_ENV)
     try:
@@ -183,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--nmax", type=int, help="degrees 2..NMAX")
     search.add_argument("--a", type=int, help="fixed a")
     search.add_argument("--amax", type=int, help="a values 1..AMAX")
+    search.add_argument("--pmin", type=int, default=2, help="smallest prime (inclusive)")
     search.add_argument("--pmax", type=int, required=True, help="largest prime (inclusive)")
     search.add_argument("--coprime-only", action="store_true", help="skip gcd(a,n) > 1 pairs")
     search.add_argument("--budget", type=int, default=DEFAULT_BUDGET)

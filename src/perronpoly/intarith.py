@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt, lcm, prod
 
 from .errors import InvalidInputError
@@ -96,14 +96,15 @@ _POWER_EXPONENTS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
 
 @lru_cache(maxsize=None)
 def _trial_primes() -> tuple[int, ...]:
-    """Primes up to TRIAL_BOUND, sieved once per process."""
-    bound = TRIAL_BOUND
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(bound) + 1):
+    """Primes up to TRIAL_BOUND, sieved once per process over the odd numbers
+    only: entry i > 0 of the sieve stands for 2i + 1, and entry 0 for 2."""
+    half = (TRIAL_BOUND + 1) // 2
+    sieve = bytearray([1]) * half
+    for i in range(1, (isqrt(TRIAL_BOUND) + 1) // 2):
         if sieve[i]:
-            sieve[i * i :: i] = bytes((bound - i * i) // i + 1)
-    return tuple(compress(range(bound + 1), sieve))
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytes((half - 1 - p * p // 2) // p + 1)
+    return tuple(compress(chain((2,), range(3, TRIAL_BOUND + 1, 2)), sieve))
 
 
 @lru_cache(maxsize=None)
@@ -115,12 +116,13 @@ def _trial_blocks() -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((prod(run), run) for run in runs)
 
 
-def primes_below(bound: int) -> list[int]:
-    """All primes strictly below bound: the sieved table, continued past
-    TRIAL_BOUND by testing each odd number with is_prime."""
+def primes_below(bound: int, low: int = 2) -> list[int]:
+    """All primes p with low <= p < bound: the sieved table, continued past
+    TRIAL_BOUND by testing each odd number from max(low, TRIAL_BOUND + 1)
+    with is_prime."""
     table = _trial_primes()
-    out = list(table[: bisect_left(table, bound)])
-    out.extend(m for m in range((TRIAL_BOUND + 1) | 1, bound, 2) if is_prime(m))
+    out = list(table[bisect_left(table, low) : bisect_left(table, bound)])
+    out.extend(m for m in range(max(low, TRIAL_BOUND + 1) | 1, bound, 2) if is_prime(m))
     return out
 
 

@@ -435,20 +435,22 @@ def pow_mod(a: list[int], e: int, q: int, f: list[int] | None = None) -> list[in
 def divmod_mod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
     """(quotient, remainder) of a by nonzero b in F_q[x], q prime; and modulo
     any q >= 2 when b is monic, as Hensel lifting needs, since then no
-    leading coefficient is inverted but 1."""
+    leading coefficient is inverted but 1. Each leading coefficient is read
+    modulo q, and the remainder is reduced once, at the end."""
     db = len(b) - 1
     dq = len(a) - 1 - db
     if dq < 0:
         return [], a
     inv = pow(b[-1], -1, q)
+    terms = [(i, y) for i, y in enumerate(b[:-1]) if y]
     rem = list(a)
     quo = [0] * (dq + 1)
     for k in range(dq, -1, -1):
         c = rem[k + db] * inv % q
         if c:
             quo[k] = c
-            for i, y in enumerate(b):
-                rem[k + i] = (rem[k + i] - c * y) % q
+            for i, y in terms:
+                rem[k + i] -= c * y
     return quo, reduce_mod(rem[:db], q)
 
 

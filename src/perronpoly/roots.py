@@ -1,7 +1,9 @@
 """Certified complex root isolation for squarefree integer polynomials.
 
 The solver runs Aberth-Ehrlich sweeps in double precision (_float_aberth) from
-Bini's starting points on the circles of the Newton polygon (_newton_starts).
+Bini's starting points on the circles of the Newton polygon (_newton_starts),
+evaluating f and f' together by one inline Horner pass, in which a zero
+coefficient costs one multiplication and no addition.
 At DEFAULT_PRECISION_BITS those float approximations are certified as they
 stand; only when their disks collide or are too wide for that precision, and
 at every higher precision, are they refined at the precision at hand by the
@@ -13,8 +15,9 @@ radius
 
     deg(f) * |f(z_i)| / (|lc(f)| * prod_{j != i} |z_i - z_j|),
 
-bounded from above in integer arithmetic (Horner on Gaussian integers, exact
-squared distances, an integer square root rounded up). The union of these
+bounded from above in integer arithmetic (Horner on Gaussian integers, with
+a run of zero coefficients taken as one power of the point; exact squared
+distances; an integer square root rounded up). The union of these
 disks contains every root of f, and when they are pairwise disjoint (an
 exact integer inequality) each disk holds exactly one root.
 
@@ -58,6 +61,7 @@ DEFAULT_PRECISION_BITS = 64
 MAX_ESCALATIONS = 4
 
 _FLOAT_LIMIT = 1e280  # coefficient magnitude beyond which the float warmstart is skipped
+_FLOAT_SWEEPS = 140  # cap on _float_aberth's sweeps
 _GUARD = 16  # bits of each radius bound below the centres' grid spacing
 # Every refinement's starts are turned by this angle, so that no start set is
 # closed under conjugation: Aberth sweeps on a real polynomial keep such a set
@@ -105,17 +109,6 @@ def sqrt_exceeds(a: int, b: int, c: int, strict: bool) -> bool:
     return d >= 0 and d * d >= 4 * c * c * b
 
 
-def _horner(coeffs, z):
-    """coeffs[0] + coeffs[1] z + ... for a complex z, started from the
-    leading coefficient (the step 0 * z + lead would be exact anyway). A zero
-    coefficient adds nothing, so its addition is skipped."""
-    it = reversed(coeffs)
-    acc = next(it)
-    for c in it:
-        acc = acc * z + c if c else acc * z
-    return acc
-
-
 def _log2_int(v: int) -> float:
     b = v.bit_length()
     if b <= 900:
@@ -154,8 +147,11 @@ def _float_aberth(coeffs: tuple[int, ...]) -> list[complex] | None:
     polygon's starts (_newton_starts), updating them in place; None when it
     cannot be trusted.
 
-    Stops once no approximation moves by 1e-14 relative to 1 + |z|, or after
-    140 sweeps. An approximation whose derivative vanishes or that collides
+    f and f' are evaluated together, inline, by Horner from the leading
+    coefficient, f' on its own coefficients i * c_i; a zero coefficient
+    costs one multiplication by z and no addition. Stops once no
+    approximation moves by 1e-14 relative to 1 + |z|, or after _FLOAT_SWEEPS
+    sweeps. An approximation whose derivative vanishes or that collides
     with another moves by 1e-7 * (1 + |z|). None when a coefficient exceeds
     _FLOAT_LIMIT, or as soon as a real or imaginary part reaches 1e300 (or is
     NaN). Like the roots, the approximations returned are closed under
@@ -166,30 +162,47 @@ def _float_aberth(coeffs: tuple[int, ...]) -> list[complex] | None:
     if any(abs(c) > _FLOAT_LIMIT for c in coeffs):
         return None
     zs = _newton_starts(coeffs)
+    n = len(coeffs) - 1
     values = [float(c) for c in coeffs]
-    deriv = [i * values[i] for i in range(1, len(values))]
-    for _ in range(140):
+    lead, dlead, last = values[-1], n * values[-1], values[0]
+    # (c_j, j * c_j) for j = n - 1 down to 1: the steps f and f' share.
+    steps = [(values[j], j * values[j]) for j in range(n - 1, 0, -1)]
+    for _ in range(_FLOAT_SWEEPS):
         worst = 0
         for i, z in enumerate(zs):
-            fpz = _horner(deriv, z)
-            dzs = [z - zj for j, zj in enumerate(zs) if j != i]
-            if fpz == 0 or 0 in dzs:
+            fz, fpz = lead, dlead
+            for c, d in steps:
+                if c:
+                    fz, fpz = fz * z + c, fpz * z + d
+                else:
+                    fz, fpz = fz * z, fpz * z
+            fz = fz * z + last if last else fz * z
+            sigma = 0
+            try:
+                w = fz / fpz
+                for zj in zs[:i]:
+                    sigma += 1 / (z - zj)
+                for zj in zs[i + 1 :]:
+                    sigma += 1 / (z - zj)
+            except ZeroDivisionError:
                 zs[i] = z + 1e-7 * (1 + abs(z))
                 worst = 1
                 continue
-            sigma = 0
-            for dz in dzs:
-                sigma += 1 / dz
-            w = _horner(values, z) / fpz
             den = 1 - w * sigma
             corr = w if den == 0 else w / den
-            zs[i] = z - corr
-            if not (abs(zs[i].real) < 1e300 and abs(zs[i].imag) < 1e300):
+            z = z - corr
+            zs[i] = z
+            if not (abs(z.real) < 1e300 and abs(z.imag) < 1e300):
                 return None
-            worst = max(worst, abs(corr) / (1 + abs(zs[i])))
+            moved = abs(corr) / (1 + abs(z))
+            if moved > worst:
+                worst = moved
         if worst < 1e-14:
             break
-    partner = [min(range(len(zs)), key=lambda j: abs(z.conjugate() - zs[j])) for z in zs]
+    partner = []
+    for z in zs:
+        dist = [abs(z.conjugate() - zj) for zj in zs]
+        partner.append(dist.index(min(dist)))
     return [
         (z + zs[j].conjugate()) / 2 if partner[j] == i else z
         for i, (z, j) in enumerate(zip(zs, partner))
@@ -208,12 +221,33 @@ def _on_grid(m: int, e: int, k: int) -> int:
     return m << s if s >= 0 else (m + (1 << (-s - 1))) >> -s
 
 
+def _gauss_pow(x: int, y: int, g: int) -> tuple[int, int]:
+    """(x + iy)^g for g >= 1, by square-and-multiply."""
+    if not y:
+        return x**g, 0
+    px, py = x, y
+    for bit in bin(g)[3:]:
+        px, py = px * px - py * py, 2 * px * py
+        if bit == "1":
+            px, py = px * x - py * y, px * y + py * x
+    return px, py
+
+
 def _scaled_value(shifted: list[int], x: int, y: int) -> tuple[int, int]:
     """2^(kn) f((x + iy) / 2^k) as a Gaussian integer, by Horner, where
-    shifted[j] = coeffs[j] * 2^(k(n - j))."""
+    shifted[j] = coeffs[j] * 2^(k(n - j)). A run of zero coefficients is
+    one multiplication by a power of x + iy."""
     re, im = shifted[-1], 0
+    g = 0  # factors x + iy owed since the last nonzero coefficient
     for s in reversed(shifted[:-1]):
-        re, im = re * x - im * y + s, re * y + im * x
+        g += 1
+        if s:
+            px, py = (x, y) if g == 1 else _gauss_pow(x, y, g)
+            re, im = re * px - im * py + s, re * py + im * px
+            g = 0
+    if g:
+        px, py = _gauss_pow(x, y, g)
+        re, im = re * px - im * py, re * py + im * px
     return re, im
 
 
@@ -298,9 +332,7 @@ def _certify(coeffs: tuple[int, ...], parts: list, prec: int) -> CertifiedRootSe
     bounds = []
     for i in range(n):
         re, im = _scaled_value(shifted, *pts[i])
-        den = coeffs[-1] ** 2
-        for d2 in dist2[i]:
-            den *= d2  # the diagonal entry is 1
+        den = coeffs[-1] ** 2 * math.prod(dist2[i])  # the diagonal entry is 1
         if den == 0:
             return None
         num = (n * n * (re * re + im * im)) << (2 * _GUARD)
@@ -347,15 +379,18 @@ def complex_roots(f: IntPoly) -> CertifiedRootSet:
         raise InvalidInputError("complex_roots needs degree >= 1")
     if f.degree >= 2 and poly_gcd(f, f.derivative()).degree >= 1:
         raise InvalidInputError("complex_roots requires a squarefree polynomial")
-    failure = f"could not isolate the roots of degree-{f.degree} polynomial"
-    return escalate(f, lambda rs: rs, failure)
+    return escalate(
+        f, lambda rs: rs, lambda: f"could not isolate the roots of degree-{f.degree} polynomial"
+    )
 
 
-def escalate(f: IntPoly, attempt, failure: str):
+def escalate(f: IntPoly, attempt, failure):
     """The first non-None attempt(rs), rs the root set of squarefree f at
     DEFAULT_PRECISION_BITS, then at doubled precision, at most
     MAX_ESCALATIONS times, every rung from one float solve; past that,
-    PrecisionExhaustedError with failure and the last precision tried.
+    PrecisionExhaustedError with the text failure() and the last precision
+    tried. failure is called only then, so its text costs nothing while
+    the decision succeeds.
     """
     floats = _float_aberth(f.coeffs)
     for escalation in range(MAX_ESCALATIONS + 1):
@@ -363,7 +398,7 @@ def escalate(f: IntPoly, attempt, failure: str):
         result = None if rs is None else attempt(rs)
         if result is not None:
             return result
-    raise PrecisionExhaustedError(f"{failure} at {DEFAULT_PRECISION_BITS << escalation} bits")
+    raise PrecisionExhaustedError(f"{failure()} at {DEFAULT_PRECISION_BITS << escalation} bits")
 
 
 def polish_real_root(f: IntPoly, rs: CertifiedRootSet, i: int) -> tuple[CertifiedRoot, int] | None:

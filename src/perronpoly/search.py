@@ -25,13 +25,15 @@ from .irreducibility import is_irreducible
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """What to search: which (n, a) pairs, up to which prime (inclusive)."""
+    """What to search: which (n, a) pairs, and the primes from p_min to p_max
+    (both inclusive)."""
 
     n_values: tuple[int, ...]
     a_values: tuple[int, ...]
     p_max: int
     coprime_only: bool = False
     budget: int = DEFAULT_BUDGET
+    p_min: int = 2
 
     def __post_init__(self) -> None:
         if not self.n_values or not self.a_values:
@@ -42,6 +44,8 @@ class SearchSpec:
             raise InvalidInputError("the grid needs a >= 1")
         if self.p_max < 2:
             raise InvalidInputError("the grid needs at least one prime")
+        if self.p_min > self.p_max:
+            raise InvalidInputError("the grid needs p_min <= p_max")
         check_budget(self.budget)
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -54,9 +58,9 @@ class SearchSpec:
         return out
 
     def points(self) -> Iterator[tuple[int, int, int]]:
-        """(n, a, p) in search order: the pairs as given, primes ascending up
-        to and including p_max within each pair."""
-        primes = primes_below(self.p_max + 1)
+        """(n, a, p) in search order: the pairs as given, primes ascending
+        from p_min up to and including p_max within each pair."""
+        primes = primes_below(self.p_max + 1, self.p_min)
         for n, a in self.pairs():
             for p in primes:
                 yield n, a, p

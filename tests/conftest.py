@@ -168,7 +168,7 @@ def real_census(f: IntPoly) -> RealCensus:
         census = roots.try_real_census(rs)
         return None if census is None else RealCensus(*census, rs)
 
-    return roots.escalate(f, attempt, "could not settle the real-root census")
+    return roots.escalate(f, attempt, lambda: "could not settle the real-root census")
 
 
 def count_real_roots(f: IntPoly) -> tuple[int, int]:

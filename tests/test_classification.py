@@ -27,7 +27,7 @@ from perronpoly.classification import (
     classify,
     classify_irreducible,
 )
-from perronpoly.errors import InvalidInputError, OracleViolationError
+from perronpoly.errors import InvalidInputError, OracleViolationError, PrecisionExhaustedError
 from perronpoly.irreducibility import irreducibility_witness, is_irreducible
 from perronpoly.polynomial import IntPoly
 from perronpoly.roots import CertifiedRoot, CertifiedRootSet, complex_roots
@@ -320,6 +320,17 @@ class TestEscalation:
             assert calls.count("_solve") >= 2
             for name in ("_float_aberth", "expected_on_circle", "descartes_counts"):
                 assert calls.count(name) == 1, name
+
+    def test_exhausted_decision_names_the_polynomial(self):
+        # x^2 - 2^600 x - 1: every centre sits on one grid, prec + 24 bits
+        # below the root near 2^600, and even at 1024 bits that grid is
+        # coarser than the root near -2^-600. The text naming f is built only
+        # for this message, and in full.
+        with pytest.raises(PrecisionExhaustedError) as raised:
+            classify(poly(-1, -(2**600), 1))
+        assert str(raised.value) == (
+            f"could not certify dominance structure of -1,-{2**600},1 at 1024 bits"
+        )
 
     def test_a_failed_polish_escalates(self, monkeypatch):
         # A polish whose interval leaves lambda's disk asks for the next rung,

@@ -288,6 +288,23 @@ class TestSearch:
         assert by_p[2]["conclusion"] == "reducible"
         assert by_p[2]["lambda"] == ""
 
+    def test_pmin_window_far_from_zero(self, capsys):
+        # The CI pin: seven primes in [10^9, 10^9 + 100], enumerated without
+        # testing the odd numbers below 10^9.
+        rc, out, err = run(
+            capsys, "search", "--n", "3", "--a", "1", "--pmin", "1000000000", "--pmax", "1000000100"
+        )
+        records = [json.loads(line) for line in out.splitlines()]
+        assert rc == 0 and "searched 7 points" in err
+        assert [r["p"] for r in records] == list(sympy.primerange(10**9, 10**9 + 101))
+        assert '"p": 1000000007' in out.splitlines()[0]
+        assert records[0]["G_status"] == "Squarefree"
+
+    def test_pmin_above_pmax_is_invalid(self, capsys):
+        rc, out, err = run(capsys, "search", "--n", "2", "--a", "1", "--pmin", "14", "--pmax", "13")
+        assert (rc, out) == (2, "")
+        assert "p_min <= p_max" in err
+
     def test_coprime_only_filter(self, capsys):
         rc, out, _ = run(
             capsys, "search", "--nmax", "2", "--amax", "2", "--pmax", "7",

@@ -624,6 +624,17 @@ class TestSearch:
         with pytest.raises(InvalidInputError):
             SearchSpec((2,), (1,), 50, budget=-1)
         assert SearchSpec((2,), (1,), 50, budget=0).budget == 0
+        with pytest.raises(InvalidInputError, match="p_min <= p_max"):
+            SearchSpec((2,), (1,), 50, p_min=51)
+
+    def test_p_min_starts_the_window(self):
+        # Within each pair the primes run from p_min to p_max, both inclusive;
+        # the certificates are those of the full sweep.
+        window = SearchSpec((2, 3), (1,), 13, p_min=7)
+        assert list(window.points()) == [(n, 1, p) for n in (2, 3) for p in (7, 11, 13)]
+        full = [c.to_json_dict() for c in run_search(SearchSpec((2, 3), (1,), 13))]
+        assert [c.to_json_dict() for c in run_search(window)] == [r for r in full if r["p"] >= 7]
+        assert list(SearchSpec((2,), (1,), 13, p_min=13).points()) == [(2, 1, 13)]
 
     def test_pairs_order_and_coprime_filter(self):
         spec = SearchSpec((2, 3), (1, 2), 10)

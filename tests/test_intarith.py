@@ -109,6 +109,17 @@ def test_primes_below_continues_past_the_sieve():
     assert primes_below(TRIAL_BOUND + 200) == list(sympy.primerange(2, TRIAL_BOUND + 200))
 
 
+@pytest.mark.parametrize(
+    "low, bound",
+    [(20, 50), (2, 3), (3, 3), (TRIAL_BOUND - 100, TRIAL_BOUND + 200), (10**9, 10**9 + 101)],
+)
+def test_primes_below_from_a_lower_bound(low, bound):
+    # The window is [low, bound): the table's slice, then is_prime from
+    # max(low, TRIAL_BOUND + 1) on, so a window near 10^9 tests only its own
+    # odd numbers.
+    assert primes_below(bound, low) == list(sympy.primerange(low, bound))
+
+
 class TestFactorize:
     def test_doc_example(self):
         assert factorize(604800).factors == ((2, 7), (3, 3), (5, 2), (7, 1))

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic over Z and F_q, refereed by sympy."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -336,6 +337,23 @@ class TestModPoly:
         padded = rem + [0] * (len(product) - len(rem))
         assert reduce_mod([a + b for a, b in zip(product, padded)], q) == f
         assert len(rem) < len(g)
+
+    @pytest.mark.parametrize("q, monic", [(2, False), (13, False), (1009, False),
+                                          (3**4, True), (2**10, True), (7**3, True)])
+    def test_divmod_identity(self, q, monic):
+        # b * quo + rem == a modulo q with deg rem < deg b: for any nonzero b
+        # over a prime q, and for a monic b over a prime power, as the
+        # Hensel lift divides. Divisors with zero coefficients included.
+        rng = random.Random(q)
+        for _ in range(200):
+            a = reduce_mod([rng.randrange(q) for _ in range(rng.randint(0, 14))], q)
+            b = [rng.choice((0, 0, rng.randrange(q))) for _ in range(rng.randint(0, 7))]
+            b.append(1 if monic else rng.randrange(1, q))
+            quo, rem = divmod_mod(a, b, q)
+            assert rem == reduce_mod(rem, q) and len(rem) < len(b)
+            assert all(0 <= c < q for c in quo)
+            exact = IntPoly(tuple(b)) * IntPoly(tuple(quo)) + IntPoly(tuple(rem))
+            assert reduce_mod((exact - IntPoly(tuple(a))).coeffs, q) == []
 
     def test_derivative_frobenius_kernel(self):
         # x^3 + 2 = (x + 2)^3 over F_3 has derivative 0, so its radical comes

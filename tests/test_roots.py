@@ -6,6 +6,7 @@ certified disk must contain exactly one reference root.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -394,13 +395,42 @@ class TestAberthStarts:
         assert_disks_cover_reference(poly(0, -2, 0, 1))
 
     def test_float_sweeps_ceiling(self, monkeypatch):
-        # Each sweep evaluates f and f' once per approximation. From the
-        # Newton polygon (16, 1, 3) settles in 5 sweeps; from the Fujiwara
-        # circle it took 9.
-        horner, calls = roots_module._horner, []
-        monkeypatch.setattr(roots_module, "_horner", lambda cs, z: calls.append(1) or horner(cs, z))
-        assert roots_module._float_aberth(FamilyParams(16, 1, 3).poly.coeffs) is not None
-        assert len(calls) <= 2 * 16 * 6
+        # From the Newton polygon (16, 1, 3) settles in 5 sweeps (from the
+        # Fujiwara circle it took 9): capped at 6 sweeps, the float rung
+        # returns exactly what it returns uncapped.
+        coeffs = FamilyParams(16, 1, 3).poly.coeffs
+        uncapped = roots_module._float_aberth(coeffs)
+        monkeypatch.setattr(roots_module, "_FLOAT_SWEEPS", 6)
+        assert uncapped is not None and roots_module._float_aberth(coeffs) == uncapped
+
+
+def dense_gaussian_horner(coeffs: list[int], x: int, y: int) -> tuple[int, int]:
+    """coeffs[0] + coeffs[1] z + ... at z = x + iy, one Horner step per
+    coefficient, zeros included."""
+    re, im = coeffs[-1], 0
+    for c in reversed(coeffs[:-1]):
+        re, im = re * x - im * y + c, re * y + im * x
+    return re, im
+
+
+class TestExactEvaluation:
+    def test_sparse_value_matches_dense_horner(self):
+        # _scaled_value multiplies by (x + iy)^g across a run of g zero
+        # coefficients; the Gaussian integer must be dense Horner's, on
+        # inputs with long and trailing zero runs, y = 0 and negative parts.
+        family = list(FamilyParams(24, 2, 13).poly.coeffs)  # one run of 22 zeros
+        for x, y in [(3, 2), (-5, 0), (0, -1)]:
+            assert roots_module._scaled_value(family, x, y) == dense_gaussian_horner(family, x, y)
+        rng = random.Random(35)
+        for _ in range(400):
+            n = rng.randint(1, 40)
+            coeffs = [rng.choice((0, 0, 0, rng.randint(-(10**6), 10**6))) for _ in range(n)]
+            coeffs.append(rng.choice((1, -1, rng.randint(-(10**6), 10**6) or 1)))
+            k = rng.randint(0, 80)
+            shifted = [c << (k * (n - j)) for j, c in enumerate(coeffs)]
+            x = rng.randint(-(1 << (k + 12)), 1 << (k + 12))
+            y = rng.choice((0, rng.randint(-(1 << (k + 12)), 1 << (k + 12))))
+            assert roots_module._scaled_value(shifted, x, y) == dense_gaussian_horner(shifted, x, y)
 
 
 class TestFloatRung:
