@@ -58,7 +58,9 @@ STRICTLY_PERRON = "StrictlyPerron"
 
 @dataclass(frozen=True)
 class Classification:
-    poly: str
+    """classify's verdict on the monic poly, which only to_json_dict renders."""
+
+    poly: IntPoly
     kind: str
     subclass: str | None
     dominant: str | None
@@ -79,7 +81,7 @@ class Classification:
                 "outside": self.profile[2],
             }
         return {
-            "poly": self.poly,
+            "poly": self.poly.to_text(),
             "class": self.kind,
             "subclass": self.subclass,
             "lambda": self.dominant,
@@ -121,10 +123,6 @@ def _structural_tie(f: IntPoly) -> bool:
     return not any(f.coeffs[1:-1]) or not any(f.coeffs[1::2])
 
 
-def _no_perron_root(f: IntPoly, profile: tuple[int, int, int], bits: int) -> Classification:
-    return Classification(f.to_text(), NO_PERRON_ROOT, None, None, profile, bits)
-
-
 def _degree_one(f: IntPoly) -> Classification:
     c = -f.constant
     if c * c > 1:
@@ -136,8 +134,8 @@ def _degree_one(f: IntPoly) -> Classification:
     if c > 1:
         # Sole root, real, exceeding 1: Perron with the other-root conditions
         # vacuously true, which lands in the Pisot row.
-        return Classification(f.to_text(), PERRON, PISOT, str(c), prof, 0)
-    return Classification(f.to_text(), NO_PERRON_ROOT, None, None, prof, 0)
+        return Classification(f, PERRON, PISOT, str(c), prof, 0)
+    return Classification(f, NO_PERRON_ROOT, None, None, prof, 0)
 
 
 def classify(f: IntPoly) -> Classification:
@@ -151,7 +149,7 @@ def classify(f: IntPoly) -> Classification:
     """
     f = require_monic(f, "classify")
     if not irreducibility_witness(f).irreducible:
-        return Classification(f.to_text(), NOT_IRREDUCIBLE, None, None, None, None)
+        return Classification(f, NOT_IRREDUCIBLE, None, None, None, None)
     return classify_irreducible(f)
 
 
@@ -170,7 +168,7 @@ def classify_irreducible(f: IntPoly) -> Classification:
             return None
         profile = (tags.count("in"), tags.count("on"), tags.count("out"))
         if tie:
-            return _no_perron_root(f, profile, rs.precision_bits)
+            return Classification(f, NO_PERRON_ROOT, None, None, profile, rs.precision_bits)
         census = try_real_census(rs)
         if census is None:
             return None
@@ -232,7 +230,7 @@ def _decide(
             return _perron_subclass(f, rs, tags, profile, real_flags, i_star)
     positive = [i for i in range(n) if real_flags[i] and rs.roots[i].x > 0]
     if all(any(above(j, i, False) for j in range(n) if j != i) for i in positive):
-        return _no_perron_root(f, profile, rs.precision_bits)
+        return Classification(f, NO_PERRON_ROOT, None, None, profile, rs.precision_bits)
     return None
 
 
@@ -265,7 +263,7 @@ def _perron_subclass(
         sub = ANTI_PISOT
     else:
         sub = STRICTLY_PERRON
-    return Classification(f.to_text(), PERRON, sub, lam, profile, rs.precision_bits)
+    return Classification(f, PERRON, sub, lam, profile, rs.precision_bits)
 
 
 def _check_salem_reciprocal(

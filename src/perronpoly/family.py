@@ -13,7 +13,8 @@ local-test step: it factors G(p) only, multiplies p^(n-2) back in from the
 closed form, and never factors the discriminant. The squarefree criterion
 reads G's status off that same factorization (its square_primes and
 whether it is complete), in the certificate and in family_monogenic
-alike, so an Unknown means the same spent budget on both.
+alike, so an Unknown means the same spent budget on both. The records
+hold f itself, and only their to_json_dict methods render it as text.
 """
 from __future__ import annotations
 
@@ -46,8 +47,7 @@ class FamilyParams:
     p must be prime. Coprimality of a and n is recorded (it gates the
     headline theorem) but deliberately not required: the pipeline studies
     non-coprime points too. The closed forms are attributes computed from
-    the validated point: poly and g once each, disc and irreducible on
-    demand.
+    the validated point: poly, g and disc once each, irreducible on demand.
     """
 
     n: int
@@ -103,7 +103,7 @@ class FamilyParams:
         n = self.n
         return n**n * self.p + self.a**n * (n - 1) ** (n - 1)
 
-    @property
+    @cached_property
     def disc(self) -> int:
         """Closed-form discriminant: (-1)^((n-1)(n+2)/2) * p^(n-2) * G(p).
 
@@ -165,7 +165,7 @@ def member_classification(point: FamilyParams) -> Classification:
     """classify for a family member, irreducibility read from the dichotomy,
     a formula, where classify would run the factor oracle on most members."""
     if not point.irreducible:
-        return Classification(point.poly.to_text(), NOT_IRREDUCIBLE, None, None, None, None)
+        return Classification(point.poly, NOT_IRREDUCIBLE, None, None, None, None)
     return classify_irreducible(point.poly)
 
 
@@ -206,10 +206,10 @@ class Certificate:
     certificate exists only when the resultant equals params.disc.
 
     monogenicity is the local-test report, None for a reducible member. Its
-    disc_factorization may be the partial, trial-division-only one: when
-    that already fixed the verdicts, G's cofactor was never split (see
-    strictly_perron_certificate), and its local verdicts cover only the
-    square primes trial division found, plus p.
+    disc_factorization is the trial-division one when that left no cofactor
+    or already fixed the verdicts (see strictly_perron_certificate); with a
+    cofactor left unsplit, its local verdicts cover only the square primes
+    trial division found, plus p. to_json_dict alone renders f as text.
     """
 
     params: FamilyParams
@@ -259,18 +259,18 @@ def _local_tests(point: FamilyParams, g_fact: Factorization, known=()) -> Monoge
 
 def _settled_by_trial_division(g_fact: Factorization, report: MonogenicityReport | None) -> bool:
     """Whether the trial-division factorization g_fact of G already fixes
-    every reported verdict. Finishing it adds only primes above TRIAL_BOUND,
-    so it cannot move NotSquarefree(q), nor a NotMonogenic(q') with
-    q' <= TRIAL_BOUND. report is None for a reducible member, whose
-    monogenicity verdict needs no factoring at all. A failing q' above
-    TRIAL_BOUND (only p can be one, on large p) settles nothing: a smaller
-    index-dividing prime may still hide in the cofactor.
+    every reported verdict: it does when it is complete. Otherwise finishing
+    adds only primes above TRIAL_BOUND, so it cannot move NotSquarefree(q),
+    nor a NotMonogenic(q') with q' <= TRIAL_BOUND. report is None for a
+    reducible member, whose monogenicity verdict needs no factoring. A
+    failing q' above TRIAL_BOUND (only p can be one, on large p) settles
+    nothing: a smaller index-dividing prime may still hide in the cofactor.
     """
+    if g_fact.complete:
+        return True
     if not g_fact.square_primes():
         return False
-    if report is None:
-        return True
-    return any(v.result == DIVIDES and v.q <= TRIAL_BOUND for v in report.locals)
+    return report is None or any(v.result == DIVIDES and v.q <= TRIAL_BOUND for v in report.locals)
 
 
 def strictly_perron_certificate(
@@ -292,11 +292,11 @@ def strictly_perron_certificate(
 
     Each fact is computed once. The point is validated once, and f, G, the
     closed-form disc and the dichotomy are read from it. G is trial-divided
-    once, and for an irreducible member the local tests run on that partial
-    factorization times p^(n-2). When this already fixes both reported
-    verdicts — G_status is NotSquarefree(q), and the member is reducible or
-    the local tests give NotMonogenic(q') with q' <= TRIAL_BOUND — the ECM
-    step is skipped, since every prime it could add exceeds TRIAL_BOUND.
+    once, and for an irreducible member the local tests run on that
+    factorization times p^(n-2). ECM is skipped when trial division left no
+    cofactor, or when it already fixes both reported verdicts: G_status is
+    NotSquarefree(q), and the member is reducible or the local tests give
+    NotMonogenic(q') with q' <= TRIAL_BOUND, below every prime ECM can add.
     Otherwise the factorization is finished once, within the budget, and
     only the primes ECM added are tested, so each local test runs once. The
     resulting G factorization gives G_status and the squarefree verdict.

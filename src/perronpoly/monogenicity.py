@@ -285,7 +285,9 @@ def dedekind_local_test(f: IntPoly, q: int) -> LocalIndexVerdict:
 
 @dataclass(frozen=True)
 class MonogenicityReport:
-    poly: str
+    """monogenic's verdict on poly and its evidence; only to_json_dict renders poly."""
+
+    poly: IntPoly
     disc: int
     disc_factorization: Factorization
     locals: tuple[LocalIndexVerdict, ...]
@@ -293,7 +295,7 @@ class MonogenicityReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "poly": self.poly,
+            "poly": self.poly.to_text(),
             "disc": self.disc,
             "disc_factors": {
                 "factors": [[q, e] for q, e in self.disc_factorization.factors],
@@ -353,7 +355,7 @@ def monogenic_from_factorization(
         verdict = f"Unknown(discriminant factorization incomplete, cofactor {fact.cofactor})"
     else:
         verdict = "Monogenic"
-    return MonogenicityReport(poly.to_text(), disc, fact, tuple(verdicts), verdict)
+    return MonogenicityReport(poly, disc, fact, tuple(verdicts), verdict)
 
 
 def _local_verdict(

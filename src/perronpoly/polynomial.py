@@ -440,7 +440,7 @@ def divmod_mod(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]
     db = len(b) - 1
     dq = len(a) - 1 - db
     if dq < 0:
-        return [], a
+        return [], reduce_mod(a, q)
     inv = pow(b[-1], -1, q)
     terms = [(i, y) for i, y in enumerate(b[:-1]) if y]
     rem = list(a)

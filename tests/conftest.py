@@ -58,7 +58,7 @@ def refined(monkeypatch) -> list[int]:
 def negate_closed_disc(monkeypatch) -> None:
     """The closed-form discriminant FamilyParams.disc, negated; the
     resultant is left alone."""
-    disc = family.FamilyParams.disc.fget
+    disc = family.FamilyParams.disc.func
     monkeypatch.setattr(family.FamilyParams, "disc", property(lambda point: -disc(point)))
 
 

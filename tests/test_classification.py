@@ -264,6 +264,13 @@ class TestEdges:
         assert set(d["profile"]) == {"inside", "on", "outside"}
         assert d["profile"]["outside"] == 3
 
+    def test_record_holds_the_normalized_input(self):
+        # -x^2 + x + 3 is classified as x^2 - x - 3: the record holds that
+        # monic polynomial, and only to_json_dict renders it as text.
+        cls = classify(poly(3, 1, -1))
+        assert cls.poly == IntPoly((-3, -1, 1))
+        assert cls.to_json_dict()["poly"] == "-3,-1,1"
+
 
 class TestEscalation:
     def test_dominance_decided_after_escalation(self, start_at_16_bits):

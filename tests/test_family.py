@@ -48,7 +48,7 @@ from perronpoly.monogenicity import (
     MonogenicityReport,
     monogenic,
 )
-from perronpoly.polynomial import discriminant, poly_gcd, sturm_count
+from perronpoly.polynomial import IntPoly, discriminant, poly_gcd, sturm_count
 from perronpoly.roots import escalate, try_modulus_tags, try_real_census
 from perronpoly.search import SearchSpec, SearchTally, ledger_record, run_search, run_verify
 
@@ -453,10 +453,12 @@ def _count_calls(monkeypatch, fn) -> list:
 def test_certificate_computes_each_fact_once(monkeypatch, point):
     # A plain member, an odd-n member with p = a + 1, and a reducible one.
     # The point is validated once: one primality test, of p. G is
-    # trial-divided once and finished at most once; nothing else (p, the
-    # discriminant) is factored. The roots of an irreducible member
-    # are certified in one attempt: one escalation, one real-axis census,
-    # one unit-circle tagging, and no squarefree gcd (disc != 0
+    # trial-divided once, which factors it completely at all three points,
+    # so it is never finished; nothing else (p, the discriminant) is
+    # factored. The local tests run at most once, and the polynomial's text
+    # is built only by to_json_dict, once. The roots of an irreducible
+    # member are certified in one attempt: one escalation, one real-axis
+    # census, one unit-circle tagging, and no squarefree gcd (disc != 0
     # already proves f squarefree). A reducible member solves nothing.
     assert family.trial_divide is trial_divide
     assert family.finish_factorization is finish_factorization
@@ -476,10 +478,17 @@ def test_certificate_computes_each_fact_once(monkeypatch, point):
     escalations = _count_calls(monkeypatch, escalate)
     censuses = _count_calls(monkeypatch, try_real_census)
     taggings = _count_calls(monkeypatch, try_modulus_tags)
-    strictly_perron_certificate(*point)
+    local_tests = _count_calls(monkeypatch, family._local_tests)
+    texts, to_text = [], IntPoly.to_text
+    monkeypatch.setattr(IntPoly, "to_text", lambda f: texts.append(f) or to_text(f))
+    cert = strictly_perron_certificate(*point)
+    assert texts == []
+    cert.to_json_dict()
+    assert texts == [expected.poly]
     assert primality == [(point[2],)]
     assert trials == [(expected.g,)]
-    assert len(finishes) <= 1
+    assert finishes == []
+    assert len(local_tests) <= 1
     assert factorizations == []
     assert discriminants == [(expected.poly,)]
     assert witnesses == [] and oracles == []
@@ -549,8 +558,9 @@ class TestStopRule:
 
     def test_runs_when_the_monogenic_verdict_stays_open(self, finishes):
         # G is NotSquarefree(2), but 2 does not divide the index (a = 2 and
-        # n = 16 are not coprime): Monogenic needs every square prime.
-        cert = strictly_perron_certificate(16, 2, 13)
+        # n = 16 are not coprime): Monogenic needs every square prime, and
+        # trial division leaves G's cofactor unsplit.
+        cert = strictly_perron_certificate(16, 2, 37)
         d = cert.to_json_dict()
         assert (d["G_status"], d["monogenic"], d["conclusion"]) == (
             "NotSquarefree(2)", "Monogenic", "monogenic strictly-Perron",
@@ -569,13 +579,13 @@ class TestStopRule:
         # and p^2 does not divide f(0), so Dedekind's test at p passes), and
         # every other prime above TRIAL_BOUND sits in the unsplit cofactor:
         # a report failing at such a prime is built by hand.
-        big = 1000003
-        assert is_prime(big) and big > TRIAL_BOUND
+        big, other = 1000003, 1000033
+        assert is_prime(big) and is_prime(other) and min(big, other) > TRIAL_BOUND
         settled = family._settled_by_trial_division
-        g_fact = Factorization(((2, 2),), 1)  # NotSquarefree(2)
+        g_fact = Factorization(((2, 2),), big * other)  # NotSquarefree(2)
 
         def report(*verdicts):
-            return MonogenicityReport("", 0, Factorization((), 1), verdicts, "")
+            return MonogenicityReport(poly(-2, 0, 1), 0, Factorization((), 1), verdicts, "")
 
         passes = LocalIndexVerdict(2, NOT_DIVIDES, "(iii)")
         beyond = report(passes, LocalIndexVerdict(big, DIVIDES, "(i)"))
@@ -584,8 +594,13 @@ class TestStopRule:
         assert not settled(g_fact, report(passes))
         assert settled(g_fact, within)
         assert settled(g_fact, None)  # reducible: no monogenicity verdict to settle
-        assert not settled(Factorization(((2, 1),), 1), within)  # Squarefree
+        assert not settled(Factorization(((2, 1),), big * other), within)  # squarefree so far
         assert not settled(Factorization((), big * big), None)  # Unknown
+        # A complete factorization leaves nothing to finish, with or without
+        # a failing prime, and for a reducible member too.
+        for complete in (Factorization(((2, 2),), 1), Factorization(((2, 1), (big, 1)), 1)):
+            for r in (beyond, report(passes), within, None):
+                assert settled(complete, r)
 
     def test_each_local_test_runs_once(self, finishes, monkeypatch):
         # Trial division leaves the verdict open at (16, 2, 37), ECM then
@@ -604,9 +619,10 @@ class TestStopRule:
         assert sorted(tested) == sorted(set(tested)) == [v.q for v in cert.monogenicity.locals]
         assert cert.monogenic_verdict == monogenic(cert.params.poly).verdict
 
-    @pytest.mark.parametrize("point, finished", [((16, 1, 17), 0), ((4, 3, 5), 1)])
+    @pytest.mark.parametrize("point, finished", [((16, 1, 17), 0), ((11, 2, 7), 1)])
     def test_mono_route_fault_trips_on_both_paths(self, finishes, monkeypatch, point, finished):
-        # (16, 1, 17) settles after trial division, (4, 3, 5) is finished.
+        # (16, 1, 17) settles after trial division; (11, 2, 7) is finished,
+        # since trial division leaves G's cofactor 22477181694277 unsplit.
         swap_squarefree_verdict(monkeypatch)
         with pytest.raises(OracleViolationError, match="monogenicity routes disagree"):
             strictly_perron_certificate(*point)

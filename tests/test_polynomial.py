@@ -354,6 +354,12 @@ class TestModPoly:
             assert all(0 <= c < q for c in quo)
             exact = IntPoly(tuple(b)) * IntPoly(tuple(quo)) + IntPoly(tuple(rem))
             assert reduce_mod((exact - IntPoly(tuple(a))).coeffs, q) == []
+        # An unreduced a of lower degree than b, with entries >= q, negative
+        # entries and trailing zeros: the remainder is reduced like any other,
+        # and it is a new list, not a itself.
+        a = [q + 1, -3, 2 * q, -q - 2, 0, 0]
+        quo, rem = divmod_mod(a, [1, 0, 0, 0, 0, 0, 1], q)
+        assert quo == [] and rem == reduce_mod(a, q) and rem is not a
 
     def test_derivative_frobenius_kernel(self):
         # x^3 + 2 = (x + 2)^3 over F_3 has derivative 0, so its radical comes
