@@ -179,7 +179,7 @@ def classify_irreducible(f: IntPoly) -> Classification:
         if cls is not None and any(c > v or (v - c) % 2 for c, v in zip(census[1:3], variations)):
             raise OracleViolationError(
                 f"real-root census {census[1:3]} disagrees with the Descartes counts "
-                f"{variations} for {f.pretty()}"
+                f"{variations} for {f.to_text()}"
             )
         return cls
 

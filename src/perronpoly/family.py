@@ -2,8 +2,8 @@
 
 A family point is a FamilyParams: (n, a, p) checked once, when the point is
 made, with the closed forms the paper proves things about as its attributes
-(the member f and its trinomial shape, G(p), the closed-form discriminant
-and the constant-time irreducibility dichotomy). Everything else here takes
+(the member f, G(p), the closed-form discriminant and the constant-time
+irreducibility dichotomy). Everything else here takes
 a point and reads them: the monogenic-iff-G-squarefree criterion, real-root
 parity, a member's class and monogenicity report with irreducibility taken
 from the dichotomy, and the certificate pipeline that runs every check side
@@ -73,20 +73,15 @@ class FamilyParams:
         return self.coprime and self.p > self.a + 1
 
     @cached_property
-    def trinomial(self) -> TrinomialParams:
-        """The member's shape x^n + A x^m + B, for the trinomial index test."""
-        return TrinomialParams(self.n, self.n - 1, -self.a, -self.p)
-
-    @cached_property
     def poly(self) -> IntPoly:
         """The family member x^n - a*x^(n-1) - p.
 
         >>> FamilyParams(2, 1, 3).poly.to_text()
         '-3,-1,1'
-        >>> FamilyParams(4, 3, 5).poly.pretty()
-        'x^4 - 3*x^3 - 5'
+        >>> FamilyParams(4, 3, 5).poly.to_text()
+        '-5,0,0,-3,1'
         """
-        return self.trinomial.polynomial()
+        return TrinomialParams(self.n, self.n - 1, -self.a, -self.p).polynomial()
 
     @cached_property
     def g(self) -> int:
@@ -191,7 +186,7 @@ def descartes_profile(point: FamilyParams) -> tuple[int, int]:
     if exact != expected:
         raise OracleViolationError(
             f"real-root parity {exact} contradicts the sign analysis {expected} "
-            f"for {point.poly.pretty()}"
+            f"for {point.poly.to_text()}"
         )
     return exact
 
@@ -251,10 +246,11 @@ def _conclusion(cls: Classification, monogenic_verdict: str) -> str:
 def _local_tests(point: FamilyParams, g_fact: Factorization, known=()) -> MonogenicityReport:
     """monogenic_from_factorization for an irreducible member, on the
     factorization g_fact of G(p) with p^(n-2) multiplied in."""
-    exponents = {**dict(g_fact.factors), point.p: g_fact.exponent(point.p) + point.n - 2}
+    exponents = dict(g_fact.factors)
+    exponents[point.p] = exponents.get(point.p, 0) + point.n - 2
     factors = tuple(sorted((q, e) for q, e in exponents.items() if e))
     disc_fact = Factorization(factors, g_fact.cofactor)
-    return monogenic_from_factorization(point.poly, point.trinomial, point.disc, disc_fact, known)
+    return monogenic_from_factorization(point.poly, point.disc, disc_fact, known)
 
 
 def _settled_by_trial_division(g_fact: Factorization, report: MonogenicityReport | None) -> bool:
@@ -310,7 +306,7 @@ def strictly_perron_certificate(
     disc_oracle = discriminant_resultant(f)
     if point.disc != disc_oracle:
         raise OracleViolationError(
-            f"discriminant mismatch for {f.pretty()}: closed form {point.disc}, "
+            f"discriminant mismatch for {f.to_text()}: closed form {point.disc}, "
             f"resultant {disc_oracle}"
         )
 
@@ -331,7 +327,7 @@ def strictly_perron_certificate(
                 and verdict != family_verdict
             ):
                 raise OracleViolationError(
-                    f"monogenicity routes disagree for {f.pretty()}: local tests say "
+                    f"monogenicity routes disagree for {f.to_text()}: local tests say "
                     f"{verdict}, squarefree criterion says {family_verdict}"
                 )
     else:
@@ -352,7 +348,7 @@ def strictly_perron_certificate(
             eps = Fraction(1, scale) * max(1, lam)
             raise OracleViolationError(
                 f"certified root {cls.dominant} is not bracketed by a sign change of "
-                f"{f.pretty()} within {float(eps):.3g}"
+                f"{f.to_text()} within {float(eps):.3g}"
             )
 
     if point.irreducible:

@@ -364,18 +364,6 @@ class Factorization:
     def complete(self) -> bool:
         return self.cofactor == 1
 
-    def value(self) -> int:
-        v = self.cofactor
-        for p, e in self.factors:
-            v *= p**e
-        return v
-
-    def exponent(self, q: int) -> int:
-        for p, e in self.factors:
-            if p == q:
-                return e
-        return 0
-
     def square_primes(self) -> list[int]:
         """The primes whose square this factorization shows to divide N,
         ascending. A factored prime's share of an unfinished cofactor counts;

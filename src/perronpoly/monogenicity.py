@@ -115,31 +115,36 @@ class LocalIndexVerdict:
         return {"q": self.q, "result": self.result, "condition": self.condition}
 
 
-def jks_local_test(t: TrinomialParams, q: int, _disc: int | None = None) -> LocalIndexVerdict:
+def jks_local_test(t: TrinomialParams, q: int) -> LocalIndexVerdict:
     """The five-condition criterion for whether q divides the index.
 
     Expects q to be a prime factor of disc(x^n + A x^m + B); anything else is
     rejected. The result is NotDividesIndex when the condition selected by
     the (q | A?, q | B?, q | m?) split holds, and DividesIndex when it fails.
 
-    Conditions (ii) and (iv) need q | n, and Swan's formula supplies it:
-    with d = gcd(n, m), N = n / d and M = m / d,
+    Swan's formula decides which primes qualify: with d = gcd(n, m),
+    N = n / d and M = m / d,
 
-        disc = +-B^(m-1) * [n^N B^(N-M) - (-1)^N (n-m)^(N-M) m^M A^N]^d.
+        disc = +-B^(m-1) * [n^N B^(N-M) - (-1)^N (n-m)^(N-M) m^M A^N]^d,
 
-    Take q dividing neither n nor B. In (ii) q | A; in (iv) q | m, and so
-    q | M as q does not divide d. Either way the bracket is n^N B^(N-M),
-    nonzero mod q, and q cannot divide the discriminant.
+    and the bracket is d^N times jks_condition_v_quantity(t). So q divides
+    the discriminant exactly when m >= 2 and q | B, or q | d, or q divides
+    that quantity, which condition (v) reads again. Conditions (ii) and (iv)
+    need q | n, and the formula supplies it too. Take q dividing neither n
+    nor B. In (ii) q | A; in (iv) q | m, and so q | M as q does not divide
+    d. Either way the bracket is n^N B^(N-M), nonzero mod q, and q cannot
+    divide the discriminant.
     """
     if not is_prime(q):
         raise InvalidInputError("local tests need a prime q")
-    disc = _disc if _disc is not None else discriminant(t.polynomial())
-    if disc % q != 0:
-        raise InvalidInputError(f"{q} does not divide the discriminant {disc}")
     n, m, A, B = t.n, t.m, t.A, t.B
     qq = q * q
     divides_A = A % q == 0
     divides_B = B % q == 0
+    quantity = jks_condition_v_quantity(t)
+    if not (divides_B and m >= 2 or t.d0 % q == 0 or quantity % q == 0):
+        text = t.polynomial().to_text()
+        raise InvalidInputError(f"{q} does not divide the discriminant of {text}")
 
     if divides_A and divides_B:
         ok = B % qq != 0
@@ -182,7 +187,6 @@ def jks_local_test(t: TrinomialParams, q: int, _disc: int | None = None) -> Loca
         ok = len(gcd_mod(first, second, q)) <= 1
         return LocalIndexVerdict(q, NOT_DIVIDES if ok else DIVIDES, "(iv)")
 
-    quantity = jks_condition_v_quantity(t)
     ok = quantity % qq != 0
     return LocalIndexVerdict(q, NOT_DIVIDES if ok else DIVIDES, "(v)")
 
@@ -324,27 +328,23 @@ def monogenic(f: IntPoly, budget: int = DEFAULT_BUDGET) -> MonogenicityReport:
         raise InvalidInputError(REDUCIBLE_INPUT)
     disc = discriminant(poly)
     fact = factorize(abs(disc), budget=budget)
-    return monogenic_from_factorization(poly, TrinomialParams.from_polynomial(poly), disc, fact)
+    return monogenic_from_factorization(poly, disc, fact)
 
 
 def monogenic_from_factorization(
-    poly: IntPoly,
-    params: TrinomialParams | None,
-    disc: int,
-    fact: Factorization,
-    known: tuple[LocalIndexVerdict, ...] = (),
+    poly: IntPoly, disc: int, fact: Factorization, known: tuple[LocalIndexVerdict, ...] = ()
 ) -> MonogenicityReport:
     """The decision step of monogenic, for a monic irreducible poly whose
     discriminant disc and factorization fact of |disc| are already known.
-    params is poly's trinomial shape, or None when poly is not a trinomial.
     known holds verdicts already reached for poly; a local verdict depends
     on the prime alone, so those primes are not tested again.
     """
+    params = TrinomialParams.from_polynomial(poly)
     reuse = {v.q: v for v in known}
     verdicts: list[LocalIndexVerdict] = []
     failing: int | None = None
     for q in fact.square_primes():
-        chosen = reuse.get(q) or _local_verdict(poly, params, q, disc)
+        chosen = reuse.get(q) or _local_verdict(poly, params, q)
         verdicts.append(chosen)
         if chosen.result == DIVIDES and failing is None:
             failing = q
@@ -358,10 +358,8 @@ def monogenic_from_factorization(
     return MonogenicityReport(poly, disc, fact, tuple(verdicts), verdict)
 
 
-def _local_verdict(
-    poly: IntPoly, params: TrinomialParams | None, q: int, disc: int
-) -> LocalIndexVerdict:
-    jks = None if params is None else jks_local_test(params, q, _disc=disc)
+def _local_verdict(poly: IntPoly, params: TrinomialParams | None, q: int) -> LocalIndexVerdict:
+    jks = None if params is None else jks_local_test(params, q)
     dedekind = dedekind_local_test(poly, q)
     if jks is None:
         return dedekind

@@ -121,15 +121,12 @@ class IntPoly:
         return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs)
 
     def primitive(self) -> "IntPoly":
         """Divide out the positive content; the sign pattern is preserved,
         which matters to Sturm chains."""
-        g = abs(self.content())
+        g = self.content()
         if g in (0, 1):
             return self
         return self.scale_div(g)
@@ -176,31 +173,6 @@ class IntPoly:
         if self.is_zero:
             return "0"
         return ",".join(str(c) for c in self.coeffs)
-
-    def pretty(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                xpart = "x" if i == 1 else f"x^{i}"
-                body = xpart if mag == 1 else f"{mag}*{xpart}"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    def __str__(self) -> str:
-        return self.pretty()
 
 
 def is_self_reciprocal(f: IntPoly) -> bool:
@@ -324,7 +296,7 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
         return g if g.is_zero or g.lead > 0 else -g
     if g.is_zero:
         return f if f.lead > 0 else -f
-    cf, cg = abs(f.content()), abs(g.content())
+    cf, cg = f.content(), g.content()
     a, b = f.primitive(), g.primitive()
     if a.degree < b.degree:
         a, b = b, a

@@ -75,7 +75,7 @@ class TestClosedForms:
     def test_build(self):
         assert FamilyParams(2, 1, 3).poly == poly(-3, -1, 1)
         assert FamilyParams(4, 3, 5).poly == poly(-5, 0, 0, -3, 1)
-        assert FamilyParams(4, 3, 5).poly.pretty() == "x^4 - 3*x^3 - 5"
+        assert FamilyParams(4, 3, 5).poly.to_text() == "-5,0,0,-3,1"
 
     def test_g_value(self):
         assert FamilyParams(2, 1, 3).g == 13
@@ -375,8 +375,12 @@ class TestCertificate:
 
     def test_fault_injection_trips_oracle(self, monkeypatch):
         negate_closed_disc(monkeypatch)
-        with pytest.raises(OracleViolationError, match="discriminant mismatch"):
+        with pytest.raises(OracleViolationError, match="discriminant mismatch") as caught:
             strictly_perron_certificate(4, 3, 5)
+        # The message names f by its --coeffs text, which reads back as f.
+        text = "-5,0,0,-3,1"
+        assert f"mismatch for {text}:" in str(caught.value)
+        assert IntPoly.from_text(text) == FamilyParams(4, 3, 5).poly
 
     def test_rejects_bad_params(self):
         with pytest.raises(InvalidInputError):
@@ -609,9 +613,9 @@ class TestStopRule:
         tested = []
         local_verdict = monogenicity._local_verdict
 
-        def spy(poly, params, q, disc):
+        def spy(poly, params, q):
             tested.append(q)
-            return local_verdict(poly, params, q, disc)
+            return local_verdict(poly, params, q)
 
         monkeypatch.setattr(monogenicity, "_local_verdict", spy)
         cert = strictly_perron_certificate(16, 2, 37)

@@ -200,16 +200,26 @@ def trinomial_grid(n_max=6, coef_max=6):
 class TestDifferentialSweep:
     def test_jks_agrees_with_dedekind_everywhere(self):
         """Every local verdict must match between the two routes, and all
-        five trinomial conditions must actually fire."""
+        five trinomial conditions must actually fire. The trinomial test's
+        own check that q divides the discriminant, by Swan's formula, must
+        agree with the resultant at every prime below 50."""
         seen = {"(i)": 0, "(ii)": 0, "(iii)": 0, "(iv)": 0, "(v)": 0}
         tested = 0
         for t in trinomial_grid():
             f = t.polynomial()
             d = discriminant(f)
+            for q in sympy.primerange(50):
+                try:
+                    jks_local_test(t, q)
+                except InvalidInputError:
+                    rejected = True
+                else:
+                    rejected = False
+                assert rejected == (d % q != 0), (t, q, d)
             if d == 0 or not is_irreducible(f):
                 continue
             for q in square_primes_of(d):
-                jks = jks_local_test(t, q, _disc=d)
+                jks = jks_local_test(t, q)
                 ded = dedekind_local_test(f, q)
                 tested += 1
                 # Swan's formula puts every prime dividing the discriminant
@@ -236,7 +246,7 @@ class TestDifferentialSweep:
         if d == 0 or not is_irreducible(f):
             return
         for q in square_primes_of(d):
-            jks = jks_local_test(t, q, _disc=d)
+            jks = jks_local_test(t, q)
             assert jks.condition in ("(i)", "(ii)", "(iii)", "(iv)", "(v)"), (t, q, jks)
             assert jks.result == dedekind_local_test(f, q).result
 

@@ -76,11 +76,6 @@ class TestIntPolyBasics:
         assert f == poly(-3, -1, 1)
         assert all(type(c) is int for c in f.coeffs)
 
-    def test_pretty(self):
-        assert poly(-5, 0, 0, -3, 1).pretty() == "x^4 - 3*x^3 - 5"
-        assert poly(-1, -1, 1).pretty() == "x^2 - x - 1"
-        assert poly(3).pretty() == "3"
-
     def test_evaluation(self):
         f = poly(-1, -1, 1)
         assert f(2) == 1

@@ -1,9 +1,11 @@
-"""Every public function and class in src/perronpoly is reached, and every
-import in src/perronpoly and tests/ is read.
+"""Every public function, class and method in src/perronpoly is reached,
+and every import in src/perronpoly and tests/ is read.
 
 A public top-level function or class must be exported in `__all__` or be
-referenced somewhere in src/ outside its own body; anything else is code
-that only tests run, and belongs under tests/.
+referenced somewhere in src/ outside its own body, and a public method or
+property of a class must be read as an attribute somewhere in src/ outside
+its own body; anything else is code that only tests run, and belongs under
+tests/.
 """
 from __future__ import annotations
 
@@ -53,8 +55,43 @@ def unreached(src: Path = SRC) -> list[str]:
     return missing
 
 
+def _attribute_reads(tree: ast.AST) -> Counter[str]:
+    """How often each name is read as an attribute in tree."""
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def unread_methods(src: Path = SRC) -> list[str]:
+    """module.Class.name of each public method or property of a top-level
+    class in the package at src that no code there reads as an attribute
+    outside its own body. Dunder methods and dataclass fields are not
+    methods of this kind, so they are never reported."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    everywhere = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    missing = []
+    for module, tree in trees.items():
+        if module in EXEMPT_MODULES:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                if everywhere[node.name] == _attribute_reads(node)[node.name]:
+                    missing.append(f"{module}.{cls.name}.{node.name}")
+    return missing
+
+
 def test_every_public_definition_is_reached():
     assert unreached() == []
+
+
+def test_every_public_method_is_read():
+    assert unread_methods() == []
 
 
 def test_an_unreferenced_definition_is_flagged(tmp_path):
@@ -66,6 +103,22 @@ def test_an_unreferenced_definition_is_flagged(tmp_path):
         "def orphan():\n    return helper()\n\n\ndef helper():\n    return helper\n"
     )
     assert unreached(tmp_path) == ["extra.orphan"]
+
+
+def test_an_unread_method_is_flagged(tmp_path):
+    # The check itself: a method read only inside its own body is reported;
+    # a property another method reads, a dunder method and a field are not.
+    for path in SRC.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    (tmp_path / "extra.py").write_text(
+        "class Box:\n"
+        "    size: int\n\n"
+        "    def __len__(self):\n        return self.size\n\n"
+        "    @property\n"
+        "    def area(self):\n        return self.size * self.size\n\n"
+        "    def grow(self):\n        return self.area + self.grow\n"
+    )
+    assert unread_methods(tmp_path) == ["extra.Box.grow"]
 
 
 def unused_imports(source: str) -> list[str]:
