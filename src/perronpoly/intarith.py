@@ -9,25 +9,27 @@ package is N <= 2**128.
 Factorization is budgeted and runs in two public steps. trial_divide walks a
 sieved prime table in blocks of consecutive primes: one gcd with a block's
 product says whether any of its primes divides what is left (Bernstein's
-batched trial division), and only then are they tried one by one. Before a
-block's gcd, what is left gets an is_prime test when it has changed since the
-last one and lies in [2**32, 2**160), where the test costs less than the walk
-it can save; a prime ends the walk, since no later block divides it. Either
-way it returns the partial Factorization a prime-by-prime pass gives, whose
-cofactor is 1 or free of primes up to TRIAL_BOUND (a prime above about 10**12
-stays the cofactor, as at the end of a full walk); finish_factorization then
-splits that cofactor. Each composite piece gets perfect-power extraction,
-then Lenstra's elliptic-curve method (ECM) on Montgomery curves with
-Suyama's parametrization at sigma = 6, 7, 8, ...: a ladder over lcm(1..B1),
-then a baby-step giant-step stage 2 over the primes in (B1, B2]. B1 is 250
-for the first 20 curves, which find most primes up to 10**11, and doubles
-every 20 curves up to 2,000 for larger ones. factorize is the two steps in a
-row. A caller that only needs what the small primes settle (the smallest
-square prime, say) can stop after the first step, since the second only adds
-primes above TRIAL_BOUND. The budget counts a fixed charge per curve,
-proportional to its B1. A curve runs only when its whole charge is left, so
-no run spends more than its budget; when it runs out the unfinished part is
-reported as an explicit composite cofactor rather than guessed at.
+batched trial division), and only then are they tried one by one. The block
+products are built in chunks of 8, 8, 16, 32, ... blocks, each the first time
+a walk reaches it, so a walk that stops early never pays for the blocks past
+its stop. Before a block's gcd, what is left gets an is_prime test when it has
+changed since the last one and lies in [2**32, 2**160), where the test costs
+less than the walk it can save; a prime ends the walk, since no later block
+divides it. Either way it returns the partial Factorization a prime-by-prime
+pass gives, whose cofactor is 1 or free of primes up to TRIAL_BOUND (a prime
+above about 10**12 stays the cofactor, as at the end of a full walk);
+finish_factorization then splits that cofactor. Each composite piece gets
+perfect-power extraction, then Lenstra's elliptic-curve method (ECM) on
+Montgomery curves with Suyama's parametrization at sigma = 6, 7, 8, ...: a
+ladder over lcm(1..B1), then a baby-step giant-step stage 2 over the primes in
+(B1, B2]. B1 is 250 for the first 20 curves, which find most primes up to
+10**11, and doubles every 20 curves up to 2,000 for larger ones. factorize is
+the two steps in a row. A caller that only needs what the small primes settle
+(the smallest square prime, say) can stop after the first step, since the
+second only adds primes above TRIAL_BOUND. The budget counts a fixed charge
+per curve, proportional to its B1. A curve runs only when its whole charge is
+left, so no run spends more than its budget; when it runs out the unfinished
+part is reported as an explicit composite cofactor rather than guessed at.
 
 Whether N is squarefree is read off its Factorization alone, by
 square_primes and complete. An unfinished cofactor is never judged on its
@@ -108,12 +110,20 @@ def _trial_primes() -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _trial_blocks() -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The prime table cut into runs of _TRIAL_BLOCK consecutive primes, each
-    paired with its product; built on the first trial division."""
+def _trial_chunk(i: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Chunk i of the trial-division blocks, each a run of _TRIAL_BLOCK
+    consecutive table primes paired with its product: blocks 0..7 for i = 0,
+    then blocks 8 * 2**(i - 1) up to 8 * 2**i, so chunks hold 8, 8, 16, 32,
+    ... blocks. Built the first time a walk reaches it."""
     table = _trial_primes()
-    runs = (table[i : i + _TRIAL_BLOCK] for i in range(0, len(table), _TRIAL_BLOCK))
+    start = 0 if i == 0 else 8 << (i - 1)
+    stop = min(len(table), (8 << i) * _TRIAL_BLOCK)
+    runs = (table[j : j + _TRIAL_BLOCK] for j in range(start * _TRIAL_BLOCK, stop, _TRIAL_BLOCK))
     return tuple((prod(run), run) for run in runs)
+
+
+# Chunks 0..7 hold 8 << 7 = 1,024 blocks, enough for the 614 of the table.
+_TRIAL_CHUNKS = 8
 
 
 def primes_below(bound: int, low: int = 2) -> list[int]:
@@ -406,7 +416,7 @@ def trial_divide(n: int) -> Factorization:
     found: list[tuple[int, int]] = []
     rem = n
     tested = 0  # what was left at the last primality test
-    for product, run in _trial_blocks():
+    for product, run in chain.from_iterable(map(_trial_chunk, range(_TRIAL_CHUNKS))):
         if run[0] * run[0] > rem:
             break
         if rem != tested and _PRIME_EXIT_LOW <= rem < _PRIME_EXIT_HIGH:

@@ -244,8 +244,18 @@ def _qth_root_mod(f: list[int], q: int) -> list[int]:
 
 
 def _radical_mod(f: list[int], q: int) -> list[int]:
-    """Product of the distinct monic irreducible factors of f over F_q."""
+    """Product of the distinct monic irreducible factors of nonzero f over F_q.
+
+    A factor x^v is split off in one step, since radical(x^v h) = x radical(h)
+    when x does not divide h, and a monic f of degree at most 1 is its own
+    radical. Anything else goes through gcd(f, f'), or through the q-th root
+    when f' is 0."""
     f = monic_mod(f, q)
+    v = next(i for i, c in enumerate(f) if c)
+    if v:
+        return [0] + _radical_mod(f[v:], q)
+    if len(f) <= 2:
+        return f
     d = reduce_mod([e * c for e, c in enumerate(f)][1:], q)
     if not d:
         return _radical_mod(_qth_root_mod(f, q), q)

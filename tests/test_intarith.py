@@ -299,6 +299,54 @@ class TestBlockTrialDivision:
         self.assert_agrees(n)
 
 
+class TestLazyBlockTable:
+    """The block table is built in chunks of 8, 8, 16, 32, ... blocks as walks
+    reach them, and how far it is built never changes a result."""
+
+    @pytest.fixture
+    def chunks(self):
+        """The table emptied, as at the start of a process."""
+        intarith._trial_chunk.cache_clear()
+        return intarith._trial_chunk
+
+    def test_an_early_stop_builds_the_first_chunk_only(self, chunks):
+        assert trial_divide(2**10 * 3**5 * 997) == Factorization(((2, 10), (3, 5), (997, 1)), 1)
+        assert chunks.cache_info().currsize == 1
+
+    def test_a_full_walk_builds_every_block(self, chunks):
+        # A prime above 2**160 gets no primality exit, so the walk runs to
+        # the end of the table, and a second walk builds nothing more.
+        n = sympy.nextprime(2**170)
+        for _ in range(2):
+            assert trial_divide(n) == Factorization((), n)
+            assert chunks.cache_info().currsize == intarith._TRIAL_CHUNKS
+        built = [chunks(i) for i in range(intarith._TRIAL_CHUNKS)]
+        assert [len(chunk) for chunk in built] == [8, 8, 16, 32, 64, 128, 256, 102]
+        blocks = [block for chunk in built for block in chunk]
+        assert [p for _, run in blocks for p in run] == list(_TABLE)
+        assert all(len(run) == _TRIAL_BLOCK for _, run in blocks[:-1])
+        assert all(product == math.prod(run) for product, run in blocks)
+
+    def test_results_do_not_depend_on_how_far_the_table_is_built(self, chunks):
+        # Smooth numbers times a prime of 1 to 13 digits, in seeded order,
+        # so small inputs are walked before large ones and after them; the
+        # two primes of 999979 * 999983 lie in the last chunk.
+        rng = random.Random(7)
+        inputs = [2 * 3, 999983**2 * 5, 999979 * 999983]
+        for _ in range(150):
+            n = sympy.prevprime(10 ** rng.randint(1, 13))
+            for _ in range(rng.randint(0, 5)):
+                n *= rng.choice(_TABLE[: rng.choice((20, 2000, len(_TABLE)))]) ** rng.randint(1, 3)
+            inputs.append(n)
+        trial_divide(sympy.nextprime(2**170))
+        expected = [trial_divide(n) for n in inputs]
+        assert expected[2] == Factorization(((999979, 1), (999983, 1)), 1)
+        for order in (inputs, inputs[::-1]):
+            chunks.cache_clear()
+            results = dict(zip(order, map(trial_divide, order)))
+            assert [results[n] for n in inputs] == expected
+
+
 def _spy(monkeypatch, name):
     """Record the first argument of every call to intarith.<name>."""
     calls = []

@@ -17,6 +17,7 @@ from sympy.polys.numberfields.exceptions import ClosureFailure
 from conftest import X, flip_dedekind, poly, to_sympy
 from perronpoly import monogenicity
 from perronpoly.errors import InvalidInputError, OracleViolationError
+from perronpoly.family import FamilyParams
 from perronpoly.intarith import factorize
 from perronpoly.irreducibility import is_irreducible
 from perronpoly.monogenicity import (
@@ -114,8 +115,6 @@ class TestJksLocalTest:
     def test_condition_five_quantity_matches_family(self):
         # For x^n - a x^{n-1} - p the generic-prime quantity is exactly
         # -(n^n p + a^n (n-1)^(n-1)).
-        from perronpoly.family import FamilyParams
-
         for n, a, p in [(2, 1, 3), (3, 1, 2), (3, 2, 5), (5, 4, 7), (7, 6, 13)]:
             t = TrinomialParams(n, n - 1, -a, -p)
             assert jks_condition_v_quantity(t) == -FamilyParams(n, a, p).g
@@ -147,6 +146,19 @@ class TestDedekindLocalTest:
     def test_requires_monic(self):
         with pytest.raises(InvalidInputError):
             dedekind_local_test(IntPoly((1, 1, 2)), 2)
+
+    @pytest.mark.parametrize("n", [8, 24, 40])
+    @pytest.mark.parametrize("a", [2, 5])
+    def test_family_prime_costs_two_gcds(self, monkeypatch, n, a):
+        # At q = p the member reduces to x^(n-1) (x - a), or to x^n when p | a.
+        # The radical splits the power of x off in one step and needs no gcd,
+        # which leaves the criterion's own two, whatever the degree.
+        gcds, gcd_mod = [], monogenicity.gcd_mod
+        monkeypatch.setattr(
+            monogenicity, "gcd_mod", lambda *args: gcds.append(args) or gcd_mod(*args)
+        )
+        dedekind_local_test(FamilyParams(n, a, 5).poly, 5)
+        assert len(gcds) == 2
 
     # Two tripwires no valid input reaches, fired at their seams: a quotient
     # by q of a coefficient q does not divide, and a q-th root of a

@@ -362,6 +362,25 @@ class TestModPoly:
         assert _qth_root_mod([2, 0, 0, 1], 3) == [2, 1]
         assert _radical_mod([2, 0, 0, 1], 3) == [2, 1]
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+    def test_radical_matches_sympy(self, q):
+        # Every constant and linear input, then seeded products of random
+        # factors at multiplicities that include q and 2q, times x^v and a
+        # unit; sympy's squarefree part over GF(q) is the referee.
+        rng = random.Random(q)
+        x = sympy.Symbol("x")
+        cases = [[c] for c in range(1, q)] + [[c, u] for c in range(q) for u in range(1, q)]
+        for _ in range(60):
+            f = [0] * rng.choice((0, 0, 1, 2, q, q + 1)) + [rng.randrange(1, q)]
+            for _ in range(rng.randint(0, 3)):
+                factor = [rng.randrange(q) for _ in range(rng.randint(1, 3))] + [1]
+                for _ in range(rng.choice((1, 2, 3, q, 2 * q))):
+                    f = mul_mod(f, factor, q)
+            cases.append(f)
+        for f in cases:
+            expected = sympy.Poly(list(reversed(f)), x, modulus=q).sqf_part().monic()
+            assert _radical_mod(f, q) == [c % q for c in reversed(expected.all_coeffs())], f
+
     @given(
         st.sampled_from([2, 3, 5, 7, 11]),
         st.lists(st.integers(0, 10), min_size=1, max_size=6),
